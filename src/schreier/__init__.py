@@ -47,9 +47,7 @@ from .sets import (
     is_interval,
 )
 from .turan import (
-    IntervalCountParams,
     TuranIdentityReport,
-    TuranSpec,
     balanced_part_sizes,
     interval_count_closed,
     interval_count_sum,
@@ -81,12 +79,10 @@ __all__ = [
     "FiniteSet",
     "GapSet",
     "IEDecomposition",
-    "IntervalCountParams",
     "ORACLE_LIMIT",
     "OracleLimitError",
     "Ratio",
     "TuranIdentityReport",
-    "TuranSpec",
     "VerifyReport",
     "attach_window",
     "balanced_part_sizes",

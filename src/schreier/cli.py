@@ -27,14 +27,14 @@ from .enumeration import (
     count_schreier_bruteforce,
     enumerate_schreier,
 )
-from .sets import Ratio
+from .sets import Ratio, require_int
 from .turan import (
     interval_count_closed,
     interval_count_sum,
     turan_edges_construction,
     turan_edges_formula,
 )
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 _COUNT_METHODS = {
     "oracle": count_schreier_bruteforce,
@@ -56,8 +56,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
-    if args.max < 1:
-        raise ValueError(f"--max must be at least 1, got {args.max}")
+    require_int("--max", args.max, 1, "at least 1")
     sequence = schreier_sequence(Ratio(args.p, args.q), args.max)
     start = 0 if args.include_zero else args.offset
     if not 0 <= start <= args.max:
@@ -98,8 +97,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     """Time each counting method per n; digests double as a cross-check."""
-    if args.max < 1:
-        raise ValueError(f"--max must be at least 1, got {args.max}")
+    require_int("--max", args.max, 1, "at least 1")
     ratio = Ratio(args.p, args.q)
     print("# n\tmethod\tns\tdigest")
     for n in range(1, args.max + 1):
@@ -172,17 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     interval.set_defaults(func=cmd_interval_count)
 
     verify = sub.add_parser("verify", help="run a verification suite over its grid")
-    verify.add_argument(
-        "--suite",
-        choices=(
-            "recurrence",
-            "bijections",
-            "turan-identity",
-            "scale-invariance",
-            "all",
-        ),
-        default="all",
-    )
+    verify.add_argument("--suite", choices=[*SUITES, "all"], default="all")
     verify.add_argument("--pmax", type=int, default=None)
     verify.add_argument("--qmax", type=int, default=None)
     verify.add_argument("--nmax", type=int, default=None)

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 from typing import Iterator
 
-from .sets import Ratio
+from .sets import Ratio, require_int
 
 # Counts are plain Python ints: exact and unbounded, which the
 # recurrence needs long before n reaches 10_000.
@@ -48,15 +49,9 @@ class CountSequence:
         return iter(self.values)
 
 
-def _require_count_index(n: int) -> None:
-    if not (isinstance(n, int) and n >= 0):
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
-
-
 def binomial(n: int, k: int) -> Count:
     """C(n, k), with out-of-range k giving 0 instead of an error."""
-    if not (isinstance(n, int) and n >= 0):
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    require_int("n", n, 0, "a non-negative integer")
     if k < 0 or k > n:
         return 0
     return comb(n, k)
@@ -72,7 +67,7 @@ def count_schreier_direct(n: int, ratio: Ratio) -> Count:
     usual multiplicative update.  The lone singleton {n} contributes
     when q*n >= p.
     """
-    _require_count_index(n)
+    require_int("n", n, 0, "a non-negative integer")
     p, q = ratio.p, ratio.q
     total = 1 if q * n >= p else 0
     for m in range(1, n):
@@ -97,8 +92,8 @@ def _signed_coefficients(q: int) -> list[int]:
     return [(-1) ** (k + 1) * comb(q, k) for k in range(1, q + 1)]
 
 
-def count_schreier_recurrence(n: int, ratio: Ratio) -> Count:
-    """Count via the depth-(p+q) linear recurrence.
+def _recurrence_terms(ratio: Ratio) -> Iterator[Count]:
+    """count(0), count(1), ... without end, from the depth-(p+q) recurrence.
 
     For n >= p + q,
 
@@ -106,39 +101,35 @@ def count_schreier_recurrence(n: int, ratio: Ratio) -> Count:
                    + count(n - p - q),
 
     seeded with count(0) = 0 and the direct formula for 0 < n < p + q.
-    Runs in O(n * q) big-int additions.
+    Only the last p + q values are kept, so memory stays bounded by
+    the window however far the caller reads.
     """
-    _require_count_index(n)
     p, q = ratio.p, ratio.q
     depth = p + q
-    if n < depth:
-        return count_schreier_direct(n, ratio)
-    hist: deque[Count] = deque(maxlen=depth)
-    hist.append(0)
-    for m in range(1, depth):
-        hist.append(count_schreier_direct(m, ratio))
-    signed = _signed_coefficients(q)
-    for _ in range(depth, n + 1):
-        # hist[depth - k] holds the count k steps back
-        value = hist[0]
-        for k in range(1, q + 1):
-            value += signed[k - 1] * hist[depth - k]
-        hist.append(value)
-    return hist[-1]
+    window: deque[Count] = deque(maxlen=depth)
+    for m in range(depth):
+        # the direct formula is looked up at call time, so a substitute
+        # installed on this module reaches the seeds
+        value = count_schreier_direct(m, ratio) if m else 0
+        window.append(value)
+        yield value
+    # window[depth - k] holds the count k steps back, window[0] the count p + q back
+    taps = [(c, depth - k) for k, c in enumerate(_signed_coefficients(q), start=1)]
+    while True:
+        value = window[0]
+        for c, i in taps:
+            value += c * window[i]
+        window.append(value)
+        yield value
+
+
+def count_schreier_recurrence(n: int, ratio: Ratio) -> Count:
+    """Count via the depth-(p+q) linear recurrence, in O(n * q) big-int additions."""
+    require_int("n", n, 0, "a non-negative integer")
+    return next(islice(_recurrence_terms(ratio), n, None))
 
 
 def schreier_sequence(ratio: Ratio, n_max: int) -> CountSequence:
     """All counts for 0 <= n <= n_max in one forward pass."""
-    _require_count_index(n_max)
-    p, q = ratio.p, ratio.q
-    depth = p + q
-    values: list[Count] = [0]
-    for m in range(1, min(depth, n_max + 1)):
-        values.append(count_schreier_direct(m, ratio))
-    signed = _signed_coefficients(q)
-    for m in range(depth, n_max + 1):
-        value = values[m - depth]
-        for k in range(1, q + 1):
-            value += signed[k - 1] * values[m - k]
-        values.append(value)
-    return CountSequence(ratio, tuple(values))
+    require_int("n", n_max, 0, "a non-negative integer")
+    return CountSequence(ratio, tuple(islice(_recurrence_terms(ratio), n_max + 1)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .sets import FiniteSet, Ratio, is_generalized_schreier
+from .sets import FiniteSet, Ratio, is_generalized_schreier, require_int
 
 ORACLE_LIMIT = 30
 """Largest n the subset-scanning oracles accept (2**(n-1) candidates)."""
@@ -41,11 +41,6 @@ class FamilyListing:
         return iter(self.members)
 
 
-def _require_positive(name: str, value: int) -> None:
-    if not (isinstance(value, int) and value >= 1):
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
 def _check_oracle_size(n: int) -> None:
     if n > ORACLE_LIMIT:
         raise OracleLimitError(
@@ -60,7 +55,7 @@ def enumerate_schreier(n: int, ratio: Ratio) -> FamilyListing:
     ascending-bitmask order (bit i-1 holds element i), so listings are
     deterministic and diffable.
     """
-    _require_positive("n", n)
+    require_int("n", n)
     _check_oracle_size(n)
     members = []
     for mask in range(1 << (n - 1)):
@@ -74,7 +69,7 @@ def enumerate_schreier(n: int, ratio: Ratio) -> FamilyListing:
 
 def count_schreier_bruteforce(n: int, ratio: Ratio) -> int:
     """|enumerate_schreier(n, ratio)| without materializing the listing."""
-    _require_positive("n", n)
+    require_int("n", n)
     _check_oracle_size(n)
     p, q = ratio.p, ratio.q
     total = 0
@@ -95,8 +90,8 @@ def enumerate_interval_family(n: int, p: int) -> FamilyListing:
     (minimum, length), which is lexicographic order on element
     sequences.
     """
-    _require_positive("n", n)
-    _require_positive("p", p)
+    require_int("n", n)
+    require_int("p", p)
     members = []
     for lo in range(1, n + 1):
         for hi in range(lo, n + 1):
@@ -107,8 +102,8 @@ def enumerate_interval_family(n: int, p: int) -> FamilyListing:
 
 def count_interval_bruteforce(n: int, p: int) -> int:
     """|enumerate_interval_family(n, p)|, testing every interval one by one."""
-    _require_positive("n", n)
-    _require_positive("p", p)
+    require_int("n", n)
+    require_int("p", p)
     total = 0
     for lo in range(1, n + 1):
         lo_weight = p * lo

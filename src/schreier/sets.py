@@ -14,11 +14,24 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
+def require_int(
+    name: str, value: object, minimum: int = 1, rule: str = "a positive integer"
+) -> None:
+    """Raise ValueError unless ``value`` is a plain int >= ``minimum``.
+
+    ``bool`` is refused although it subclasses int: ``True`` as a size
+    or bound is a caller's mistake, not the number 1.  ``rule`` words
+    the bound in the message.
+    """
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True, order=True, init=False)
 class FiniteSet:
     """Nonempty set of positive integers, stored as a strictly increasing tuple.
 
-    Accepts any iterable of distinct positive integers; elements are
+    Accepts any iterable of distinct positive ints (``bool`` is refused); elements are
     sorted on construction.  Instances are immutable, hashable, and
     ordered lexicographically by their element sequence.
     """
@@ -30,7 +43,7 @@ class FiniteSet:
         if not elems:
             raise ValueError("FiniteSet must be nonempty")
         for x in elems:
-            if not isinstance(x, int):
+            if type(x) is not int:  # refuses bool, which subclasses int
                 raise TypeError(f"elements must be integers, got {x!r}")
         if elems[0] < 1:
             raise ValueError(f"elements must be >= 1, got {elems[0]}")
@@ -46,10 +59,6 @@ class FiniteSet:
     @property
     def max(self) -> int:
         return self.elements[-1]
-
-    def translate(self, offset: int) -> FiniteSet:
-        """Element-wise shift by ``offset`` (may be negative)."""
-        return FiniteSet(x + offset for x in self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -77,10 +86,8 @@ class Ratio:
     q: int
 
     def __post_init__(self):
-        if not (isinstance(self.p, int) and self.p >= 1):
-            raise ValueError(f"p must be a positive integer, got {self.p!r}")
-        if not (isinstance(self.q, int) and self.q >= 1):
-            raise ValueError(f"q must be a positive integer, got {self.q!r}")
+        require_int("p", self.p)
+        require_int("q", self.q)
 
     def scaled(self, k: int) -> Ratio:
         """The same ratio written with both parts multiplied by ``k``."""

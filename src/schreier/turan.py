@@ -14,11 +14,7 @@ from dataclasses import dataclass
 
 from .counting import Count
 from .enumeration import count_interval_bruteforce
-
-
-def _require_positive(name: str, value: int) -> None:
-    if not (isinstance(value, int) and value >= 1):
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+from .sets import require_int
 
 
 def balanced_part_sizes(n: int, p: int) -> tuple[int, ...]:
@@ -27,8 +23,8 @@ def balanced_part_sizes(n: int, p: int) -> tuple[int, ...]:
     When p > n the trailing parts are empty (size 0); the graph is then
     complete on its n vertices.
     """
-    _require_positive("n", n)
-    _require_positive("p", p)
+    require_int("n", n)
+    require_int("p", p)
     base, r = divmod(n, p)
     return tuple([base + 1] * r + [base] * (p - r))
 
@@ -57,8 +53,8 @@ def turan_edges_formula(n: int, p: int) -> Count:
     the count is taken from the construction, which handles the empty
     parts directly.
     """
-    _require_positive("n", n)
-    _require_positive("p", p)
+    require_int("n", n)
+    require_int("p", p)
     if p > n:
         return turan_edges_construction(n, p)
     r = n - p * (n // p)
@@ -70,63 +66,14 @@ def turan_edges_formula(n: int, p: int) -> Count:
     return head + r * (r - 1) // 2
 
 
-@dataclass(frozen=True)
-class TuranSpec:
-    """A Turán graph T(n, p): n vertices in p near-equal nonempty parts."""
-
-    n: int
-    p: int
-
-    def __post_init__(self) -> None:
-        _require_positive("n", self.n)
-        _require_positive("p", self.p)
-        if self.p > self.n:
-            raise ValueError(
-                f"nonempty parts need p <= n, got p={self.p} parts for n={self.n}"
-            )
-
-    @property
-    def residue(self) -> int:
-        """How many parts must take one extra vertex: n - p * floor(n/p)."""
-        return self.n - self.p * (self.n // self.p)
-
-    @property
-    def part_sizes(self) -> tuple[int, ...]:
-        return balanced_part_sizes(self.n, self.p)
-
-    @property
-    def edge_count(self) -> Count:
-        return turan_edges_formula(self.n, self.p)
-
-
-@dataclass(frozen=True)
-class IntervalCountParams:
-    """An interval-count instance (n, p) and its split point delta.
-
-    ``delta`` is the number of minima m whose interval budget p*m stays
-    below the available room n + 1 - m.
-    """
-
-    n: int
-    p: int
-
-    def __post_init__(self) -> None:
-        _require_positive("n", self.n)
-        _require_positive("p", self.p)
-
-    @property
-    def delta(self) -> int:
-        return (self.n + 1) // (self.p + 1)
-
-
 def interval_count_sum(n: int, p: int) -> Count:
     """Qualifying intervals in {1..n}, summed minimum by minimum.
 
     An interval starting at m may extend to any of min(p*m, n+1-m)
     right endpoints, so the total is sum over m of that minimum.
     """
-    _require_positive("n", n)
-    _require_positive("p", p)
+    require_int("n", n)
+    require_int("p", p)
     total = 0
     for m in range(1, n + 1):
         total += min(p * m, n + 1 - m)
@@ -136,17 +83,17 @@ def interval_count_sum(n: int, p: int) -> Count:
 def interval_count_closed(n: int, p: int) -> Count:
     """Qualifying intervals in {1..n}, in closed form.
 
-    * n = 1: a single interval;
     * p > n: no interval is long enough to fail, n(n+1)/2 in all;
-    * otherwise the sum splits at d = delta: p*d(d+1)/2 from the capped
-      minima plus (n-d+1)(n-d)/2 from the roomy ones.
+    * otherwise the sum splits at d = (n + 1) // (p + 1), the number of
+      minima m whose budget p*m stays below the room n + 1 - m:
+      p*d(d+1)/2 from those capped minima plus (n-d+1)(n-d)/2 from the
+      roomy ones.
     """
-    params = IntervalCountParams(n, p)
-    if n == 1:
-        return 1
+    require_int("n", n)
+    require_int("p", p)
     if p > n:
         return n * (n + 1) // 2
-    d = params.delta
+    d = (n + 1) // (p + 1)
     return p * (d + 1) * d // 2 + (n - d + 1) * (n - d) // 2
 
 
@@ -188,8 +135,8 @@ def verify_turan_identity(
     are rejected.  The enumeration leg costs O(n^2) per call and can be
     switched off for large n.
     """
-    _require_positive("n", n)
-    _require_positive("p", p)
+    require_int("n", n)
+    require_int("p", p)
     if n < p:
         raise ValueError(f"identity requires n >= p, got n={n} < p={p}")
     closed = interval_count_closed(n, p)

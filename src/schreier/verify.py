@@ -2,16 +2,21 @@
 
 Each suite sweeps a parameter grid in sorted order, compares two or
 more independently computed values per cell, and returns a
-:class:`VerifyReport` listing any disagreements.  Suites never stop at
-the first failure; the report carries them all, so a regression shows
-its full extent.  Everything here is deterministic -- same bounds,
-same report.
+:class:`VerifyReport` listing any disagreements.  A suite is written as
+a generator of one ``(label, problem)`` pair per case, ``problem``
+being None when the case agrees; :func:`_drive` counts the cases and
+collects the failures.  Suites never stop at the first failure; the
+report carries them all, so a regression shows its full extent.  A
+grid with no cases is refused rather than reported as a pass.
+Everything here is deterministic -- same bounds, same report.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
+from typing import Callable, Iterable, Iterator
 
 from .bijections import (
     GapSet,
@@ -71,42 +76,70 @@ class VerifyReport:
         return head
 
 
+Case = tuple[str, "str | None"]
+Listings = dict[int, tuple[FiniteSet, ...]]  # family members by n
+
+
+def _drive(suite: str, grid: str, cases: Iterable[Case]) -> VerifyReport:
+    """Run every case of one suite and gather its report.
+
+    An empty grid raises ValueError: a pass over zero cases checks
+    nothing and must not read as evidence.
+    """
+    failures: list[str] = []
+    count = 0
+    for label, problem in cases:
+        count += 1
+        if problem is not None:
+            failures.append(f"{label}: {problem}")
+    if not count:
+        raise ValueError(f"{suite}: the grid {grid} has no cases")
+    return VerifyReport(suite, grid, count, tuple(failures))
+
+
+def _mismatch(got: object, want: object, template: str) -> str | None:
+    """None when the two values agree, else ``template`` filled with both."""
+    return None if got == want else template.format(got, want)
+
+
+def _ratios(p_max: int, q_max: int) -> Iterator[tuple[int, int]]:
+    return product(range(1, p_max + 1), range(1, q_max + 1))
+
+
+def _against_recurrence(
+    p_max: int, q_max: int, n_max: int, route: Callable[[int, Ratio], int], name: str
+) -> Iterator[Case]:
+    """One recurrence sequence per ratio, compared with ``route`` at each n >= 1."""
+    for p, q in _ratios(p_max, q_max):
+        ratio = Ratio(p, q)
+        fast = schreier_sequence(ratio, n_max)
+        for n in range(1, n_max + 1):
+            yield f"(p,q)=({p},{q}), n={n}", _mismatch(
+                fast[n], route(n, ratio), f"recurrence {{}} != {name} {{}}"
+            )
+
+
+def _window_cells(
+    p_max: int, q_max: int, n_max: int
+) -> Iterator[tuple[str, Ratio, int, Listings]]:
+    """(label, ratio, n, listings by n) for every cell with p + q <= n <= n_max."""
+    for p, q in _ratios(p_max, q_max):
+        ratio = Ratio(p, q)
+        listings = {m: enumerate_schreier(m, ratio).members for m in range(1, n_max + 1)}
+        for n in range(p + q, n_max + 1):
+            yield f"(p,q)=({p},{q}), n={n}", ratio, n, listings
+
+
 def recurrence_suite(p_max: int = 4, q_max: int = 4, n_max: int = 20) -> VerifyReport:
     """Recurrence against the brute-force oracle, cell by cell."""
-    failures: list[str] = []
-    cases = 0
-    for p in range(1, p_max + 1):
-        for q in range(1, q_max + 1):
-            ratio = Ratio(p, q)
-            for n in range(1, n_max + 1):
-                cases += 1
-                fast = count_schreier_recurrence(n, ratio)
-                slow = count_schreier_bruteforce(n, ratio)
-                if fast != slow:
-                    failures.append(
-                        f"(p,q)=({p},{q}), n={n}: recurrence {fast} != oracle {slow}"
-                    )
-    grid = f"1<=p<={p_max}, 1<=q<={q_max}, 1<=n<={n_max}"
-    return VerifyReport("recurrence", grid, cases, tuple(failures))
+    cases = _against_recurrence(p_max, q_max, n_max, count_schreier_bruteforce, "oracle")
+    return _drive("recurrence", f"1<=p<={p_max}, 1<=q<={q_max}, 1<=n<={n_max}", cases)
 
 
 def formula_suite(p_max: int = 6, q_max: int = 6, n_max: int = 300) -> VerifyReport:
     """Recurrence against the independent direct formula."""
-    failures: list[str] = []
-    cases = 0
-    for p in range(1, p_max + 1):
-        for q in range(1, q_max + 1):
-            ratio = Ratio(p, q)
-            for n in range(1, n_max + 1):
-                cases += 1
-                fast = count_schreier_recurrence(n, ratio)
-                direct = count_schreier_direct(n, ratio)
-                if fast != direct:
-                    failures.append(
-                        f"(p,q)=({p},{q}), n={n}: recurrence {fast} != direct {direct}"
-                    )
-    grid = f"1<=p<={p_max}, 1<=q<={q_max}, 1<=n<={n_max}"
-    return VerifyReport("formula", grid, cases, tuple(failures))
+    cases = _against_recurrence(p_max, q_max, n_max, count_schreier_direct, "direct")
+    return _drive("formula", f"1<=p<={p_max}, 1<=q<={q_max}, 1<=n<={n_max}", cases)
 
 
 def scale_invariance_suite(
@@ -120,22 +153,20 @@ def scale_invariance_suite(
     The scaled ratio drives a recurrence of different depth, so this is
     a real cross-check of the engine, not a tautology.
     """
-    failures: list[str] = []
-    cases = 0
-    for p in range(1, p_max + 1):
-        for q in range(1, q_max + 1):
-            base = schreier_sequence(Ratio(p, q), n_max)
+
+    def cases() -> Iterator[Case]:
+        for p, q in _ratios(p_max, q_max):
+            ratio = Ratio(p, q)
+            base = schreier_sequence(ratio, n_max)
             for k in factors:
-                scaled = schreier_sequence(Ratio(k * p, k * q), n_max)
+                scaled = schreier_sequence(ratio.scaled(k), n_max)
                 for n in range(n_max + 1):
-                    cases += 1
-                    if base[n] != scaled[n]:
-                        failures.append(
-                            f"(p,q)=({p},{q}), k={k}, n={n}: "
-                            f"{base[n]} != {scaled[n]}"
-                        )
+                    yield f"(p,q)=({p},{q}), k={k}, n={n}", _mismatch(
+                        base[n], scaled[n], "{} != {}"
+                    )
+
     grid = f"1<=p<={p_max}, 1<=q<={q_max}, 0<=n<={n_max}, k in {factors}"
-    return VerifyReport("scale-invariance", grid, cases, tuple(failures))
+    return _drive("scale-invariance", grid, cases())
 
 
 def gap_bijection_suite(p_max: int = 3, q_max: int = 3, n_max: int = 14) -> VerifyReport:
@@ -145,42 +176,29 @@ def gap_bijection_suite(p_max: int = 3, q_max: int = 3, n_max: int = 14) -> Veri
     gap-avoiding members must be injective, land exactly on the
     enumerated family at n - k, and round-trip through its inverse.
     """
-    failures: list[str] = []
-    cases = 0
-    for p in range(1, p_max + 1):
-        for q in range(1, q_max + 1):
-            ratio = Ratio(p, q)
-            listings = {
-                m: enumerate_schreier(m, ratio).members
-                for m in range(1, n_max + 1)
-            }
-            for n in range(p + q, n_max + 1):
-                window = gap_window(n, ratio)
-                members = listings[n]
-                for size in range(1, q + 1):
-                    for chosen in combinations(window, size):
-                        cases += 1
-                        label = f"(p,q)=({p},{q}), n={n}, gaps={chosen}"
-                        gaps = GapSet(n, ratio, chosen)
-                        avoiders = [
-                            fs for fs in members if not set(fs) & set(chosen)
-                        ]
-                        images = [collapse_gaps(fs, gaps) for fs in avoiders]
-                        if len(set(images)) != len(images):
-                            failures.append(f"{label}: map is not injective")
-                            continue
-                        if set(images) != set(listings[n - size]):
-                            failures.append(
-                                f"{label}: image differs from the family at n={n - size}"
-                            )
-                            continue
-                        if any(
-                            expand_gaps(image, gaps) != fs
-                            for fs, image in zip(avoiders, images)
-                        ):
-                            failures.append(f"{label}: inverse does not round-trip")
+
+    def check(
+        ratio: Ratio, n: int, chosen: tuple[int, ...], listings: Listings
+    ) -> str | None:
+        gaps = GapSet(n, ratio, chosen)
+        avoiders = [fs for fs in listings[n] if not set(fs) & set(chosen)]
+        images = [collapse_gaps(fs, gaps) for fs in avoiders]
+        if len(set(images)) != len(images):
+            return "map is not injective"
+        if set(images) != set(listings[n - len(chosen)]):
+            return f"image differs from the family at n={n - len(chosen)}"
+        if any(expand_gaps(image, gaps) != fs for fs, image in zip(avoiders, images)):
+            return "inverse does not round-trip"
+        return None
+
+    def cases() -> Iterator[Case]:
+        for label, ratio, n, listings in _window_cells(p_max, q_max, n_max):
+            for size in range(1, ratio.q + 1):
+                for chosen in combinations(gap_window(n, ratio), size):
+                    yield f"{label}, gaps={chosen}", check(ratio, n, chosen, listings)
+
     grid = f"1<=p<={p_max}, 1<=q<={q_max}, p+q<=n<={n_max}, all gap choices"
-    return VerifyReport("gap-bijections", grid, cases, tuple(failures))
+    return _drive("gap-bijections", grid, cases())
 
 
 def window_bijection_suite(
@@ -188,77 +206,62 @@ def window_bijection_suite(
 ) -> VerifyReport:
     """Window strip/attach maps and the layered recount, same grid.
 
-    The strip map must biject the full-window members onto the family
-    at n - p - q (vacuously when there are none), and the
-    inclusion-exclusion recount must reproduce the oracle size with
-    every layer weighing C(q, i) times the family size i steps down.
+    Two cases per cell.  The strip map must biject the full-window
+    members onto the family at n - p - q (vacuously when there are
+    none), and the inclusion-exclusion recount must reproduce the
+    oracle size with every layer weighing C(q, i) times the family
+    size i steps down.
     """
-    failures: list[str] = []
-    cases = 0
-    for p in range(1, p_max + 1):
-        for q in range(1, q_max + 1):
-            ratio = Ratio(p, q)
-            listings = {
-                m: enumerate_schreier(m, ratio).members
-                for m in range(1, n_max + 1)
-            }
-            for n in range(p + q, n_max + 1):
-                cases += 1
-                label = f"(p,q)=({p},{q}), n={n}"
-                window = gap_window(n, ratio)
-                members = listings[n]
-                holders = [fs for fs in members if all(w in fs for w in window)]
-                m = n - p - q
-                target: tuple[FiniteSet, ...] = listings[m] if m >= 1 else ()
-                images = [strip_window(fs, ratio, n) for fs in holders]
-                if len(set(images)) != len(images):
-                    failures.append(f"{label}: strip map is not injective")
-                elif set(images) != set(target):
-                    failures.append(
-                        f"{label}: strip image differs from the family at n={m}"
-                    )
-                elif any(
-                    attach_window(image, ratio, n) != fs
-                    for fs, image in zip(holders, images)
-                ):
-                    failures.append(f"{label}: attach does not invert strip")
 
-                cases += 1
-                dec = inclusion_exclusion_decomposition(n, ratio)
-                if dec.assembled != len(members):
-                    failures.append(
-                        f"{label}: assembled {dec.assembled} != oracle {len(members)}"
-                    )
-                else:
-                    for i, layer in enumerate(dec.layer_sums, start=1):
-                        expected = binomial(q, i) * count_schreier_recurrence(
-                            n - i, ratio
-                        )
-                        if layer != expected:
-                            failures.append(
-                                f"{label}: layer {i} is {layer}, expected {expected}"
-                            )
-                            break
+    def strip(ratio: Ratio, n: int, listings: Listings) -> str | None:
+        window = gap_window(n, ratio)
+        holders = [fs for fs in listings[n] if all(w in fs for w in window)]
+        m = n - ratio.p - ratio.q
+        target: tuple[FiniteSet, ...] = listings[m] if m >= 1 else ()
+        images = [strip_window(fs, ratio, n) for fs in holders]
+        if len(set(images)) != len(images):
+            return "strip map is not injective"
+        if set(images) != set(target):
+            return f"strip image differs from the family at n={m}"
+        if any(attach_window(im, ratio, n) != fs for fs, im in zip(holders, images)):
+            return "attach does not invert strip"
+        return None
+
+    def recount(ratio: Ratio, n: int, listings: Listings) -> str | None:
+        dec = inclusion_exclusion_decomposition(n, ratio)
+        if dec.assembled != len(listings[n]):
+            return f"assembled {dec.assembled} != oracle {len(listings[n])}"
+        for i, layer in enumerate(dec.layer_sums, start=1):
+            expected = binomial(ratio.q, i) * count_schreier_recurrence(n - i, ratio)
+            if layer != expected:
+                return f"layer {i} is {layer}, expected {expected}"
+        return None
+
+    def cases() -> Iterator[Case]:
+        for label, ratio, n, listings in _window_cells(p_max, q_max, n_max):
+            yield label, strip(ratio, n, listings)
+            yield label, recount(ratio, n, listings)
+
     grid = f"1<=p<={p_max}, 1<=q<={q_max}, p+q<=n<={n_max}"
-    return VerifyReport("window-bijections", grid, cases, tuple(failures))
+    return _drive("window-bijections", grid, cases())
 
 
 def interval_agreement_suite(p_max: int = 10, n_max: int = 200) -> VerifyReport:
     """Interval counts three ways: summed, closed form, brute force."""
-    failures: list[str] = []
-    cases = 0
-    for p in range(1, p_max + 1):
-        for n in range(1, n_max + 1):
-            cases += 1
-            summed = interval_count_sum(n, p)
-            closed = interval_count_closed(n, p)
-            brute = count_interval_bruteforce(n, p)
-            if not (summed == closed == brute):
-                failures.append(
-                    f"n={n}, p={p}: sum {summed}, closed {closed}, brute {brute}"
+
+    def cases() -> Iterator[Case]:
+        for p in range(1, p_max + 1):
+            for n in range(1, n_max + 1):
+                summed = interval_count_sum(n, p)
+                closed = interval_count_closed(n, p)
+                brute = count_interval_bruteforce(n, p)
+                yield f"n={n}, p={p}", (
+                    None
+                    if summed == closed == brute
+                    else f"sum {summed}, closed {closed}, brute {brute}"
                 )
-    grid = f"1<=p<={p_max}, 1<=n<={n_max}"
-    return VerifyReport("interval-agreement", grid, cases, tuple(failures))
+
+    return _drive("interval-agreement", f"1<=p<={p_max}, 1<=n<={n_max}", cases())
 
 
 def turan_cross_suite(
@@ -268,24 +271,22 @@ def turan_cross_suite(
 
     The second leg pins the two-part column to floor(n^2 / 4).
     """
-    failures: list[str] = []
-    cases = 0
-    for p in range(1, p_max + 1):
-        for n in range(p, n_max + 1):
-            cases += 1
-            by_formula = turan_edges_formula(n, p)
-            by_parts = turan_edges_construction(n, p)
-            if by_formula != by_parts:
-                failures.append(
-                    f"n={n}, p={p}: formula {by_formula} != construction {by_parts}"
+
+    def cases() -> Iterator[Case]:
+        for p in range(1, p_max + 1):
+            for n in range(p, n_max + 1):
+                yield f"n={n}, p={p}", _mismatch(
+                    turan_edges_formula(n, p),
+                    turan_edges_construction(n, p),
+                    "formula {} != construction {}",
                 )
-    for n in range(1, quarter_n_max + 1):
-        cases += 1
-        got = turan_edges_formula(n, 2)
-        if got != n * n // 4:
-            failures.append(f"n={n}, p=2: {got} != floor(n^2/4) = {n * n // 4}")
+        for n in range(1, quarter_n_max + 1):
+            yield f"n={n}, p=2", _mismatch(
+                turan_edges_formula(n, 2), n * n // 4, "{} != floor(n^2/4) = {}"
+            )
+
     grid = f"1<=p<={p_max}, p<=n<={n_max}; two parts up to n={quarter_n_max}"
-    return VerifyReport("turan-cross", grid, cases, tuple(failures))
+    return _drive("turan-cross", grid, cases())
 
 
 def turan_identity_suite(
@@ -296,23 +297,33 @@ def turan_identity_suite(
     The brute-force interval leg is quadratic, so it only joins for
     n <= enum_limit; the other four legs run everywhere.
     """
-    failures: list[str] = []
-    cases = 0
-    for p in range(1, p_max + 1):
-        for n in range(p, n_max + 1):
-            cases += 1
-            report = verify_turan_identity(
-                n, p, include_enumeration=n <= enum_limit
-            )
-            if not report.passed:
-                failures.append(
-                    f"n={n}, p={p}: intervals closed {report.interval_closed} / "
-                    f"sum {report.interval_sum} / enum {report.interval_enumeration}, "
-                    f"edges formula {report.turan_formula} / "
-                    f"construction {report.turan_construction}"
+
+    def cases() -> Iterator[Case]:
+        for p in range(1, p_max + 1):
+            for n in range(p, n_max + 1):
+                r = verify_turan_identity(n, p, include_enumeration=n <= enum_limit)
+                yield f"n={n}, p={p}", (
+                    None
+                    if r.passed
+                    else f"intervals closed {r.interval_closed} / sum {r.interval_sum}"
+                    f" / enum {r.interval_enumeration}, edges formula {r.turan_formula}"
+                    f" / construction {r.turan_construction}"
                 )
+
     grid = f"1<=p<={p_max}, p<=n<={n_max}, enumeration leg up to n={enum_limit}"
-    return VerifyReport("turan-identity", grid, cases, tuple(failures))
+    return _drive("turan-identity", grid, cases())
+
+
+SUITES: dict[str, tuple[Callable[..., VerifyReport], ...]] = {
+    "recurrence": (recurrence_suite,),
+    "formula": (formula_suite,),
+    "scale-invariance": (scale_invariance_suite,),
+    "bijections": (gap_bijection_suite, window_bijection_suite),
+    "interval-agreement": (interval_agreement_suite,),
+    "turan-cross": (turan_cross_suite,),
+    "turan-identity": (turan_identity_suite,),
+}
+"""Registered suite names, in run order, and the suites each one runs."""
 
 
 def run_suite(
@@ -321,30 +332,23 @@ def run_suite(
     q_max: int | None = None,
     n_max: int | None = None,
 ) -> list[VerifyReport]:
-    """Run one named suite (or 'all'), with optional bound overrides.
+    """Run one registered suite (or 'all' of them), with optional bound overrides.
 
-    Bounds left as None fall back to each suite's own defaults, which
-    match the verification grids the package is shipped against.
+    A bound reaches only the suites whose signature names it; bounds
+    left as None fall back to each suite's own defaults, which match
+    the verification grids the package is shipped against.
     """
-    registry = {
-        "recurrence": lambda: [_run(recurrence_suite, p_max, q_max, n_max)],
-        "bijections": lambda: [
-            _run(gap_bijection_suite, p_max, q_max, n_max),
-            _run(window_bijection_suite, p_max, q_max, n_max),
-        ],
-        "scale-invariance": lambda: [_run(scale_invariance_suite, p_max, q_max, n_max)],
-        "turan-identity": lambda: [_run(turan_identity_suite, p_max, None, n_max)],
-    }
     if name == "all":
-        return [report for make in registry.values() for report in make()]
-    if name not in registry:
+        suites = [suite for group in SUITES.values() for suite in group]
+    elif name in SUITES:
+        suites = SUITES[name]
+    else:
         raise ValueError(f"unknown suite {name!r}")
-    return registry[name]()
-
-
-def _run(suite, *bounds) -> VerifyReport:
-    kwargs = {}
-    for key, value in zip(("p_max", "q_max", "n_max"), bounds):
-        if value is not None:
-            kwargs[key] = value
-    return suite(**kwargs)
+    bounds = {"p_max": p_max, "q_max": q_max, "n_max": n_max}
+    reports = []
+    for suite in suites:
+        accepted = inspect.signature(suite).parameters
+        reports.append(
+            suite(**{k: v for k, v in bounds.items() if v is not None and k in accepted})
+        )
+    return reports

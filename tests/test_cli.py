@@ -4,7 +4,8 @@ import pytest
 
 import schreier.counting
 from schreier import Ratio, parse_bfile
-from schreier.cli import main
+from schreier.cli import build_parser, main
+from schreier.verify import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +123,18 @@ def test_verify_pass_and_exit_zero(capsys):
     )
     assert code == 0
     assert "recurrence: pass" in out
+
+
+def test_verify_empty_grid_is_a_usage_error(capsys):
+    code, _, err = run_cli(capsys, "verify", "--pmax", "0")
+    assert code == 2
+    assert "no cases" in err
+
+
+def test_verify_suite_choices_come_from_the_registry():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    (suite,) = [a for a in sub.choices["verify"]._actions if a.dest == "suite"]
+    assert list(suite.choices) == [*SUITES, "all"]
 
 
 def test_verify_failure_exit_code_under_fault_injection(capsys, monkeypatch):

@@ -4,7 +4,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from schreier import FiniteSet, Ratio, in_schreier_family, is_generalized_schreier, is_interval
+from schreier import (
+    FiniteSet,
+    Ratio,
+    binomial,
+    count_schreier_recurrence,
+    enumerate_schreier,
+    in_schreier_family,
+    interval_count_closed,
+    is_generalized_schreier,
+    is_interval,
+    schreier_sequence,
+    turan_edges_formula,
+)
 
 
 def test_elements_are_sorted_and_deduplication_is_rejected():
@@ -27,12 +39,6 @@ def test_min_max_len_and_str():
     assert 5 in fs and 4 not in fs
 
 
-def test_translate_shifts_every_element():
-    assert FiniteSet([2, 3]).translate(3) == FiniteSet([5, 6])
-    with pytest.raises(ValueError):
-        FiniteSet([1, 2]).translate(-1)  # would leave the positive integers
-
-
 def test_ratio_validation_and_scaling():
     r = Ratio(1, 2)
     assert str(r) == "1/2"
@@ -41,6 +47,28 @@ def test_ratio_validation_and_scaling():
         Ratio(0, 1)
     with pytest.raises(ValueError):
         Ratio(1, -2)
+
+
+@pytest.mark.parametrize(
+    "fn,args,error",
+    [
+        (Ratio, (True, 1), ValueError),
+        (Ratio, (1, True), ValueError),
+        (FiniteSet, ([True, 2],), TypeError),
+        (count_schreier_recurrence, (True, Ratio(1, 1)), ValueError),
+        (schreier_sequence, (Ratio(1, 1), False), ValueError),
+        (binomial, (True, 0), ValueError),
+        (enumerate_schreier, (True, Ratio(1, 1)), ValueError),
+        (turan_edges_formula, (1, True), ValueError),
+        (interval_count_closed, (True, 1), ValueError),
+        # the same validator bounds plain ints from below
+        (turan_edges_formula, (0, 1), ValueError),
+        (interval_count_closed, (1, 0), ValueError),
+    ],
+)
+def test_bool_and_out_of_range_arguments_are_rejected(fn, args, error):
+    with pytest.raises(error):
+        fn(*args)
 
 
 def test_schreier_predicate_examples():

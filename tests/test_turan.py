@@ -7,8 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from schreier import (
-    IntervalCountParams,
-    TuranSpec,
     balanced_part_sizes,
     count_interval_bruteforce,
     interval_count_closed,
@@ -58,24 +56,6 @@ def test_part_sizes_are_balanced_and_sum_to_n():
             assert len(sizes) == p
             assert sum(sizes) == n
             assert max(sizes) - min(sizes) <= 1
-
-
-def test_turan_spec_properties():
-    spec = TuranSpec(7, 3)
-    assert spec.part_sizes == (3, 2, 2)
-    assert spec.residue == 1
-    assert spec.edge_count == 16
-    with pytest.raises(ValueError):
-        TuranSpec(3, 5)  # nonempty parts require p <= n
-    with pytest.raises(ValueError):
-        TuranSpec(0, 1)
-
-
-def test_interval_count_params():
-    assert IntervalCountParams(3, 2).delta == 1
-    assert IntervalCountParams(11, 2).delta == 4
-    with pytest.raises(ValueError):
-        IntervalCountParams(1, 0)
 
 
 def test_interval_sum_known_values():

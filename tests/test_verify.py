@@ -47,11 +47,30 @@ def test_interval_and_turan_suites_small_grid():
 
 
 def test_run_suite_dispatch():
-    reports = run_suite("bijections", 2, 2, 8)
-    assert [r.suite for r in reports] == ["gap-bijections", "window-bijections"]
-    assert all(r.passed for r in reports)
+    every_suite = [
+        "recurrence",
+        "formula",
+        "scale-invariance",
+        "gap-bijections",
+        "window-bijections",
+        "interval-agreement",
+        "turan-cross",
+        "turan-identity",
+    ]
+    for name, suites in [
+        ("bijections", ["gap-bijections", "window-bijections"]),
+        ("all", every_suite),
+    ]:
+        reports = run_suite(name, 2, 2, 8)
+        assert [r.suite for r in reports] == suites
+        assert all(r.passed for r in reports)
     with pytest.raises(ValueError):
         run_suite("no-such-suite")
+
+
+def test_run_suite_refuses_an_empty_grid():
+    with pytest.raises(ValueError, match="no cases"):
+        run_suite("recurrence", 0, 2, 8)
 
 
 def test_run_suite_defaults_apply_when_bounds_are_missing():
