@@ -32,11 +32,9 @@ from .counting import (
 )
 from .enumeration import (
     ORACLE_LIMIT,
-    FamilyListing,
     OracleLimitError,
     count_interval_bruteforce,
     count_schreier_bruteforce,
-    enumerate_interval_family,
     enumerate_schreier,
 )
 from .sets import (
@@ -44,7 +42,6 @@ from .sets import (
     Ratio,
     in_schreier_family,
     is_generalized_schreier,
-    is_interval,
 )
 from .turan import (
     TuranIdentityReport,
@@ -75,7 +72,6 @@ __all__ = [
     "Count",
     "CountSequence",
     "DomainError",
-    "FamilyListing",
     "FiniteSet",
     "GapSet",
     "IEDecomposition",
@@ -93,7 +89,6 @@ __all__ = [
     "count_schreier_bruteforce",
     "count_schreier_direct",
     "count_schreier_recurrence",
-    "enumerate_interval_family",
     "enumerate_schreier",
     "expand_gaps",
     "formula_suite",
@@ -105,7 +100,6 @@ __all__ = [
     "interval_count_closed",
     "interval_count_sum",
     "is_generalized_schreier",
-    "is_interval",
     "parse_bfile",
     "recurrence_suite",
     "relabeling_table",

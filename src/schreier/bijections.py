@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .counting import Count
 from .enumeration import enumerate_schreier
@@ -64,9 +64,6 @@ class GapSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
 
 def relabeling_table(gaps: GapSet) -> dict[int, int]:
     """The order-preserving bijection {1..n} minus gaps -> {1..n-k}.
@@ -84,6 +81,16 @@ def relabeling_table(gaps: GapSet) -> dict[int, int]:
     return table
 
 
+def _require_domain(fs: FiniteSet, ratio: Ratio, n: int, source_n: int) -> None:
+    """Refuse n < p + q (no claimed map) and an fs outside the family at source_n."""
+    if n < ratio.p + ratio.q:
+        raise DomainError(f"map needs n >= p + q = {ratio.p + ratio.q}, got n={n}")
+    if not in_schreier_family(fs, ratio, source_n):
+        raise DomainError(
+            f"{fs} is not a member of the family at n={source_n} for {ratio}"
+        )
+
+
 def collapse_gaps(fs: FiniteSet, gaps: GapSet) -> FiniteSet:
     """Map a gap-avoiding family member at n to a member at n - k.
 
@@ -92,10 +99,7 @@ def collapse_gaps(fs: FiniteSet, gaps: GapSet) -> FiniteSet:
     is not claimed).
     """
     n, ratio = gaps.n, gaps.ratio
-    if n < ratio.p + ratio.q:
-        raise DomainError(f"map needs n >= p + q = {ratio.p + ratio.q}, got n={n}")
-    if not in_schreier_family(fs, ratio, n):
-        raise DomainError(f"{fs} is not a member of the family at n={n} for {ratio}")
+    _require_domain(fs, ratio, n, n)
     collision = set(fs) & set(gaps.members)
     if collision:
         raise DomainError(f"{fs} meets the gaps at {sorted(collision)}")
@@ -115,13 +119,7 @@ def expand_gaps(fs: FiniteSet, gaps: GapSet) -> FiniteSet:
     back through the relabeling table.
     """
     n, ratio = gaps.n, gaps.ratio
-    k = len(gaps)
-    if n < ratio.p + ratio.q:
-        raise DomainError(f"map needs n >= p + q = {ratio.p + ratio.q}, got n={n}")
-    if not in_schreier_family(fs, ratio, n - k):
-        raise DomainError(
-            f"{fs} is not a member of the family at n={n - k} for {ratio}"
-        )
+    _require_domain(fs, ratio, n, n - len(gaps))
     backward = {image: x for x, image in relabeling_table(gaps).items()}
     image = FiniteSet(backward[y] for y in fs)
     if not in_schreier_family(image, ratio, n) or set(image) & set(gaps.members):
@@ -137,10 +135,7 @@ def strip_window(fs: FiniteSet, ratio: Ratio, n: int) -> FiniteSet:
     n - p - q; the size bound transfers exactly, in both directions.
     """
     p, q = ratio.p, ratio.q
-    if n < p + q:
-        raise DomainError(f"map needs n >= p + q = {p + q}, got n={n}")
-    if not in_schreier_family(fs, ratio, n):
-        raise DomainError(f"{fs} is not a member of the family at n={n} for {ratio}")
+    _require_domain(fs, ratio, n, n)
     missing = [w for w in gap_window(n, ratio) if w not in fs]
     if missing:
         raise DomainError(f"{fs} misses window values {missing}")
@@ -159,12 +154,7 @@ def attach_window(fs: FiniteSet, ratio: Ratio, n: int) -> FiniteSet:
     to the family at n and contains all of {n-q, ..., n}.
     """
     p, q = ratio.p, ratio.q
-    if n < p + q:
-        raise DomainError(f"map needs n >= p + q = {p + q}, got n={n}")
-    if not in_schreier_family(fs, ratio, n - p - q):
-        raise DomainError(
-            f"{fs} is not a member of the family at n={n - p - q} for {ratio}"
-        )
+    _require_domain(fs, ratio, n, n - p - q)
     image = FiniteSet([x + p for x in fs] + list(range(n - q + 1, n + 1)))
     window = gap_window(n, ratio)
     if not in_schreier_family(image, ratio, n) or any(w not in image for w in window):

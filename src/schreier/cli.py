@@ -1,18 +1,17 @@
 """Command-line front end.
 
 Subcommands: ``count``, ``sequence``, ``enumerate``, ``turan``,
-``interval-count``, ``verify``, ``bench``.  Counts are printed in full
-decimal -- exactness is the point.  Exit codes are a stable contract:
-0 success, 1 verification failure, 2 usage error, 3 brute-force guard
-exceeded.
+``interval-count``, ``verify``.  Counts are printed in full decimal --
+exactness is the point.  Exit codes are a stable contract: 0 success,
+1 verification failure, 2 usage error, 3 brute-force guard exceeded,
+4 count too long for the interpreter's int-to-decimal digit limit.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
-import time
+from typing import Callable
 
 from .bfile import bfile_from_sequence
 from .counting import (
@@ -49,22 +48,42 @@ _INTERVAL_METHODS = {
 }
 
 
+class _DigitLimitError(Exception):
+    """A count has more decimal digits than the interpreter will convert."""
+
+
+def _decimal(render: Callable[[], str]) -> str:
+    """``render()``, with CPython's int-to-str digit limit (>= 3.11) as exit 4.
+
+    ``render`` only formats, so its ValueError is that limit; the limit is
+    reported, not lifted, as the conversion it guards is quadratic.
+    """
+    try:
+        return render()
+    except ValueError as exc:
+        raise _DigitLimitError(
+            "count too long to print: it has more decimal digits than "
+            f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}"
+        ) from exc
+
+
 def cmd_count(args: argparse.Namespace) -> int:
     value = _COUNT_METHODS[args.method](args.n, Ratio(args.p, args.q))
-    print(value)
+    print(_decimal(lambda: str(value)))
     return 0
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
     require_int("--max", args.max, 1, "at least 1")
     sequence = schreier_sequence(Ratio(args.p, args.q), args.max)
-    start = 0 if args.include_zero else args.offset
+    start = args.offset
     if not 0 <= start <= args.max:
         raise ValueError(f"--offset {start} outside the computed range 0..{args.max}")
+    bfile = bfile_from_sequence(sequence, offset=start)
     if args.format == "csv":
-        print(",".join(str(sequence[n]) for n in range(start, args.max + 1)))
+        print(_decimal(lambda: ",".join(str(v) for _, v in bfile.entries)))
     else:
-        print(bfile_from_sequence(sequence, offset=start).render(), end="")
+        print(_decimal(bfile.render), end="")
     return 0
 
 
@@ -89,27 +108,14 @@ def cmd_interval_count(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    bounds = {"--pmax": args.pmax, "--qmax": args.qmax, "--nmax": args.nmax}
+    for flag, bound in bounds.items():
+        if bound is not None:
+            require_int(flag, bound, 0, "a non-negative integer")
     reports = run_suite(args.suite, args.pmax, args.qmax, args.nmax)
     for report in reports:
         print(report.summary())
     return 0 if all(report.passed for report in reports) else 1
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Time each counting method per n; digests double as a cross-check."""
-    require_int("--max", args.max, 1, "at least 1")
-    ratio = Ratio(args.p, args.q)
-    print("# n\tmethod\tns\tdigest")
-    for n in range(1, args.max + 1):
-        for method, fn in _COUNT_METHODS.items():
-            if method == "oracle" and n > ORACLE_LIMIT:
-                continue
-            started = time.perf_counter_ns()
-            value = fn(n, ratio)
-            elapsed = time.perf_counter_ns() - started
-            digest = hashlib.sha256(str(value).encode()).hexdigest()[:12]
-            print(f"{n}\t{method}\t{elapsed}\t{digest}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,11 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     sequence.add_argument("--format", choices=("csv", "bfile"), default="csv")
     sequence.add_argument(
         "--offset", type=int, default=1, help="first n emitted (default 1)"
-    )
-    sequence.add_argument(
-        "--include-zero",
-        action="store_true",
-        help="also emit the n=0 value (which is 0 by convention)",
     )
     sequence.set_defaults(func=cmd_sequence)
 
@@ -176,14 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--nmax", type=int, default=None)
     verify.set_defaults(func=cmd_verify)
 
-    bench = sub.add_parser(
-        "bench", help="time oracle vs recurrence vs direct for n = 1..max"
-    )
-    bench.add_argument("--p", type=int, required=True)
-    bench.add_argument("--q", type=int, required=True)
-    bench.add_argument("--max", type=int, required=True)
-    bench.set_defaults(func=cmd_bench)
-
     return parser
 
 
@@ -194,6 +187,9 @@ def main(argv: list[str] | None = None) -> int:
     except OracleLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except _DigitLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,9 +9,6 @@ in n; ``ORACLE_LIMIT`` keeps instances desk-sized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
-
 from .sets import FiniteSet, Ratio, is_generalized_schreier, require_int
 
 ORACLE_LIMIT = 30
@@ -22,25 +19,6 @@ class OracleLimitError(RuntimeError):
     """Instance too large for the brute-force oracle."""
 
 
-@dataclass(frozen=True)
-class FamilyListing:
-    """Deterministic listing of one family instance.
-
-    ``params`` is the Ratio of the max-anchored family, or the bare
-    integer p of the interval family.
-    """
-
-    n: int
-    params: Ratio | int
-    members: tuple[FiniteSet, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[FiniteSet]:
-        return iter(self.members)
-
-
 def _check_oracle_size(n: int) -> None:
     if n > ORACLE_LIMIT:
         raise OracleLimitError(
@@ -48,15 +26,17 @@ def _check_oracle_size(n: int) -> None:
         )
 
 
-def enumerate_schreier(n: int, ratio: Ratio) -> FamilyListing:
+def enumerate_schreier(n: int, ratio: Ratio) -> tuple[FiniteSet, ...]:
     """List every F within {1..n} with max F = n and q*min F >= p*|F|.
 
     Scans all 2**(n-1) subsets of {1..n-1} with n forced present, in
     ascending-bitmask order (bit i-1 holds element i), so listings are
     deterministic and diffable.
     """
-    require_int("n", n)
+    require_int("n", n, 0, "a non-negative integer")
     _check_oracle_size(n)
+    if n == 0:
+        return ()  # no set of positive integers has maximum 0
     members = []
     for mask in range(1 << (n - 1)):
         elems = [i + 1 for i in range(n - 1) if (mask >> i) & 1]
@@ -64,13 +44,15 @@ def enumerate_schreier(n: int, ratio: Ratio) -> FamilyListing:
         fs = FiniteSet(elems)
         if is_generalized_schreier(fs, ratio):
             members.append(fs)
-    return FamilyListing(n, ratio, tuple(members))
+    return tuple(members)
 
 
 def count_schreier_bruteforce(n: int, ratio: Ratio) -> int:
     """|enumerate_schreier(n, ratio)| without materializing the listing."""
-    require_int("n", n)
+    require_int("n", n, 0, "a non-negative integer")
     _check_oracle_size(n)
+    if n == 0:
+        return 0
     p, q = ratio.p, ratio.q
     total = 0
     for mask in range(1 << (n - 1)):
@@ -82,26 +64,8 @@ def count_schreier_bruteforce(n: int, ratio: Ratio) -> int:
     return total
 
 
-def enumerate_interval_family(n: int, p: int) -> FamilyListing:
-    """List every interval F within {1..n} satisfying p*min F >= |F|.
-
-    Unlike the max-anchored family there is no max F = n requirement:
-    all qualifying intervals inside {1..n} appear, ordered by
-    (minimum, length), which is lexicographic order on element
-    sequences.
-    """
-    require_int("n", n)
-    require_int("p", p)
-    members = []
-    for lo in range(1, n + 1):
-        for hi in range(lo, n + 1):
-            if p * lo >= hi - lo + 1:
-                members.append(FiniteSet(range(lo, hi + 1)))
-    return FamilyListing(n, p, tuple(members))
-
-
 def count_interval_bruteforce(n: int, p: int) -> int:
-    """|enumerate_interval_family(n, p)|, testing every interval one by one."""
+    """Intervals F within {1..n} (any maximum) with p*min F >= |F|, one by one."""
     require_int("n", n)
     require_int("p", p)
     total = 0

@@ -105,8 +105,3 @@ def is_generalized_schreier(fs: FiniteSet, ratio: Ratio) -> bool:
 def in_schreier_family(fs: FiniteSet, ratio: Ratio, n: int) -> bool:
     """True iff fs satisfies the ratio inequality and max(fs) == n."""
     return fs.max == n and is_generalized_schreier(fs, ratio)
-
-
-def is_interval(fs: FiniteSet) -> bool:
-    """True iff fs is a run of consecutive integers; singletons qualify."""
-    return len(fs) == fs.max - fs.min + 1

@@ -125,7 +125,7 @@ def _window_cells(
     """(label, ratio, n, listings by n) for every cell with p + q <= n <= n_max."""
     for p, q in _ratios(p_max, q_max):
         ratio = Ratio(p, q)
-        listings = {m: enumerate_schreier(m, ratio).members for m in range(1, n_max + 1)}
+        listings = {m: enumerate_schreier(m, ratio) for m in range(1, n_max + 1)}
         for n in range(p + q, n_max + 1):
             yield f"(p,q)=({p},{q}), n={n}", ratio, n, listings
 

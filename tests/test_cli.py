@@ -1,5 +1,7 @@
 """Command-line interface: golden outputs and the exit-code contract."""
 
+import sys
+
 import pytest
 
 import schreier.counting
@@ -31,6 +33,9 @@ def run_cli(capsys, *argv):
         (["interval-count", "--n", "3", "--p", "2", "--method", "closed"], "5\n"),
         (["interval-count", "--n", "1", "--p", "9", "--method", "sum"], "1\n"),
         (["interval-count", "--n", "3", "--p", "5", "--method", "enum"], "6\n"),
+        # n = 0 has no members on every route
+        (["count", "--p", "1", "--q", "1", "--n", "0", "--method", "oracle"], "0\n"),
+        (["enumerate", "--p", "1", "--q", "1", "--n", "0"], ""),
     ],
 )
 def test_golden_outputs(capsys, argv, expected):
@@ -62,7 +67,7 @@ def test_sequence_bfile_roundtrips(capsys):
 
 def test_sequence_include_zero_and_offset(capsys):
     _, out, _ = run_cli(
-        capsys, "sequence", "--p", "1", "--q", "1", "--max", "5", "--include-zero"
+        capsys, "sequence", "--p", "1", "--q", "1", "--max", "5", "--offset", "0"
     )
     assert out == "0,1,1,2,3,5\n"
     _, out, _ = run_cli(
@@ -104,6 +109,9 @@ def test_bad_values_exit_code(capsys):
         capsys, "sequence", "--p", "1", "--q", "1", "--max", "4", "--offset", "9"
     )
     assert code == 2
+    code, _, err = run_cli(capsys, "verify", "--suite", "formula", "--nmax", "-1")
+    assert code == 2
+    assert "--nmax must be a non-negative integer, got -1" in err
 
 
 def test_unparseable_flags_exit_code():
@@ -156,19 +164,28 @@ def test_verify_failure_exit_code_under_fault_injection(capsys, monkeypatch):
     assert "first counterexample" in out
 
 
-def test_bench_table_shape_and_digests(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--p", "1", "--q", "2", "--max", "6")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "# n\tmethod\tns\tdigest"
-    rows = [line.split("\t") for line in lines[1:]]
-    assert len(rows) == 6 * 3
-    for n in range(1, 7):
-        digests = {row[3] for row in rows if row[0] == str(n)}
-        assert len(digests) == 1  # all methods computed the same value
+@pytest.fixture
+def low_digit_limit():
+    """Lower the int-to-str digit limit to 640 for one test, then restore it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(saved)
 
 
-def test_bench_single_row_per_method(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--p", "1", "--q", "1", "--max", "1")
-    assert code == 0
-    assert len(out.strip().splitlines()) == 1 + 3
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--p", "1", "--q", "1", "--n", "4000"],
+        ["sequence", "--p", "1", "--q", "1", "--max", "4000", "--format", "csv"],
+        ["sequence", "--p", "1", "--q", "1", "--max", "4000", "--format", "bfile"],
+    ],
+)
+def test_count_beyond_the_digit_limit_exits_4(capsys, low_digit_limit, argv):
+    # F(4000) has 836 decimal digits, beyond the lowered limit of 640
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert "sys.get_int_max_str_digits() = 640" in err

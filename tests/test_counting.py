@@ -10,6 +10,7 @@ from schreier import (
     count_schreier_bruteforce,
     count_schreier_direct,
     count_schreier_recurrence,
+    enumerate_schreier,
     schreier_sequence,
 )
 
@@ -30,6 +31,8 @@ def test_direct_known_values():
 def test_n_zero_counts_nothing():
     assert count_schreier_recurrence(0, Ratio(1, 1)) == 0
     assert count_schreier_direct(0, Ratio(2, 3)) == 0
+    assert count_schreier_bruteforce(0, Ratio(1, 2)) == 0
+    assert enumerate_schreier(0, Ratio(1, 2)) == ()
 
 
 def test_sequence_known_prefixes():
@@ -72,6 +75,10 @@ def test_q_one_specialization():
 def test_negative_arguments_are_rejected():
     with pytest.raises(ValueError):
         count_schreier_recurrence(-1, Ratio(1, 1))
+    with pytest.raises(ValueError):
+        count_schreier_bruteforce(-1, Ratio(1, 1))
+    with pytest.raises(ValueError):
+        enumerate_schreier(-1, Ratio(1, 1))
     with pytest.raises(ValueError):
         schreier_sequence(Ratio(1, 1), -3)
 

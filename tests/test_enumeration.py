@@ -11,11 +11,9 @@ from schreier import (
     Ratio,
     count_interval_bruteforce,
     count_schreier_bruteforce,
-    enumerate_interval_family,
     enumerate_schreier,
     in_schreier_family,
     is_generalized_schreier,
-    is_interval,
 )
 
 
@@ -71,8 +69,8 @@ def test_listing_agrees_with_combinations_oracle(p, q):
     ratio = Ratio(p, q)
     for n in range(1, 9):
         listing = enumerate_schreier(n, ratio)
-        assert len(set(listing.members)) == len(listing.members)  # no duplicates
-        assert set(listing.members) == combinations_oracle(n, ratio)
+        assert len(set(listing)) == len(listing)  # no duplicates
+        assert set(listing) == combinations_oracle(n, ratio)
 
 
 def test_every_member_satisfies_the_family_predicate():
@@ -104,33 +102,7 @@ def test_guard_rejects_oversized_instances():
         count_schreier_bruteforce(ORACLE_LIMIT + 5, Ratio(1, 1))
 
 
-def test_interval_listings():
-    assert listing_strings(enumerate_interval_family(3, 2)) == [
-        "{1}",
-        "{1,2}",
-        "{2}",
-        "{2,3}",
-        "{3}",
-    ]
-    assert listing_strings(enumerate_interval_family(1, 1)) == ["{1}"]
-    # p > n: every interval qualifies
-    assert listing_strings(enumerate_interval_family(2, 3)) == ["{1}", "{1,2}", "{2}"]
-
-
 def test_interval_counts():
     assert count_interval_bruteforce(3, 2) == 5
     assert count_interval_bruteforce(3, 5) == 6
     assert count_interval_bruteforce(1, 7) == 1
-
-
-def test_interval_members_are_intervals_and_qualify():
-    for fs in enumerate_interval_family(9, 2):
-        assert is_interval(fs)
-        assert 2 * fs.min >= len(fs)
-        assert fs.max <= 9
-
-
-def test_interval_count_matches_interval_listing():
-    for p in (1, 2, 4):
-        for n in range(1, 25):
-            assert count_interval_bruteforce(n, p) == len(enumerate_interval_family(n, p))

@@ -13,7 +13,6 @@ from schreier import (
     in_schreier_family,
     interval_count_closed,
     is_generalized_schreier,
-    is_interval,
     schreier_sequence,
     turan_edges_formula,
 )
@@ -83,12 +82,6 @@ def test_family_membership_examples():
     assert in_schreier_family(FiniteSet([2, 3, 4]), Ratio(1, 2), 4)
 
 
-def test_interval_predicate_examples():
-    assert is_interval(FiniteSet([3]))
-    assert is_interval(FiniteSet([2, 3, 4]))
-    assert not is_interval(FiniteSet([1, 3]))
-
-
 finite_sets = st.builds(
     FiniteSet, st.sets(st.integers(min_value=1, max_value=40), min_size=1)
 )
@@ -107,8 +100,3 @@ def test_predicate_is_scale_invariant(fs, ratio, k):
 @given(finite_sets, ratios)
 def test_membership_at_own_max_reduces_to_the_predicate(fs, ratio):
     assert in_schreier_family(fs, ratio, fs.max) == is_generalized_schreier(fs, ratio)
-
-
-@given(finite_sets)
-def test_interval_iff_size_spans_the_range(fs):
-    assert is_interval(fs) == (len(fs) == fs.max - fs.min + 1)
