@@ -35,12 +35,6 @@ from .turan import (
 )
 from .verify import SUITES, run_suite
 
-_COUNT_METHODS = {
-    "oracle": count_schreier_bruteforce,
-    "recurrence": count_schreier_recurrence,
-    "direct": count_schreier_direct,
-}
-
 _INTERVAL_METHODS = {
     "sum": interval_count_sum,
     "closed": interval_count_closed,
@@ -50,6 +44,24 @@ _INTERVAL_METHODS = {
 
 class _DigitLimitError(Exception):
     """A count has more decimal digits than the interpreter will convert."""
+
+    def __init__(self) -> None:
+        super().__init__(
+            "count too long to print: it has more decimal digits than "
+            f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}"
+        )
+
+
+def _printable(value: int) -> int:
+    """``value``, or exit 4 if it is too long for CPython's int-to-str limit.
+
+    Callers size the largest count they will print with the single-term
+    engine before the real work, so an over-long answer is refused at once.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and value >= 10**limit:
+        raise _DigitLimitError()
+    return value
 
 
 def _decimal(render: Callable[[], str]) -> str:
@@ -61,24 +73,32 @@ def _decimal(render: Callable[[], str]) -> str:
     try:
         return render()
     except ValueError as exc:
-        raise _DigitLimitError(
-            "count too long to print: it has more decimal digits than "
-            f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}"
-        ) from exc
+        raise _DigitLimitError() from exc
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    value = _COUNT_METHODS[args.method](args.n, Ratio(args.p, args.q))
+    ratio = Ratio(args.p, args.q)
+    if args.method == "oracle":
+        # it refuses n > ORACLE_LIMIT (exit 3), so its counts are always printable
+        value = count_schreier_bruteforce(args.n, ratio)
+    else:
+        value = _printable(count_schreier_recurrence(args.n, ratio))
+        if args.method == "direct":
+            value = count_schreier_direct(args.n, ratio)
     print(_decimal(lambda: str(value)))
     return 0
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
     require_int("--max", args.max, 1, "at least 1")
-    sequence = schreier_sequence(Ratio(args.p, args.q), args.max)
+    ratio = Ratio(args.p, args.q)
     start = args.offset
     if not 0 <= start <= args.max:
         raise ValueError(f"--offset {start} outside the computed range 0..{args.max}")
+    # counts never decrease in n (shifting a member by +1 keeps it in the
+    # family), so the term at --max is the longest one printed
+    _printable(count_schreier_recurrence(args.max, ratio))
+    sequence = schreier_sequence(ratio, args.max)
     bfile = bfile_from_sequence(sequence, offset=start)
     if args.format == "csv":
         print(_decimal(lambda: ",".join(str(v) for _, v in bfile.entries)))
@@ -132,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--n", type=int, required=True)
     count.add_argument(
         "--method",
-        choices=sorted(_COUNT_METHODS),
+        choices=("direct", "oracle", "recurrence"),
         default="recurrence",
         help="oracle is exponential and guarded at n <= %d" % ORACLE_LIMIT,
     )

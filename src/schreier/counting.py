@@ -5,8 +5,13 @@ Two independent methods are provided on purpose:
 * :func:`count_schreier_direct` sums binomial rows grouped by the
   minimum element.  It is self-contained and serves as the seed
   supplier for the recurrence.
-* :func:`count_schreier_recurrence` advances a constant-coefficient
-  linear recurrence of depth p + q.
+* :func:`count_schreier_recurrence` evaluates the constant-coefficient
+  linear recurrence of depth d = p + q at one n by polynomial powering:
+  it reduces x^n modulo the recurrence's characteristic polynomial in
+  O(d^2 log n) big-int multiplications and applies the result to the d
+  seeds.  :func:`schreier_sequence` steps the same recurrence forward
+  instead, in O(n * q) big-int additions for the whole prefix, and so
+  cross-checks the single-term engine.
 
 They share no code beyond the input checks, so agreement between them
 (and with the brute-force oracle) is meaningful evidence.  Counts are
@@ -92,6 +97,15 @@ def _signed_coefficients(q: int) -> list[int]:
     return [(-1) ** (k + 1) * comb(q, k) for k in range(1, q + 1)]
 
 
+def _seeds(ratio: Ratio) -> list[Count]:
+    """count(0), ..., count(p + q - 1): 0, then the direct formula.
+
+    The direct formula is looked up at call time, so a substitute
+    installed on this module reaches the seeds of both recurrence routes.
+    """
+    return [count_schreier_direct(m, ratio) if m else 0 for m in range(ratio.p + ratio.q)]
+
+
 def _recurrence_terms(ratio: Ratio) -> Iterator[Count]:
     """count(0), count(1), ... without end, from the depth-(p+q) recurrence.
 
@@ -100,21 +114,15 @@ def _recurrence_terms(ratio: Ratio) -> Iterator[Count]:
         count(n) = sum_{k=1}^{q} (-1)^(k+1) C(q, k) count(n - k)
                    + count(n - p - q),
 
-    seeded with count(0) = 0 and the direct formula for 0 < n < p + q.
-    Only the last p + q values are kept, so memory stays bounded by
-    the window however far the caller reads.
+    seeded by :func:`_seeds`.  Only the last p + q values are kept, so
+    memory stays bounded by the window however far the caller reads.
     """
-    p, q = ratio.p, ratio.q
-    depth = p + q
-    window: deque[Count] = deque(maxlen=depth)
-    for m in range(depth):
-        # the direct formula is looked up at call time, so a substitute
-        # installed on this module reaches the seeds
-        value = count_schreier_direct(m, ratio) if m else 0
-        window.append(value)
-        yield value
+    seeds = _seeds(ratio)
+    yield from seeds
+    depth = len(seeds)
+    window: deque[Count] = deque(seeds, maxlen=depth)
     # window[depth - k] holds the count k steps back, window[0] the count p + q back
-    taps = [(c, depth - k) for k, c in enumerate(_signed_coefficients(q), start=1)]
+    taps = [(c, depth - k) for k, c in enumerate(_signed_coefficients(ratio.q), start=1)]
     while True:
         value = window[0]
         for c, i in taps:
@@ -123,13 +131,53 @@ def _recurrence_terms(ratio: Ratio) -> Iterator[Count]:
         yield value
 
 
+def _fold(poly: list[int], taps: list[tuple[int, int]], depth: int) -> list[int]:
+    """Reduce ``poly`` (coefficients, lowest first) below degree ``depth``.
+
+    Each x^i with i >= depth is rewritten as sum_k c * x^(i - k) over the
+    taps (k, c), top term first, so every term it feeds is folded in turn.
+    """
+    for i in range(len(poly) - 1, depth - 1, -1):
+        top = poly[i]
+        if top:
+            for k, c in taps:
+                poly[i - k] += c * top
+    del poly[depth:]
+    return poly
+
+
 def count_schreier_recurrence(n: int, ratio: Ratio) -> Count:
-    """Count via the depth-(p+q) linear recurrence, in O(n * q) big-int additions."""
+    """Count via the recurrence, in O(d^2 log n) big-int multiplications (d = p + q).
+
+    The recurrence makes x^d equal to sum_k c_k x^(d-k) + 1 modulo its
+    characteristic polynomial x^d - sum_k c_k x^(d-k) - 1, so count(n) is
+    the dot product of the seeds with the coefficients of x^n reduced
+    modulo that polynomial (Fiduccia's polynomial powering).  x^n is built
+    by binary powering: one schoolbook square per bit of n, and one shift
+    for each 1 bit.
+    """
     require_int("n", n, 0, "a non-negative integer")
-    return next(islice(_recurrence_terms(ratio), n, None))
+    seeds = _seeds(ratio)
+    depth = len(seeds)
+    # the q + 1 nonzero taps (k, c_k) of the recurrence, count(n - p - q) included
+    taps = [*enumerate(_signed_coefficients(ratio.q), start=1), (depth, 1)]
+    power = [1] + [0] * (depth - 1)  # x^0
+    for bit in bin(n)[2:]:
+        square = [0] * (2 * depth - 1)
+        for i, a in enumerate(power):
+            if a:
+                square[2 * i] += a * a
+                twice = a + a
+                for j in range(i + 1, depth):
+                    square[i + j] += twice * power[j]
+        power = _fold(square, taps, depth)
+        if bit == "1":
+            power.insert(0, 0)  # times x
+            power = _fold(power, taps, depth)
+    return sum(a * s for a, s in zip(power, seeds))
 
 
 def schreier_sequence(ratio: Ratio, n_max: int) -> CountSequence:
-    """All counts for 0 <= n <= n_max in one forward pass."""
+    """All counts for 0 <= n <= n_max in one forward pass of O(n_max * q) additions."""
     require_int("n", n_max, 0, "a non-negative integer")
     return CountSequence(ratio, tuple(islice(_recurrence_terms(ratio), n_max + 1)))

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import schreier.cli
 import schreier.counting
 from schreier import Ratio, parse_bfile
 from schreier.cli import build_parser, main
@@ -181,11 +182,40 @@ def low_digit_limit():
         ["count", "--p", "1", "--q", "1", "--n", "4000"],
         ["sequence", "--p", "1", "--q", "1", "--max", "4000", "--format", "csv"],
         ["sequence", "--p", "1", "--q", "1", "--max", "4000", "--format", "bfile"],
+        ["count", "--p", "1", "--q", "1", "--n", "4000", "--method", "direct"],
     ],
 )
-def test_count_beyond_the_digit_limit_exits_4(capsys, low_digit_limit, argv):
-    # F(4000) has 836 decimal digits, beyond the lowered limit of 640
+def test_count_beyond_the_digit_limit_exits_4(capsys, monkeypatch, low_digit_limit, argv):
+    # F(4000) has 836 decimal digits, beyond the lowered limit of 640.  The
+    # refusal must come before the direct sum or the forward pass runs.
+    honest = schreier.counting.count_schreier_direct
+
+    def seeds_only(n, ratio):
+        if n > 100:
+            raise AssertionError(f"direct sum ran at n={n} before the refusal")
+        return honest(n, ratio)
+
+    def no_forward_pass(ratio):
+        raise AssertionError("forward pass ran before the refusal")
+
+    monkeypatch.setattr(schreier.counting, "count_schreier_direct", seeds_only)
+    monkeypatch.setattr(schreier.cli, "count_schreier_direct", seeds_only)
+    monkeypatch.setattr(schreier.counting, "_recurrence_terms", no_forward_pass)
     code, out, err = run_cli(capsys, *argv)
     assert code == 4
     assert out == ""
     assert "sys.get_int_max_str_digits() = 640" in err
+
+
+def test_no_digit_limit_prints_every_count(capsys):
+    # a limit of 0 means no limit: the early guard must not refuse anything
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, _ = run_cli(capsys, "count", "--p", "1", "--q", "1", "--n", "30000")
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 0
+    assert len(out.strip()) == 6270

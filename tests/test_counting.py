@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import schreier.counting
 from schreier import (
     Ratio,
     binomial,
@@ -50,11 +51,29 @@ def test_sequence_indexing_and_length():
 
 
 def test_sequence_agrees_with_point_queries():
-    for p, q in [(1, 1), (2, 3), (4, 1)]:
-        ratio = Ratio(p, q)
-        seq = schreier_sequence(ratio, 40)
-        for n in range(41):
-            assert seq[n] == count_schreier_recurrence(n, ratio)
+    # the forward pass cross-checks the single-term engine, through the seed
+    # handoff at n = p + q - 1 and p + q and on to n = 200
+    for p in range(1, 7):
+        for q in range(1, 7):
+            ratio = Ratio(p, q)
+            seq = schreier_sequence(ratio, 200)
+            for n in range(201):
+                assert seq[n] == count_schreier_recurrence(n, ratio)
+    ratio = Ratio(3, 2)
+    seq = schreier_sequence(ratio, 5000)
+    for n in range(4990, 5001):
+        assert seq[n] == count_schreier_recurrence(n, ratio)
+
+
+def test_recurrence_reads_its_seeds_at_call_time(monkeypatch):
+    honest = schreier.counting.count_schreier_direct
+
+    def corrupted(n, ratio):
+        return honest(n, ratio) + (n == 1)
+
+    assert count_schreier_recurrence(30, Ratio(1, 1)) == 832040
+    monkeypatch.setattr(schreier.counting, "count_schreier_direct", corrupted)
+    assert count_schreier_recurrence(30, Ratio(1, 1)) != 832040
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (1, 4)])
