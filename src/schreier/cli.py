@@ -52,14 +52,24 @@ class _DigitLimitError(Exception):
         )
 
 
-def _printable(value: int) -> int:
-    """``value``, or exit 4 if it is too long for CPython's int-to-str limit.
+def _printable(n: int, ratio: Ratio) -> int:
+    """count(n) by the single-term engine, or exit 4 if it is too long to print.
 
-    Callers size the largest count they will print with the single-term
-    engine before the real work, so an over-long answer is refused at once.
+    Counts never decrease in n (shifting a member by +1 keeps it in the
+    family), so sizing m = p + q, 2(p + q), 4(p + q), ... below n first
+    refuses at a cost bounded by CPython's int-to-str limit, not by n.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if limit and value >= 10**limit:
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:  # 0 means no limit
+        return count_schreier_recurrence(n, ratio)
+    ceiling = 10**limit
+    m = ratio.p + ratio.q
+    while m < n:
+        if count_schreier_recurrence(m, ratio) >= ceiling:
+            raise _DigitLimitError()
+        m *= 2
+    value = count_schreier_recurrence(n, ratio)
+    if value >= ceiling:
         raise _DigitLimitError()
     return value
 
@@ -82,7 +92,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         # it refuses n > ORACLE_LIMIT (exit 3), so its counts are always printable
         value = count_schreier_bruteforce(args.n, ratio)
     else:
-        value = _printable(count_schreier_recurrence(args.n, ratio))
+        value = _printable(args.n, ratio)
         if args.method == "direct":
             value = count_schreier_direct(args.n, ratio)
     print(_decimal(lambda: str(value)))
@@ -95,9 +105,8 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     start = args.offset
     if not 0 <= start <= args.max:
         raise ValueError(f"--offset {start} outside the computed range 0..{args.max}")
-    # counts never decrease in n (shifting a member by +1 keeps it in the
-    # family), so the term at --max is the longest one printed
-    _printable(count_schreier_recurrence(args.max, ratio))
+    # counts never decrease in n, so the term at --max is the longest one printed
+    _printable(args.max, ratio)
     sequence = schreier_sequence(ratio, args.max)
     bfile = bfile_from_sequence(sequence, offset=start)
     if args.format == "csv":

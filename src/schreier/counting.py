@@ -3,15 +3,16 @@
 Two independent methods are provided on purpose:
 
 * :func:`count_schreier_direct` sums binomial rows grouped by the
-  minimum element.  It is self-contained and serves as the seed
-  supplier for the recurrence.
+  minimum element.  It is self-contained.
 * :func:`count_schreier_recurrence` evaluates the constant-coefficient
   linear recurrence of depth d = p + q at one n by polynomial powering:
   it reduces x^n modulo the recurrence's characteristic polynomial in
   O(d^2 log n) big-int multiplications and applies the result to the d
   seeds.  :func:`schreier_sequence` steps the same recurrence forward
   instead, in O(n * q) big-int additions for the whole prefix, and so
-  cross-checks the single-term engine.
+  cross-checks the single-term engine.  Both take the recurrence's taps
+  and its d seeds from the generating function P(x)/Q(x), which groups
+  the members by size, not by minimum (see :func:`_recurrence`).
 
 They share no code beyond the input checks, so agreement between them
 (and with the brute-force oracle) is meaningful evidence.  Counts are
@@ -20,9 +21,8 @@ exact arbitrary-precision integers throughout.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate
 from math import comb
 from typing import Iterator
 
@@ -92,43 +92,31 @@ def count_schreier_direct(n: int, ratio: Ratio) -> Count:
     return total
 
 
-def _signed_coefficients(q: int) -> list[int]:
-    """Coefficients of count(n-1) .. count(n-q) in the recurrence."""
-    return [(-1) ** (k + 1) * comb(q, k) for k in range(1, q + 1)]
+def _recurrence(ratio: Ratio) -> tuple[list[tuple[int, int]], list[Count]]:
+    """The recurrence's q + 1 nonzero taps (k, c_k) and count(0), ..., count(p + q - 1).
 
+    Both come from one generating function.  The members of size s have
+    maximum n and minimum at least ceil(ps/q), so they contribute
+    x^(ceil(ps/q) + s - 1) / (1 - x)^s.  With s = qk + r (1 <= r <= q),
+    ceil(ps/q) = pk + ceil(pr/q), and the sum over k is geometric:
 
-def _seeds(ratio: Ratio) -> list[Count]:
-    """count(0), ..., count(p + q - 1): 0, then the direct formula.
+        GF = P(x) / Q(x),  P(x) = sum_{r=1}^{q} x^(ceil(pr/q) + r - 1) (1 - x)^(q - r),
+                           Q(x) = (1 - x)^q - x^(p + q) = 1 - sum_k c_k x^k.
 
-    The direct formula is looked up at call time, so a substitute
-    installed on this module reaches the seeds of both recurrence routes.
+    P has degree p + q - 1, so count(n) = sum_k c_k count(n - k) for n >= p + q.
+    Below x^(p + q), Q agrees with (1 - x)^q and P / Q is the sum over r of
+    x^(ceil(pr/q) + r - 1) / (1 - x)^r, built from r = q down: add the
+    monomial, then divide by 1 - x as a running sum.  That is O((p + q) q)
+    additions, where dividing by Q's binomial taps would multiply big ints.
     """
-    return [count_schreier_direct(m, ratio) if m else 0 for m in range(ratio.p + ratio.q)]
-
-
-def _recurrence_terms(ratio: Ratio) -> Iterator[Count]:
-    """count(0), count(1), ... without end, from the depth-(p+q) recurrence.
-
-    For n >= p + q,
-
-        count(n) = sum_{k=1}^{q} (-1)^(k+1) C(q, k) count(n - k)
-                   + count(n - p - q),
-
-    seeded by :func:`_seeds`.  Only the last p + q values are kept, so
-    memory stays bounded by the window however far the caller reads.
-    """
-    seeds = _seeds(ratio)
-    yield from seeds
-    depth = len(seeds)
-    window: deque[Count] = deque(seeds, maxlen=depth)
-    # window[depth - k] holds the count k steps back, window[0] the count p + q back
-    taps = [(c, depth - k) for k, c in enumerate(_signed_coefficients(ratio.q), start=1)]
-    while True:
-        value = window[0]
-        for c, i in taps:
-            value += c * window[i]
-        window.append(value)
-        yield value
+    p, q = ratio.p, ratio.q
+    depth = p + q
+    terms = [0] * depth
+    for r in range(q, 0, -1):
+        terms[-(-p * r // q) + r - 1] += 1
+        terms = list(accumulate(terms))
+    taps = [(k, (-1) ** (k + 1) * comb(q, k)) for k in range(1, q + 1)]
+    return [*taps, (depth, 1)], terms
 
 
 def _fold(poly: list[int], taps: list[tuple[int, int]], depth: int) -> list[int]:
@@ -157,10 +145,8 @@ def count_schreier_recurrence(n: int, ratio: Ratio) -> Count:
     for each 1 bit.
     """
     require_int("n", n, 0, "a non-negative integer")
-    seeds = _seeds(ratio)
+    taps, seeds = _recurrence(ratio)
     depth = len(seeds)
-    # the q + 1 nonzero taps (k, c_k) of the recurrence, count(n - p - q) included
-    taps = [*enumerate(_signed_coefficients(ratio.q), start=1), (depth, 1)]
     power = [1] + [0] * (depth - 1)  # x^0
     for bit in bin(n)[2:]:
         square = [0] * (2 * depth - 1)
@@ -180,4 +166,13 @@ def count_schreier_recurrence(n: int, ratio: Ratio) -> Count:
 def schreier_sequence(ratio: Ratio, n_max: int) -> CountSequence:
     """All counts for 0 <= n <= n_max in one forward pass of O(n_max * q) additions."""
     require_int("n", n_max, 0, "a non-negative integer")
-    return CountSequence(ratio, tuple(islice(_recurrence_terms(ratio), n_max + 1)))
+    taps, values = _recurrence(ratio)
+    depth = len(values)
+    # values[-depth] is the count p + q back, the tap (depth, 1)
+    near = [(c, -k) for k, c in taps[:-1]]
+    for _ in range(n_max + 1 - depth):
+        value = values[-depth]
+        for c, i in near:
+            value += c * values[i]
+        values.append(value)
+    return CountSequence(ratio, tuple(values[: n_max + 1]))

@@ -61,10 +61,6 @@ class VerifyReport:
     def passed(self) -> bool:
         return not self.failures
 
-    @property
-    def first_counterexample(self) -> str | None:
-        return self.failures[0] if self.failures else None
-
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
         head = (

@@ -147,15 +147,15 @@ def test_verify_suite_choices_come_from_the_registry():
 
 
 def test_verify_failure_exit_code_under_fault_injection(capsys, monkeypatch):
-    honest = schreier.counting.count_schreier_direct
+    honest = schreier.counting._recurrence
 
-    def corrupted(n, ratio):
-        value = honest(n, ratio)
-        if n == 1 and (ratio.p, ratio.q) == (1, 1):
-            return value + 1
-        return value
+    def corrupted(ratio):
+        taps, seeds = honest(ratio)
+        if (ratio.p, ratio.q) == (1, 1):
+            seeds[1] += 1
+        return taps, seeds
 
-    monkeypatch.setattr(schreier.counting, "count_schreier_direct", corrupted)
+    monkeypatch.setattr(schreier.counting, "_recurrence", corrupted)
     code, out, _ = run_cli(
         capsys,
         "verify", "--suite", "recurrence", "--pmax", "1", "--qmax", "1", "--nmax", "6",
@@ -188,23 +188,49 @@ def low_digit_limit():
 def test_count_beyond_the_digit_limit_exits_4(capsys, monkeypatch, low_digit_limit, argv):
     # F(4000) has 836 decimal digits, beyond the lowered limit of 640.  The
     # refusal must come before the direct sum or the forward pass runs.
-    honest = schreier.counting.count_schreier_direct
+    def no_direct_sum(n, ratio):
+        raise AssertionError(f"direct sum ran at n={n} before the refusal")
 
-    def seeds_only(n, ratio):
-        if n > 100:
-            raise AssertionError(f"direct sum ran at n={n} before the refusal")
-        return honest(n, ratio)
-
-    def no_forward_pass(ratio):
+    def no_forward_pass(ratio, n_max):
         raise AssertionError("forward pass ran before the refusal")
 
-    monkeypatch.setattr(schreier.counting, "count_schreier_direct", seeds_only)
-    monkeypatch.setattr(schreier.cli, "count_schreier_direct", seeds_only)
-    monkeypatch.setattr(schreier.counting, "_recurrence_terms", no_forward_pass)
+    monkeypatch.setattr(schreier.counting, "count_schreier_direct", no_direct_sum)
+    monkeypatch.setattr(schreier.cli, "count_schreier_direct", no_direct_sum)
+    monkeypatch.setattr(schreier.cli, "schreier_sequence", no_forward_pass)
     code, out, err = run_cli(capsys, *argv)
     assert code == 4
     assert out == ""
     assert "sys.get_int_max_str_digits() = 640" in err
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Hold the int-to-str digit limit at CPython's default of 4300 for one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+def test_refusal_cost_is_bounded_by_the_limit(capsys, monkeypatch, default_digit_limit):
+    # At (6,6) the counts are sized at n = 12, 24, ..., and the one at
+    # 24576 = 12 * 2^11 is the first past 4300 digits, so n = 10^6 is
+    # refused without the engine ever running above 24576.
+    honest = schreier.cli.count_schreier_recurrence
+    sized = []
+
+    def recording(n, ratio):
+        sized.append(n)
+        return honest(n, ratio)
+
+    monkeypatch.setattr(schreier.cli, "count_schreier_recurrence", recording)
+    code, out, err = run_cli(capsys, "count", "--p", "6", "--q", "6", "--n", "1000000")
+    assert code == 4
+    assert out == ""
+    assert "sys.get_int_max_str_digits() = 4300" in err
+    assert max(sized) == 24576
 
 
 def test_no_digit_limit_prints_every_count(capsys):

@@ -65,15 +65,32 @@ def test_sequence_agrees_with_point_queries():
         assert seq[n] == count_schreier_recurrence(n, ratio)
 
 
-def test_recurrence_reads_its_seeds_at_call_time(monkeypatch):
-    honest = schreier.counting.count_schreier_direct
+def test_recurrence_routes_never_call_the_direct_sum(monkeypatch):
+    # the recurrence's initial terms come from its generating function, so
+    # agreement with the direct sum is never the direct sum against itself
+    def forbidden(n, ratio):
+        raise AssertionError(f"direct sum called at n={n}, {ratio}")
 
-    def corrupted(n, ratio):
-        return honest(n, ratio) + (n == 1)
-
+    monkeypatch.setattr(schreier.counting, "count_schreier_direct", forbidden)
     assert count_schreier_recurrence(30, Ratio(1, 1)) == 832040
-    monkeypatch.setattr(schreier.counting, "count_schreier_direct", corrupted)
-    assert count_schreier_recurrence(30, Ratio(1, 1)) != 832040
+    assert schreier_sequence(Ratio(1, 1), 30)[30] == 832040
+    for ratio, prefix in [
+        (Ratio(1, 2), (0, 1, 2, 3, 5, 9)),
+        (Ratio(2, 1), (0, 0, 1, 1, 1)),
+    ]:
+        assert schreier_sequence(ratio, len(prefix) - 1).values == prefix
+        for n, count in enumerate(prefix):
+            assert count_schreier_recurrence(n, ratio) == count
+    assert count_schreier_recurrence(5, Ratio(4000, 1)) == 0
+
+
+def test_initial_terms_match_the_oracle():
+    # every n < p + q, on a grid beyond the (6,6) of the verify suites
+    for p in range(1, 9):
+        for q in range(1, 9):
+            ratio = Ratio(p, q)
+            _, initial = schreier.counting._recurrence(ratio)
+            assert initial == [count_schreier_bruteforce(n, ratio) for n in range(p + q)]
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (1, 4)])

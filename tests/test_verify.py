@@ -21,7 +21,7 @@ def test_recurrence_suite_small_grid():
     report = recurrence_suite(p_max=2, q_max=2, n_max=12)
     assert report.passed
     assert report.cases == 2 * 2 * 12
-    assert report.first_counterexample is None
+    assert report.failures == ()
     assert "recurrence: pass" in report.summary()
 
 
@@ -81,19 +81,19 @@ def test_run_suite_defaults_apply_when_bounds_are_missing():
 def test_corrupted_base_case_is_caught(monkeypatch):
     # Sabotage one seed value; the recurrence inherits the error and the
     # oracle comparison must flag it with a counterexample.
-    honest = schreier.counting.count_schreier_direct
+    honest = schreier.counting._recurrence
 
-    def corrupted(n, ratio):
-        value = honest(n, ratio)
-        if n == 1 and (ratio.p, ratio.q) == (1, 1):
-            return value + 1
-        return value
+    def corrupted(ratio):
+        taps, seeds = honest(ratio)
+        if (ratio.p, ratio.q) == (1, 1):
+            seeds[1] += 1
+        return taps, seeds
 
-    monkeypatch.setattr(schreier.counting, "count_schreier_direct", corrupted)
+    monkeypatch.setattr(schreier.counting, "_recurrence", corrupted)
     report = recurrence_suite(p_max=1, q_max=1, n_max=6)
     assert not report.passed
-    assert report.first_counterexample is not None
-    assert "(p,q)=(1,1)" in report.first_counterexample
+    assert report.failures
+    assert "(p,q)=(1,1)" in report.failures[0]
     assert "FAIL" in report.summary()
 
 
@@ -108,4 +108,4 @@ def test_corrupted_edge_formula_is_caught(monkeypatch):
     monkeypatch.setattr(schreier.verify, "turan_edges_formula", skewed)
     report = turan_cross_suite(p_max=4, n_max=50, quarter_n_max=10)
     assert not report.passed
-    assert "n=40, p=3" in report.first_counterexample
+    assert "n=40, p=3" in report.failures[0]
