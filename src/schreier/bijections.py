@@ -192,11 +192,15 @@ def inclusion_exclusion_decomposition(n: int, ratio: Ratio) -> IEDecomposition:
     p, q = ratio.p, ratio.q
     if n < p + q:
         raise ValueError(f"decomposition needs n >= p + q = {p + q}, got {n}")
+    return _decompose(n, ratio, enumerate_schreier(n, ratio))
+
+
+def _decompose(n: int, ratio: Ratio, listing: tuple[FiniteSet, ...]) -> IEDecomposition:
+    """The decomposition at n over ``listing``, the family at n (n >= p + q)."""
     window = gap_window(n, ratio)
-    listing = enumerate_schreier(n, ratio)
     full = sum(1 for fs in listing if all(w in fs for w in window))
     layers = []
-    for size in range(1, q + 1):
+    for size in range(1, ratio.q + 1):
         layer = 0
         for gap_values in combinations(window, size):
             layer += sum(1 for fs in listing if not any(g in fs for g in gap_values))

@@ -3,7 +3,8 @@
 Two independent methods are provided on purpose:
 
 * :func:`count_schreier_direct` sums binomial rows grouped by the
-  minimum element.  It is self-contained.
+  minimum element, stepping from one row sum to the next in O(n)
+  big-int steps.  It is self-contained.
 * :func:`count_schreier_recurrence` evaluates the constant-coefficient
   linear recurrence of depth d = p + q at one n by polynomial powering:
   it reduces x^n modulo the recurrence's characteristic polynomial in
@@ -66,29 +67,39 @@ def count_schreier_direct(n: int, ratio: Ratio) -> Count:
     """Count by summing, for each minimum m, the ways to fill the gap.
 
     A member with min m < n picks its remaining elements from the
-    n - m - 1 values strictly between m and n; the size bound
-    q*m >= p*|F| caps how many may be picked.  Saturated rows collapse
-    to a power of two, partial rows accumulate C(t, j) terms with the
-    usual multiplicative update.  The lone singleton {n} contributes
-    when q*n >= p.
+    t = n - m - 1 values strictly between m and n; the size bound
+    q*m >= p*|F| caps how many may be picked at cap = floor(qm/p) - 2,
+    so min m contributes the row sum S(t, c) = sum_{j <= c} C(t, j),
+    c = min(cap, t).  The lone singleton {n} contributes when q*n >= p.
+
+    The rows are walked with m falling, so t rises by one per row and
+    cap only falls, and each row follows from the last in O(1) big-int
+    steps, O(n) in all.  Pascal's rule gives
+    S(t + 1, c) = 2 S(t, c) - C(t, c) and C(t + 1, c) = C(t, c) (t + 1) / (t + 1 - c);
+    a row that stays saturated (c = t + 1) adds its new top term 1; each
+    unit drop of c subtracts C(t, c), and C(t, c - 1) = C(t, c) c / (t - c + 1).
+    The walk stops at the first cap < 0, since cap never rises again.
     """
     require_int("n", n, 0, "a non-negative integer")
     p, q = ratio.p, ratio.q
     total = 1 if q * n >= p else 0
-    for m in range(1, n):
+    row, top, c = 1, 1, 0  # S(t, c), C(t, c) and c, from t = 0
+    for t, m in enumerate(range(n - 1, 0, -1)):
         cap = q * m // p - 2  # extra elements allowed beyond {m, n}
         if cap < 0:
-            continue
-        t = n - m - 1
-        if cap >= t:
-            total += 1 << t
-        else:
-            term = 1
-            acc = 1
-            for j in range(1, cap + 1):
-                term = term * (t - j + 1) // j
-                acc += term
-            total += acc
+            break
+        if t:
+            row = 2 * row - top
+            top = top * t // (t - c)
+            if cap > c:  # only a saturated row (c = t - 1) can widen
+                row += 1
+                top = 1
+                c = t
+        while c > cap:
+            row -= top
+            top = top * c // (t - c + 1)
+            c -= 1
+        total += row
     return total
 
 

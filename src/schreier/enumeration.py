@@ -9,6 +9,8 @@ in n; ``ORACLE_LIMIT`` keeps instances desk-sized.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .sets import FiniteSet, Ratio, is_generalized_schreier, require_int
 
 ORACLE_LIMIT = 30
@@ -64,14 +66,26 @@ def count_schreier_bruteforce(n: int, ratio: Ratio) -> int:
     return total
 
 
+def interval_counts_bruteforce(n_max: int, p: int) -> list[int]:
+    """Intervals F within {1..n} with p*min F >= |F|, for every n <= n_max at once.
+
+    Visits every interval [lo, hi] of {1..n_max} once, applies the
+    predicate to each (no early break), and tallies it by its maximum
+    hi.  Entry n of the returned prefix sums counts the intervals
+    within {1..n}.
+    """
+    require_int("n", n_max, 0, "a non-negative integer")
+    require_int("p", p)
+    by_max = [0] * (n_max + 1)
+    for lo in range(1, n_max + 1):
+        lo_weight = p * lo
+        for hi in range(lo, n_max + 1):
+            if lo_weight >= hi - lo + 1:
+                by_max[hi] += 1
+    return list(accumulate(by_max))
+
+
 def count_interval_bruteforce(n: int, p: int) -> int:
     """Intervals F within {1..n} (any maximum) with p*min F >= |F|, one by one."""
     require_int("n", n)
-    require_int("p", p)
-    total = 0
-    for lo in range(1, n + 1):
-        lo_weight = p * lo
-        for hi in range(lo, n + 1):
-            if lo_weight >= hi - lo + 1:
-                total += 1
-    return total
+    return interval_counts_bruteforce(n, p)[n]

@@ -14,17 +14,17 @@ Everything here is deterministic -- same bounds, same report.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator
 
 from .bijections import (
     GapSet,
+    _decompose,
     attach_window,
     collapse_gaps,
     expand_gaps,
     gap_window,
-    inclusion_exclusion_decomposition,
     strip_window,
 )
 from .counting import (
@@ -34,9 +34,9 @@ from .counting import (
     schreier_sequence,
 )
 from .enumeration import (
-    count_interval_bruteforce,
     count_schreier_bruteforce,
     enumerate_schreier,
+    interval_counts_bruteforce,
 )
 from .sets import FiniteSet, Ratio
 from .turan import (
@@ -224,7 +224,7 @@ def window_bijection_suite(
         return None
 
     def recount(ratio: Ratio, n: int, listings: Listings) -> str | None:
-        dec = inclusion_exclusion_decomposition(n, ratio)
+        dec = _decompose(n, ratio, listings[n])
         if dec.assembled != len(listings[n]):
             return f"assembled {dec.assembled} != oracle {len(listings[n])}"
         for i, layer in enumerate(dec.layer_sums, start=1):
@@ -247,10 +247,11 @@ def interval_agreement_suite(p_max: int = 10, n_max: int = 200) -> VerifyReport:
 
     def cases() -> Iterator[Case]:
         for p in range(1, p_max + 1):
+            tally = interval_counts_bruteforce(n_max, p)
             for n in range(1, n_max + 1):
                 summed = interval_count_sum(n, p)
                 closed = interval_count_closed(n, p)
-                brute = count_interval_bruteforce(n, p)
+                brute = tally[n]
                 yield f"n={n}, p={p}", (
                     None
                     if summed == closed == brute
@@ -286,18 +287,24 @@ def turan_cross_suite(
 
 
 def turan_identity_suite(
-    p_max: int = 50, n_max: int = 500, enum_limit: int = 200
+    p_max: int = 50, n_max: int = 500, enum_limit: int = 500
 ) -> VerifyReport:
     """Interval count vs Turán edges over the full claimed range.
 
-    The brute-force interval leg is quadratic, so it only joins for
-    n <= enum_limit; the other four legs run everywhere.
+    The brute-force interval leg is one pass over every interval of
+    {1..enum_max} per p, enum_max = min(enum_limit, n_max), tallied by
+    maximum; it joins for n <= enum_max and the other four legs run
+    everywhere.
     """
+    enum_max = max(0, min(enum_limit, n_max))
 
     def cases() -> Iterator[Case]:
         for p in range(1, p_max + 1):
+            tally = interval_counts_bruteforce(enum_max, p)
             for n in range(p, n_max + 1):
-                r = verify_turan_identity(n, p, include_enumeration=n <= enum_limit)
+                r = verify_turan_identity(n, p, include_enumeration=False)
+                if n <= enum_max:
+                    r = replace(r, interval_enumeration=tally[n])
                 yield f"n={n}, p={p}", (
                     None
                     if r.passed
@@ -306,7 +313,7 @@ def turan_identity_suite(
                     f" / construction {r.turan_construction}"
                 )
 
-    grid = f"1<=p<={p_max}, p<=n<={n_max}, enumeration leg up to n={enum_limit}"
+    grid = f"1<=p<={p_max}, p<=n<={n_max}, enumeration leg up to n={enum_max}"
     return _drive("turan-identity", grid, cases())
 
 

@@ -108,6 +108,52 @@ def test_q_one_specialization():
             assert seq[n] == seq[n - 1] + seq[n - p - 1]
 
 
+def quadratic_direct_sum(n, ratio):
+    """Reference: sum over m of the row sum of C(t, j), j <= cap, each row from scratch.
+
+    Saturated rows (cap >= t) sum to 2^t; a partial row builds C(t, j)
+    from C(t, j - 1).  O(n^2) small steps, and no state carried between rows.
+    """
+    p, q = ratio.p, ratio.q
+    total = 1 if q * n >= p else 0
+    for m in range(1, n):
+        cap = q * m // p - 2
+        t = n - m - 1
+        if cap >= t:
+            total += 1 << t
+        elif cap >= 0:
+            term = acc = 1
+            for j in range(1, cap + 1):
+                term = term * (t - j + 1) // j
+                acc += term
+            total += acc
+    return total
+
+
+def test_direct_sum_matches_the_quadratic_reference():
+    for p in range(1, 7):
+        for q in range(1, 7):
+            ratio = Ratio(p, q)
+            for n in range(121):
+                assert count_schreier_direct(n, ratio) == quadratic_direct_sum(n, ratio)
+    # deep into partial rows, where the walk narrows c most often
+    for p, q in [(1, 1), (3, 2), (6, 6), (1, 6), (6, 1)]:
+        for n in (1000, 1001):
+            ratio = Ratio(p, q)
+            assert count_schreier_direct(n, ratio) == quadratic_direct_sum(n, ratio)
+
+
+def test_direct_sum_imports_nothing_from_the_recurrence(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the direct sum reached the recurrence")
+
+    monkeypatch.setattr(schreier.counting, "_recurrence", forbidden)
+    monkeypatch.setattr(schreier.counting, "_fold", forbidden)
+    monkeypatch.setattr(schreier.counting, "comb", forbidden)
+    assert count_schreier_direct(30, Ratio(1, 1)) == 832040
+    assert count_schreier_direct(5, Ratio(1, 2)) == 9
+
+
 def test_negative_arguments_are_rejected():
     with pytest.raises(ValueError):
         count_schreier_recurrence(-1, Ratio(1, 1))
@@ -128,6 +174,17 @@ ratios = st.builds(
 @settings(max_examples=60)
 def test_recurrence_and_direct_agree(ratio, n):
     assert count_schreier_recurrence(n, ratio) == count_schreier_direct(n, ratio)
+
+
+@given(
+    st.builds(
+        Ratio, st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=40)
+    ),
+    st.integers(min_value=0, max_value=1500),
+)
+@settings(max_examples=60, deadline=None)
+def test_direct_and_recurrence_agree_beyond_the_verify_grid(ratio, n):
+    assert count_schreier_direct(n, ratio) == count_schreier_recurrence(n, ratio)
 
 
 @given(ratios, st.integers(min_value=1, max_value=150))

@@ -4,6 +4,8 @@ from itertools import combinations
 
 import pytest
 
+from schreier.enumeration import interval_counts_bruteforce
+
 from schreier import (
     ORACLE_LIMIT,
     FiniteSet,
@@ -106,3 +108,24 @@ def test_interval_counts():
     assert count_interval_bruteforce(3, 2) == 5
     assert count_interval_bruteforce(3, 5) == 6
     assert count_interval_bruteforce(1, 7) == 1
+
+
+def per_n_interval_count(n, p):
+    """Reference: the intervals within {1..n} for one n, by their own double loop."""
+    total = 0
+    for lo in range(1, n + 1):
+        lo_weight = p * lo
+        for hi in range(lo, n + 1):
+            if lo_weight >= hi - lo + 1:
+                total += 1
+    return total
+
+
+def test_interval_tally_matches_the_per_n_double_loop():
+    for p in range(1, 13):
+        tally = interval_counts_bruteforce(200, p)
+        assert len(tally) == 201
+        assert tally == [per_n_interval_count(n, p) for n in range(201)]
+    assert interval_counts_bruteforce(0, 3) == [0]
+    with pytest.raises(ValueError):
+        interval_counts_bruteforce(-1, 3)

@@ -109,3 +109,32 @@ def test_corrupted_edge_formula_is_caught(monkeypatch):
     report = turan_cross_suite(p_max=4, n_max=50, quarter_n_max=10)
     assert not report.passed
     assert "n=40, p=3" in report.failures[0]
+
+
+def test_turan_identity_grid_names_the_enumeration_leg_it_ran():
+    report = turan_identity_suite(p_max=3, n_max=10, enum_limit=200)
+    assert report.grid.endswith("enumeration leg up to n=10")
+
+
+@pytest.mark.parametrize(
+    "suite",
+    [
+        lambda: interval_agreement_suite(p_max=4, n_max=30),
+        lambda: turan_identity_suite(p_max=4, n_max=40, enum_limit=30),
+    ],
+    ids=["interval-agreement", "turan-identity"],
+)
+def test_corrupted_interval_tally_is_caught_at_its_cell(monkeypatch, suite):
+    honest = schreier.verify.interval_counts_bruteforce
+
+    def skewed(n_max, p):
+        tally = honest(n_max, p)
+        if p == 3:
+            tally[17] += 1
+        return tally
+
+    # Both suites take the brute-force leg from the one tally per p.
+    monkeypatch.setattr(schreier.verify, "interval_counts_bruteforce", skewed)
+    report = suite()
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith("n=17, p=3:")
