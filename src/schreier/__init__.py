@@ -13,13 +13,11 @@ from .bfile import BFile, bfile_from_sequence, parse_bfile
 from .bijections import (
     DomainError,
     GapSet,
-    IEDecomposition,
     attach_window,
     collapse_gaps,
     expand_gaps,
     gap_window,
     inclusion_exclusion_decomposition,
-    relabeling_table,
     strip_window,
 )
 from .counting import (
@@ -44,8 +42,6 @@ from .sets import (
     is_generalized_schreier,
 )
 from .turan import (
-    TuranIdentityReport,
-    balanced_part_sizes,
     interval_count_closed,
     interval_count_sum,
     turan_edges_construction,
@@ -74,14 +70,11 @@ __all__ = [
     "DomainError",
     "FiniteSet",
     "GapSet",
-    "IEDecomposition",
     "ORACLE_LIMIT",
     "OracleLimitError",
     "Ratio",
-    "TuranIdentityReport",
     "VerifyReport",
     "attach_window",
-    "balanced_part_sizes",
     "bfile_from_sequence",
     "binomial",
     "collapse_gaps",
@@ -102,7 +95,6 @@ __all__ = [
     "is_generalized_schreier",
     "parse_bfile",
     "recurrence_suite",
-    "relabeling_table",
     "run_suite",
     "scale_invariance_suite",
     "schreier_sequence",

@@ -5,7 +5,8 @@ p * lo >= hi - lo + 1 equals the edge count of the Turán graph
 T(n+1, p+1) whenever n >= p.  Both sides are computed by independent
 routes (a closed form and a from-parts count for the graph; a closed
 form, a term-by-term sum, and brute enumeration for the intervals),
-and :func:`verify_turan_identity` lines all five up.
+and :func:`verify_turan_identity` lines all five up.  No leg falls
+back on another: each closed form covers p > n as written.
 """
 
 from __future__ import annotations
@@ -47,16 +48,13 @@ def turan_edges_formula(n: int, p: int) -> Count:
 
         edges = (p - 1)(n^2 - r^2) / (2p) + r(r - 1)/2.
 
-    The division is exact whenever p <= n; a remainder would mean the
-    implementation is wrong, hence ArithmeticError rather than a
-    rounded result.  For p > n the graph is complete on n vertices and
-    the count is taken from the construction, which handles the empty
-    parts directly.
+    For p > n, r = n and the first term vanishes, leaving the complete
+    graph's n(n - 1)/2.  The division is always exact; a remainder
+    would mean the implementation is wrong, hence ArithmeticError
+    rather than a rounded result.
     """
     require_int("n", n)
     require_int("p", p)
-    if p > n:
-        return turan_edges_construction(n, p)
     r = n - p * (n // p)
     head, leftover = divmod((p - 1) * (n * n - r * r), 2 * p)
     if leftover:
@@ -83,71 +81,54 @@ def interval_count_sum(n: int, p: int) -> Count:
 def interval_count_closed(n: int, p: int) -> Count:
     """Qualifying intervals in {1..n}, in closed form.
 
-    * p > n: no interval is long enough to fail, n(n+1)/2 in all;
-    * otherwise the sum splits at d = (n + 1) // (p + 1), the number of
-      minima m whose budget p*m stays below the room n + 1 - m:
-      p*d(d+1)/2 from those capped minima plus (n-d+1)(n-d)/2 from the
-      roomy ones.
+    The sum splits at d = (n + 1) // (p + 1), the number of minima m
+    whose budget p*m stays below the room n + 1 - m: p*d(d+1)/2 from
+    those capped minima plus (n-d+1)(n-d)/2 from the roomy ones.  For
+    p > n, d = 0: no interval is long enough to fail, n(n+1)/2 in all.
     """
     require_int("n", n)
     require_int("p", p)
-    if p > n:
-        return n * (n + 1) // 2
     d = (n + 1) // (p + 1)
     return p * (d + 1) * d // 2 + (n - d + 1) * (n - d) // 2
 
 
 @dataclass(frozen=True)
 class TuranIdentityReport:
-    """All computed legs of the interval/Turán comparison at one (n, p).
+    """The five legs of the interval/Turán comparison at one (n, p).
 
-    ``interval_enumeration`` is None when the quadratic brute-force leg
-    was skipped; ``passed`` compares the legs that were computed.
+    ``passed`` holds when all five are the same number.
     """
 
     n: int
     p: int
     interval_closed: Count
     interval_sum: Count
-    interval_enumeration: Count | None
+    interval_enumeration: Count
     turan_formula: Count
     turan_construction: Count
 
     @property
     def passed(self) -> bool:
-        legs = [
-            self.interval_closed,
-            self.interval_sum,
-            self.turan_formula,
-            self.turan_construction,
-        ]
-        if self.interval_enumeration is not None:
-            legs.append(self.interval_enumeration)
-        return len(set(legs)) == 1
+        intervals = {self.interval_closed, self.interval_sum, self.interval_enumeration}
+        return len(intervals | {self.turan_formula, self.turan_construction}) == 1
 
 
-def verify_turan_identity(
-    n: int, p: int, include_enumeration: bool = True
-) -> TuranIdentityReport:
+def verify_turan_identity(n: int, p: int) -> TuranIdentityReport:
     """Compare the interval count at (n, p) with the edges of T(n+1, p+1).
 
     The identity is claimed only for n >= p; calls outside that range
-    are rejected.  The enumeration leg costs O(n^2) per call and can be
-    switched off for large n.
+    are rejected.  All five legs run, the brute-force one in O(n^2).
     """
     require_int("n", n)
     require_int("p", p)
     if n < p:
         raise ValueError(f"identity requires n >= p, got n={n} < p={p}")
-    closed = interval_count_closed(n, p)
-    direct = interval_count_sum(n, p)
-    enum_leg = count_interval_bruteforce(n, p) if include_enumeration else None
     return TuranIdentityReport(
         n,
         p,
-        closed,
-        direct,
-        enum_leg,
+        interval_count_closed(n, p),
+        interval_count_sum(n, p),
+        count_interval_bruteforce(n, p),
         turan_edges_formula(n + 1, p + 1),
         turan_edges_construction(n + 1, p + 1),
     )

@@ -17,9 +17,9 @@ from schreier import (
     expand_gaps,
     gap_window,
     inclusion_exclusion_decomposition,
-    relabeling_table,
     strip_window,
 )
+from schreier.bijections import relabeling_table
 
 
 def test_gap_window_bounds():

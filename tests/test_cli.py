@@ -135,9 +135,15 @@ def test_verify_pass_and_exit_zero(capsys):
 
 
 def test_verify_empty_grid_is_a_usage_error(capsys):
-    code, _, err = run_cli(capsys, "verify", "--pmax", "0")
-    assert code == 2
-    assert "no cases" in err
+    for argv in (
+        ["--pmax", "0"],
+        ["--suite", "turan-cross", "--pmax", "0"],
+        ["--suite", "turan-cross", "--nmax", "0"],
+    ):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert "no cases" in err
 
 
 def test_verify_suite_choices_come_from_the_registry():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import schreier.turan
 from schreier import (
-    balanced_part_sizes,
     count_interval_bruteforce,
     interval_count_closed,
     interval_count_sum,
@@ -15,6 +15,7 @@ from schreier import (
     turan_edges_formula,
     verify_turan_identity,
 )
+from schreier.turan import balanced_part_sizes
 
 
 def test_edge_formula_known_values():
@@ -29,10 +30,19 @@ def test_edge_construction_known_values():
     assert turan_edges_construction(3, 1) == 0
 
 
-def test_more_parts_than_vertices_gives_the_complete_graph():
+def test_more_parts_than_vertices_gives_the_complete_graph(monkeypatch):
     assert balanced_part_sizes(3, 5) == (1, 1, 1, 0, 0)
     assert turan_edges_construction(3, 5) == 3
-    assert turan_edges_formula(3, 5) == 3  # delegates to the construction
+
+    def refuse(n, p):
+        raise AssertionError("the closed form must not call the construction")
+
+    # The formula never needs the leg it is checked against.
+    monkeypatch.setattr(schreier.turan, "turan_edges_construction", refuse)
+    assert turan_edges_formula(3, 5) == 3  # r = n, so only r(r-1)/2 remains
+    for n in range(1, 31):
+        for p in range(31, 41):
+            assert turan_edges_formula(n, p) == n * (n - 1) // 2
 
 
 def vertex_pair_count(n, p):
@@ -96,12 +106,6 @@ def test_identity_known_reports():
 def test_identity_rejects_n_below_p():
     with pytest.raises(ValueError):
         verify_turan_identity(2, 3)  # the identity only holds for n >= p
-
-
-def test_identity_enumeration_leg_is_optional():
-    report = verify_turan_identity(30, 4, include_enumeration=False)
-    assert report.interval_enumeration is None
-    assert report.passed
 
 
 @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60))

@@ -71,6 +71,10 @@ def test_run_suite_dispatch():
 def test_run_suite_refuses_an_empty_grid():
     with pytest.raises(ValueError, match="no cases"):
         run_suite("recurrence", 0, 2, 8)
+    # turan-cross would still run its quarter squares without a formula cell.
+    for bounds in [(0, None, None), (None, None, 0)]:
+        with pytest.raises(ValueError, match="turan-cross: the grid .* has no cases"):
+            run_suite("turan-cross", *bounds)
 
 
 def test_run_suite_defaults_apply_when_bounds_are_missing():
@@ -109,6 +113,31 @@ def test_corrupted_edge_formula_is_caught(monkeypatch):
     report = turan_cross_suite(p_max=4, n_max=50, quarter_n_max=10)
     assert not report.passed
     assert "n=40, p=3" in report.failures[0]
+
+
+@pytest.mark.parametrize(
+    "name, cell, label",
+    [
+        # The edge legs are read at T(n+1, p+1), so (18, 4) is the cell n=17, p=3.
+        ("turan_edges_formula", (18, 4), "n=17, p=3"),
+        ("turan_edges_construction", (18, 4), "n=17, p=3"),
+        ("interval_count_sum", (17, 3), "n=17, p=3"),
+        # Above enum_limit the four other legs still decide the cell.
+        ("interval_count_closed", (35, 2), "n=35, p=2"),
+    ],
+    ids=["edge-formula", "edge-construction", "interval-sum", "closed-above-enum"],
+)
+def test_corrupted_identity_leg_is_caught_at_its_cell(monkeypatch, name, cell, label):
+    honest = getattr(schreier.verify, name)
+
+    def skewed(n, p):
+        return honest(n, p) + ((n, p) == cell)
+
+    monkeypatch.setattr(schreier.verify, name, skewed)
+    report = turan_identity_suite(p_max=4, n_max=40, enum_limit=30)
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith(f"{label}:")
+    assert ("/ enum None," in report.failures[0]) == (cell == (35, 2))
 
 
 def test_turan_identity_grid_names_the_enumeration_leg_it_ran():
