@@ -17,13 +17,10 @@ from .bijections import (
     collapse_gaps,
     expand_gaps,
     gap_window,
-    inclusion_exclusion_decomposition,
     strip_window,
 )
 from .counting import (
     Count,
-    CountSequence,
-    binomial,
     count_schreier_direct,
     count_schreier_recurrence,
     schreier_sequence,
@@ -46,7 +43,6 @@ from .turan import (
     interval_count_sum,
     turan_edges_construction,
     turan_edges_formula,
-    verify_turan_identity,
 )
 from .verify import (
     VerifyReport,
@@ -66,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BFile",
     "Count",
-    "CountSequence",
     "DomainError",
     "FiniteSet",
     "GapSet",
@@ -76,7 +71,6 @@ __all__ = [
     "VerifyReport",
     "attach_window",
     "bfile_from_sequence",
-    "binomial",
     "collapse_gaps",
     "count_interval_bruteforce",
     "count_schreier_bruteforce",
@@ -88,7 +82,6 @@ __all__ = [
     "gap_bijection_suite",
     "gap_window",
     "in_schreier_family",
-    "inclusion_exclusion_decomposition",
     "interval_agreement_suite",
     "interval_count_closed",
     "interval_count_sum",
@@ -103,6 +96,5 @@ __all__ = [
     "turan_edges_construction",
     "turan_edges_formula",
     "turan_identity_suite",
-    "verify_turan_identity",
     "window_bijection_suite",
 ]

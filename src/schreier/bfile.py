@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .counting import Count, CountSequence
+from .counting import Count
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,10 @@ def parse_bfile(text: str) -> BFile:
 
 
 def bfile_from_sequence(
-    sequence: CountSequence, offset: int = 1, comments: tuple[str, ...] = ()
+    sequence: tuple[Count, ...], offset: int = 1, comments: tuple[str, ...] = ()
 ) -> BFile:
-    """b-file entries (n, count) for offset <= n <= the sequence end."""
-    if not 0 <= offset <= sequence.n_max:
-        raise ValueError(
-            f"offset {offset} outside the computed range 0..{sequence.n_max}"
-        )
-    entries = tuple(
-        (n, sequence[n]) for n in range(offset, sequence.n_max + 1)
-    )
-    return BFile(entries, comments)
+    """b-file entries (n, sequence[n]) for offset <= n <= the sequence end."""
+    n_max = len(sequence) - 1
+    if not 0 <= offset <= n_max:
+        raise ValueError(f"offset {offset} outside the computed range 0..{n_max}")
+    return BFile(tuple(enumerate(sequence[offset:], start=offset)), comments)

@@ -12,19 +12,17 @@ values just below n:
 Both correspondences are implemented in both directions, with explicit
 domain checks (``DomainError``) and postcondition re-checks (plain
 ``RuntimeError`` -- a failure there is a bug, not bad input).
-:func:`inclusion_exclusion_decomposition` recounts the family from
-these occupancy classes by brute force, so the claimed class sizes can
-be checked against independent counts rather than assumed.
+:func:`schreier.verify.gap_bijection_suite` and
+:func:`schreier.verify.window_bijection_suite` check them as bijections
+on enumerated families; the window suite also recounts each family by
+window occupancy, so the claimed class sizes are tested, not assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
-from .counting import Count
-from .enumeration import enumerate_schreier
 from .sets import FiniteSet, Ratio, in_schreier_family
 
 
@@ -160,52 +158,3 @@ def attach_window(fs: FiniteSet, ratio: Ratio, n: int) -> FiniteSet:
     if not in_schreier_family(image, ratio, n) or any(w not in image for w in window):
         raise RuntimeError(f"window attach produced a non-member: {fs} -> {image}")
     return image
-
-
-@dataclass(frozen=True)
-class IEDecomposition:
-    """Family size at n recounted by window occupancy classes.
-
-    ``full_window_count`` counts members containing every window value;
-    ``layer_sums[i-1]`` adds up, over every choice of i window values,
-    the members avoiding that choice.  All classes are counted by
-    filtering the brute-force enumeration -- no appeal to the
-    correspondences above -- so comparing a layer against
-    C(q, i) * (family size at n - i) genuinely tests them.
-    ``assembled`` alternates the layers on top of the full-window term
-    and should reproduce the family size at n.
-    """
-
-    n: int
-    ratio: Ratio
-    full_window_count: Count
-    layer_sums: tuple[Count, ...]
-    assembled: Count
-
-
-def inclusion_exclusion_decomposition(n: int, ratio: Ratio) -> IEDecomposition:
-    """Recount the family at n by window occupancy, class by class.
-
-    Defined for n >= p + q (the recurrence's regime) and subject to the
-    brute-force size guard.
-    """
-    p, q = ratio.p, ratio.q
-    if n < p + q:
-        raise ValueError(f"decomposition needs n >= p + q = {p + q}, got {n}")
-    return _decompose(n, ratio, enumerate_schreier(n, ratio))
-
-
-def _decompose(n: int, ratio: Ratio, listing: tuple[FiniteSet, ...]) -> IEDecomposition:
-    """The decomposition at n over ``listing``, the family at n (n >= p + q)."""
-    window = gap_window(n, ratio)
-    full = sum(1 for fs in listing if all(w in fs for w in window))
-    layers = []
-    for size in range(1, ratio.q + 1):
-        layer = 0
-        for gap_values in combinations(window, size):
-            layer += sum(1 for fs in listing if not any(g in fs for g in gap_values))
-        layers.append(layer)
-    assembled = full
-    for i, layer in enumerate(layers, start=1):
-        assembled += layer if i % 2 == 1 else -layer
-    return IEDecomposition(n, ratio, full, tuple(layers), assembled)

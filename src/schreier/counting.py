@@ -10,10 +10,11 @@ Two independent methods are provided on purpose:
   it reduces x^n modulo the recurrence's characteristic polynomial in
   O(d^2 log n) big-int multiplications and applies the result to the d
   seeds.  :func:`schreier_sequence` steps the same recurrence forward
-  instead, in O(n * q) big-int additions for the whole prefix, and so
-  cross-checks the single-term engine.  Both take the recurrence's taps
-  and its d seeds from the generating function P(x)/Q(x), which groups
-  the members by size, not by minimum (see :func:`_recurrence`).
+  instead, in O(n * q) big-int additions for the whole prefix (a plain
+  tuple indexed by n), and so cross-checks the single-term engine.
+  Both take the recurrence's taps and its d seeds from the generating
+  function P(x)/Q(x), which groups the members by size, not by minimum
+  (see :func:`_recurrence`).
 
 They share no code beyond the input checks, so agreement between them
 (and with the brute-force oracle) is meaningful evidence.  Counts are
@@ -22,45 +23,14 @@ exact arbitrary-precision integers throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
-from typing import Iterator
 
 from .sets import Ratio, require_int
 
 # Counts are plain Python ints: exact and unbounded, which the
 # recurrence needs long before n reaches 10_000.
 Count = int
-
-
-@dataclass(frozen=True)
-class CountSequence:
-    """Family sizes for one ratio, indexed by n (``values[0]`` is 0)."""
-
-    ratio: Ratio
-    values: tuple[Count, ...]
-
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
-
-    def __getitem__(self, n: int) -> Count:
-        return self.values[n]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[Count]:
-        return iter(self.values)
-
-
-def binomial(n: int, k: int) -> Count:
-    """C(n, k), with out-of-range k giving 0 instead of an error."""
-    require_int("n", n, 0, "a non-negative integer")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 def count_schreier_direct(n: int, ratio: Ratio) -> Count:
@@ -174,8 +144,8 @@ def count_schreier_recurrence(n: int, ratio: Ratio) -> Count:
     return sum(a * s for a, s in zip(power, seeds))
 
 
-def schreier_sequence(ratio: Ratio, n_max: int) -> CountSequence:
-    """All counts for 0 <= n <= n_max in one forward pass of O(n_max * q) additions."""
+def schreier_sequence(ratio: Ratio, n_max: int) -> tuple[Count, ...]:
+    """Counts for 0 <= n <= n_max, indexed by n (O(n_max * q) additions in all)."""
     require_int("n", n_max, 0, "a non-negative integer")
     taps, values = _recurrence(ratio)
     depth = len(values)
@@ -186,4 +156,4 @@ def schreier_sequence(ratio: Ratio, n_max: int) -> CountSequence:
         for c, i in near:
             value += c * values[i]
         values.append(value)
-    return CountSequence(ratio, tuple(values[: n_max + 1]))
+    return tuple(values[: n_max + 1])

@@ -2,19 +2,17 @@
 
 The number of intervals [lo, hi] within {1..n} satisfying
 p * lo >= hi - lo + 1 equals the edge count of the Turán graph
-T(n+1, p+1) whenever n >= p.  Both sides are computed by independent
-routes (a closed form and a from-parts count for the graph; a closed
-form, a term-by-term sum, and brute enumeration for the intervals),
-and :func:`verify_turan_identity` lines all five up.  No leg falls
-back on another: each closed form covers p > n as written.
+T(n+1, p+1) whenever n >= p.  This module holds the independent
+routes on both sides: a closed form and a from-parts count for the
+graph, a closed form and a term-by-term sum for the intervals.  The
+brute-force interval count lives in :mod:`schreier.enumeration`, and
+:func:`schreier.verify.turan_identity_suite` lines all five up.  No
+route falls back on another: each closed form covers p > n as written.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .counting import Count
-from .enumeration import count_interval_bruteforce
 from .sets import require_int
 
 
@@ -90,45 +88,3 @@ def interval_count_closed(n: int, p: int) -> Count:
     require_int("p", p)
     d = (n + 1) // (p + 1)
     return p * (d + 1) * d // 2 + (n - d + 1) * (n - d) // 2
-
-
-@dataclass(frozen=True)
-class TuranIdentityReport:
-    """The five legs of the interval/Turán comparison at one (n, p).
-
-    ``passed`` holds when all five are the same number.
-    """
-
-    n: int
-    p: int
-    interval_closed: Count
-    interval_sum: Count
-    interval_enumeration: Count
-    turan_formula: Count
-    turan_construction: Count
-
-    @property
-    def passed(self) -> bool:
-        intervals = {self.interval_closed, self.interval_sum, self.interval_enumeration}
-        return len(intervals | {self.turan_formula, self.turan_construction}) == 1
-
-
-def verify_turan_identity(n: int, p: int) -> TuranIdentityReport:
-    """Compare the interval count at (n, p) with the edges of T(n+1, p+1).
-
-    The identity is claimed only for n >= p; calls outside that range
-    are rejected.  All five legs run, the brute-force one in O(n^2).
-    """
-    require_int("n", n)
-    require_int("p", p)
-    if n < p:
-        raise ValueError(f"identity requires n >= p, got n={n} < p={p}")
-    return TuranIdentityReport(
-        n,
-        p,
-        interval_count_closed(n, p),
-        interval_count_sum(n, p),
-        count_interval_bruteforce(n, p),
-        turan_edges_formula(n + 1, p + 1),
-        turan_edges_construction(n + 1, p + 1),
-    )

@@ -10,13 +10,10 @@ from schreier import (
     GapSet,
     Ratio,
     attach_window,
-    binomial,
     collapse_gaps,
-    count_schreier_recurrence,
     enumerate_schreier,
     expand_gaps,
     gap_window,
-    inclusion_exclusion_decomposition,
     strip_window,
 )
 from schreier.bijections import relabeling_table
@@ -108,34 +105,6 @@ def test_attach_rejects_non_members():
         attach_window(FiniteSet([1, 2]), Ratio(1, 1), 4)  # {1,2} not in family at 2
     with pytest.raises(DomainError):
         attach_window(FiniteSet([1]), Ratio(1, 1), 2)  # no room below n = p + q
-
-
-def test_decomposition_known_values():
-    dec = inclusion_exclusion_decomposition(4, Ratio(1, 2))
-    assert dec.full_window_count == 1
-    assert dec.layer_sums == (6, 2)
-    assert dec.assembled == 5
-
-    dec = inclusion_exclusion_decomposition(3, Ratio(1, 1))
-    assert (dec.full_window_count, dec.layer_sums, dec.assembled) == (1, (1,), 2)
-
-    dec = inclusion_exclusion_decomposition(2, Ratio(1, 1))
-    assert (dec.full_window_count, dec.layer_sums, dec.assembled) == (0, (1,), 1)
-
-
-def test_decomposition_requires_the_recurrence_regime():
-    with pytest.raises(ValueError):
-        inclusion_exclusion_decomposition(2, Ratio(1, 2))  # n < p + q
-
-
-@pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 1), (2, 2)])
-def test_decomposition_layers_carry_the_claimed_weights(p, q):
-    ratio = Ratio(p, q)
-    for n in range(p + q, 11):
-        dec = inclusion_exclusion_decomposition(n, ratio)
-        assert dec.assembled == len(enumerate_schreier(n, ratio))
-        for i, layer in enumerate(dec.layer_sums, start=1):
-            assert layer == binomial(q, i) * count_schreier_recurrence(n - i, ratio)
 
 
 # Random-grid roundtrip: any family member avoiding the gaps must survive

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 import schreier.counting
 from schreier import (
     Ratio,
-    binomial,
     count_schreier_bruteforce,
     count_schreier_direct,
     count_schreier_recurrence,
@@ -37,14 +36,13 @@ def test_n_zero_counts_nothing():
 
 
 def test_sequence_known_prefixes():
-    assert schreier_sequence(Ratio(1, 1), 6).values == (0, 1, 1, 2, 3, 5, 8)
-    assert schreier_sequence(Ratio(1, 2), 5).values == (0, 1, 2, 3, 5, 9)
-    assert schreier_sequence(Ratio(2, 1), 4).values == (0, 0, 1, 1, 1)
+    assert schreier_sequence(Ratio(1, 1), 6) == (0, 1, 1, 2, 3, 5, 8)
+    assert schreier_sequence(Ratio(1, 2), 5) == (0, 1, 2, 3, 5, 9)
+    assert schreier_sequence(Ratio(2, 1), 4) == (0, 0, 1, 1, 1)
 
 
 def test_sequence_indexing_and_length():
     seq = schreier_sequence(Ratio(1, 1), 10)
-    assert seq.n_max == 10
     assert len(seq) == 11
     assert seq[10] == 55
     assert list(seq)[:3] == [0, 1, 1]
@@ -78,7 +76,7 @@ def test_recurrence_routes_never_call_the_direct_sum(monkeypatch):
         (Ratio(1, 2), (0, 1, 2, 3, 5, 9)),
         (Ratio(2, 1), (0, 0, 1, 1, 1)),
     ]:
-        assert schreier_sequence(ratio, len(prefix) - 1).values == prefix
+        assert schreier_sequence(ratio, len(prefix) - 1) == prefix
         for n, count in enumerate(prefix):
             assert count_schreier_recurrence(n, ratio) == count
     assert count_schreier_recurrence(5, Ratio(4000, 1)) == 0
@@ -200,12 +198,3 @@ def test_counts_ignore_the_ratio_representation(ratio, k, n):
     assert count_schreier_recurrence(n, ratio) == count_schreier_recurrence(
         n, ratio.scaled(k)
     )
-
-
-def test_binomial_values_and_edges():
-    assert binomial(5, 2) == 10
-    assert binomial(7, 0) == 1
-    assert binomial(4, 5) == 0
-    assert binomial(4, -1) == 0
-    with pytest.raises(ValueError):
-        binomial(-1, 0)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from schreier import (
     FiniteSet,
     Ratio,
-    binomial,
+    count_schreier_direct,
     count_schreier_recurrence,
     enumerate_schreier,
     in_schreier_family,
@@ -56,7 +56,7 @@ def test_ratio_validation_and_scaling():
         (FiniteSet, ([True, 2],), TypeError),
         (count_schreier_recurrence, (True, Ratio(1, 1)), ValueError),
         (schreier_sequence, (Ratio(1, 1), False), ValueError),
-        (binomial, (True, 0), ValueError),
+        (count_schreier_direct, (True, Ratio(1, 1)), ValueError),
         (enumerate_schreier, (True, Ratio(1, 1)), ValueError),
         (turan_edges_formula, (1, True), ValueError),
         (interval_count_closed, (True, 1), ValueError),

@@ -13,7 +13,7 @@ from schreier import (
     interval_count_sum,
     turan_edges_construction,
     turan_edges_formula,
-    verify_turan_identity,
+    turan_identity_suite,
 )
 from schreier.turan import balanced_part_sizes
 
@@ -89,23 +89,19 @@ def test_interval_three_way_agreement_small_grid():
 
 
 def test_identity_known_reports():
-    report = verify_turan_identity(3, 2)
+    report = turan_identity_suite(p_max=2, n_max=3)
     assert report.passed
+    assert report.cases == 5  # (n, p) with 1 <= p <= n <= 3, p <= 2
     assert (
-        report.interval_closed
-        == report.interval_sum
-        == report.interval_enumeration
-        == report.turan_formula
-        == report.turan_construction
+        interval_count_closed(3, 2)
+        == interval_count_sum(3, 2)
+        == count_interval_bruteforce(3, 2)
+        == turan_edges_formula(4, 3)
+        == turan_edges_construction(4, 3)
         == 5
     )
-    assert verify_turan_identity(4, 4).turan_formula == 10
-    assert verify_turan_identity(4, 2).interval_closed == 8
-
-
-def test_identity_rejects_n_below_p():
-    with pytest.raises(ValueError):
-        verify_turan_identity(2, 3)  # the identity only holds for n >= p
+    assert turan_edges_formula(5, 5) == 10
+    assert interval_count_closed(4, 2) == 8
 
 
 @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60))
@@ -120,7 +116,11 @@ def test_two_part_column_is_quarter_squares(n):
 
 @given(st.integers(min_value=1, max_value=50))
 def test_identity_along_the_diagonal(n):
-    # At n = p both sides degenerate to C(n+1, 2).
-    report = verify_turan_identity(n, n)
-    assert report.passed
-    assert report.turan_formula == (n + 1) * n // 2
+    # At n = p both sides degenerate to C(n+1, 2), along all five legs.
+    assert {
+        interval_count_closed(n, n),
+        interval_count_sum(n, n),
+        count_interval_bruteforce(n, n),
+        turan_edges_formula(n + 1, n + 1),
+        turan_edges_construction(n + 1, n + 1),
+    } == {n * (n + 1) // 2}

@@ -5,6 +5,8 @@ import pytest
 import schreier.counting
 import schreier.verify
 from schreier import (
+    FiniteSet,
+    Ratio,
     formula_suite,
     gap_bijection_suite,
     interval_agreement_suite,
@@ -99,6 +101,34 @@ def test_corrupted_base_case_is_caught(monkeypatch):
     assert report.failures
     assert "(p,q)=(1,1)" in report.failures[0]
     assert "FAIL" in report.summary()
+
+
+def test_skewed_count_is_caught_by_the_window_recount(monkeypatch):
+    honest = schreier.verify.count_schreier_recurrence
+
+    def skewed(n, ratio):
+        return honest(n, ratio) + ((n, ratio) == (7, Ratio(1, 2)))
+
+    # count(7) weighs layer 1 at n = 8 (times C(2, 1)) and layer 2 at n = 9.
+    monkeypatch.setattr(schreier.verify, "count_schreier_recurrence", skewed)
+    report = window_bijection_suite()
+    assert report.failures == (
+        "(p,q)=(1,2), n=8: layer 1 is 56, expected 58",
+        "(p,q)=(1,2), n=9: layer 2 is 28, expected 29",
+    )
+
+
+def test_broken_gap_map_is_caught_at_its_cell(monkeypatch):
+    honest = schreier.verify.collapse_gaps
+
+    def broken(fs, gaps):
+        if (gaps.n, gaps.ratio, gaps.members) == (9, Ratio(1, 2), (7,)):
+            return FiniteSet([gaps.n - 1])  # every avoider lands on {8}
+        return honest(fs, gaps)
+
+    monkeypatch.setattr(schreier.verify, "collapse_gaps", broken)
+    report = gap_bijection_suite(p_max=2, q_max=2, n_max=10)
+    assert report.failures == ("(p,q)=(1,2), n=9, gaps=(7,): map is not injective",)
 
 
 def test_corrupted_edge_formula_is_caught(monkeypatch):
