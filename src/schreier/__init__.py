@@ -20,7 +20,6 @@ from .bijections import (
     strip_window,
 )
 from .counting import (
-    Count,
     count_schreier_direct,
     count_schreier_recurrence,
     schreier_sequence,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BFile",
-    "Count",
     "DomainError",
     "FiniteSet",
     "GapSet",

@@ -9,14 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .counting import Count
-
 
 @dataclass(frozen=True)
 class BFile:
     """Parsed or to-be-rendered b-file content."""
 
-    entries: tuple[tuple[int, Count], ...]
+    entries: tuple[tuple[int, int], ...]
     comments: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
@@ -36,7 +34,7 @@ class BFile:
 def parse_bfile(text: str) -> BFile:
     """Parse b-file text, enforcing the index-step rule."""
     comments: list[str] = []
-    entries: list[tuple[int, Count]] = []
+    entries: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -58,7 +56,7 @@ def parse_bfile(text: str) -> BFile:
 
 
 def bfile_from_sequence(
-    sequence: tuple[Count, ...], offset: int = 1, comments: tuple[str, ...] = ()
+    sequence: tuple[int, ...], offset: int = 1, comments: tuple[str, ...] = ()
 ) -> BFile:
     """b-file entries (n, sequence[n]) for offset <= n <= the sequence end."""
     n_max = len(sequence) - 1

@@ -5,7 +5,7 @@ values just below n:
 
 * members that avoid a prescribed nonempty set of window values
   correspond one-to-one with the family at a smaller n (close the
-  gaps, relabel);
+  gaps: each value drops by the number of gap values below it);
 * members that contain the entire window correspond one-to-one with
   the family at n - p - q (strip the top of the set, shift down by p).
 
@@ -63,22 +63,6 @@ class GapSet:
         return len(self.members)
 
 
-def relabeling_table(gaps: GapSet) -> dict[int, int]:
-    """The order-preserving bijection {1..n} minus gaps -> {1..n-k}.
-
-    Each surviving value x is sent to x minus the number of gap values
-    below x; e.g. gaps {3} within 1..4 give {1: 1, 2: 2, 4: 3}.
-    """
-    table: dict[int, int] = {}
-    fallen = 0
-    for x in range(1, gaps.n + 1):
-        if x in gaps.members:
-            fallen += 1
-        else:
-            table[x] = x - fallen
-    return table
-
-
 def _require_domain(fs: FiniteSet, ratio: Ratio, n: int, source_n: int) -> None:
     """Refuse n < p + q (no claimed map) and an fs outside the family at source_n."""
     if n < ratio.p + ratio.q:
@@ -92,17 +76,18 @@ def _require_domain(fs: FiniteSet, ratio: Ratio, n: int, source_n: int) -> None:
 def collapse_gaps(fs: FiniteSet, gaps: GapSet) -> FiniteSet:
     """Map a gap-avoiding family member at n to a member at n - k.
 
-    ``fs`` must belong to the family at n = gaps.n, miss every gap
-    value, and n must be at least p + q (below that the correspondence
-    is not claimed).
+    Each element x moves down by the number of gap values below it: the
+    order-preserving relabeling of {1..n} minus the gaps onto {1..n-k}
+    (gaps {3} within 1..4 send {2, 4} to {2, 3}).  ``fs`` must belong
+    to the family at n = gaps.n, miss every gap value, and n must be at
+    least p + q (below that the correspondence is not claimed).
     """
     n, ratio = gaps.n, gaps.ratio
     _require_domain(fs, ratio, n, n)
     collision = set(fs) & set(gaps.members)
     if collision:
         raise DomainError(f"{fs} meets the gaps at {sorted(collision)}")
-    table = relabeling_table(gaps)
-    image = FiniteSet(table[x] for x in fs)
+    image = FiniteSet(x - sum(g < x for g in gaps.members) for x in fs)
     if not in_schreier_family(image, ratio, n - len(gaps)):
         raise RuntimeError(
             f"relabeling broke membership: {fs} -> {image} at n={n - len(gaps)}"
@@ -113,13 +98,19 @@ def collapse_gaps(fs: FiniteSet, gaps: GapSet) -> FiniteSet:
 def expand_gaps(fs: FiniteSet, gaps: GapSet) -> FiniteSet:
     """Inverse of :func:`collapse_gaps`: re-open the gaps.
 
-    ``fs`` must belong to the family at n - k; its elements are pulled
-    back through the relabeling table.
+    ``fs`` must belong to the family at n - k; each element y walks up
+    the sorted gaps, one step for each gap value it reaches, back to
+    the y-th value outside the gaps.
     """
     n, ratio = gaps.n, gaps.ratio
     _require_domain(fs, ratio, n, n - len(gaps))
-    backward = {image: x for x, image in relabeling_table(gaps).items()}
-    image = FiniteSet(backward[y] for y in fs)
+    opened = []
+    for y in fs:
+        for g in gaps.members:  # ascending, so y can pass each gap it reaches
+            if g <= y:
+                y += 1
+        opened.append(y)
+    image = FiniteSet(opened)
     if not in_schreier_family(image, ratio, n) or set(image) & set(gaps.members):
         raise RuntimeError(f"re-opening gaps produced a non-member: {fs} -> {image}")
     return image

@@ -28,12 +28,7 @@ from math import comb
 
 from .sets import Ratio, require_int
 
-# Counts are plain Python ints: exact and unbounded, which the
-# recurrence needs long before n reaches 10_000.
-Count = int
-
-
-def count_schreier_direct(n: int, ratio: Ratio) -> Count:
+def count_schreier_direct(n: int, ratio: Ratio) -> int:
     """Count by summing, for each minimum m, the ways to fill the gap.
 
     A member with min m < n picks its remaining elements from the
@@ -73,7 +68,7 @@ def count_schreier_direct(n: int, ratio: Ratio) -> Count:
     return total
 
 
-def _recurrence(ratio: Ratio) -> tuple[list[tuple[int, int]], list[Count]]:
+def _recurrence(ratio: Ratio) -> tuple[list[tuple[int, int]], list[int]]:
     """The recurrence's q + 1 nonzero taps (k, c_k) and count(0), ..., count(p + q - 1).
 
     Both come from one generating function.  The members of size s have
@@ -115,7 +110,7 @@ def _fold(poly: list[int], taps: list[tuple[int, int]], depth: int) -> list[int]
     return poly
 
 
-def count_schreier_recurrence(n: int, ratio: Ratio) -> Count:
+def count_schreier_recurrence(n: int, ratio: Ratio) -> int:
     """Count via the recurrence, in O(d^2 log n) big-int multiplications (d = p + q).
 
     The recurrence makes x^d equal to sum_k c_k x^(d-k) + 1 modulo its
@@ -144,7 +139,7 @@ def count_schreier_recurrence(n: int, ratio: Ratio) -> Count:
     return sum(a * s for a, s in zip(power, seeds))
 
 
-def schreier_sequence(ratio: Ratio, n_max: int) -> tuple[Count, ...]:
+def schreier_sequence(ratio: Ratio, n_max: int) -> tuple[int, ...]:
     """Counts for 0 <= n <= n_max, indexed by n (O(n_max * q) additions in all)."""
     require_int("n", n_max, 0, "a non-negative integer")
     taps, values = _recurrence(ratio)

@@ -3,43 +3,37 @@
 The number of intervals [lo, hi] within {1..n} satisfying
 p * lo >= hi - lo + 1 equals the edge count of the Turán graph
 T(n+1, p+1) whenever n >= p.  This module holds the independent
-routes on both sides: a closed form and a from-parts count for the
-graph, a closed form and a term-by-term sum for the intervals.  The
-brute-force interval count lives in :mod:`schreier.enumeration`, and
+routes on both sides: a closed form and a count from the balanced
+part sizes for the graph, a closed form and a term-by-term sum for
+the intervals.  The brute-force interval count lives in
+:mod:`schreier.enumeration`, and
 :func:`schreier.verify.turan_identity_suite` lines all five up.  No
 route falls back on another: each closed form covers p > n as written.
 """
 
 from __future__ import annotations
 
-from .counting import Count
 from .sets import require_int
 
 
-def balanced_part_sizes(n: int, p: int) -> tuple[int, ...]:
-    """Sizes of the p parts of T(n, p): as equal as possible, descending.
+def turan_edges_construction(n: int, p: int) -> int:
+    """Edge count of T(n, p) from its balanced part sizes.
 
-    When p > n the trailing parts are empty (size 0); the graph is then
-    complete on its n vertices.
+    The p parts are as equal as possible: with n = base*p + r, r parts
+    hold base + 1 vertices and p - r hold base (empty when p > n, so
+    the graph is complete).  Every pair of vertices is adjacent except
+    the pairs inside a part, so the count is (n^2 - sum of squared part
+    sizes) / 2; the numerator is always even.  The parts of each size
+    are counted, not listed, so memory does not grow with p.
     """
     require_int("n", n)
     require_int("p", p)
     base, r = divmod(n, p)
-    return tuple([base + 1] * r + [base] * (p - r))
+    squares = r * (base + 1) ** 2 + (p - r) * base * base
+    return (n * n - squares) // 2
 
 
-def turan_edges_construction(n: int, p: int) -> Count:
-    """Edge count of T(n, p) built from its balanced part sizes.
-
-    Every pair of vertices is adjacent except the pairs inside a part,
-    so the count is (n^2 - sum of squared part sizes) / 2, and the
-    numerator is always even.
-    """
-    sizes = balanced_part_sizes(n, p)
-    return (n * n - sum(s * s for s in sizes)) // 2
-
-
-def turan_edges_formula(n: int, p: int) -> Count:
+def turan_edges_formula(n: int, p: int) -> int:
     """Edge count of T(n, p) in closed form.
 
     With r = n - p * floor(n / p),
@@ -62,7 +56,7 @@ def turan_edges_formula(n: int, p: int) -> Count:
     return head + r * (r - 1) // 2
 
 
-def interval_count_sum(n: int, p: int) -> Count:
+def interval_count_sum(n: int, p: int) -> int:
     """Qualifying intervals in {1..n}, summed minimum by minimum.
 
     An interval starting at m may extend to any of min(p*m, n+1-m)
@@ -76,7 +70,7 @@ def interval_count_sum(n: int, p: int) -> Count:
     return total
 
 
-def interval_count_closed(n: int, p: int) -> Count:
+def interval_count_closed(n: int, p: int) -> int:
     """Qualifying intervals in {1..n}, in closed form.
 
     The sum splits at d = (n + 1) // (p + 1), the number of minima m

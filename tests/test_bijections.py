@@ -16,7 +16,6 @@ from schreier import (
     gap_window,
     strip_window,
 )
-from schreier.bijections import relabeling_table
 
 
 def test_gap_window_bounds():
@@ -39,18 +38,35 @@ def test_gapset_validation():
 
 
 def test_relabeling_tables():
-    assert relabeling_table(GapSet(4, Ratio(1, 2), [3])) == {1: 1, 2: 2, 4: 3}
-    assert relabeling_table(GapSet(5, Ratio(1, 1), [4])) == {1: 1, 2: 2, 3: 3, 5: 4}
-    assert relabeling_table(GapSet(3, Ratio(1, 2), [2])) == {1: 1, 3: 2}
+    # Each surviving value drops by the number of gaps below it.
+    for n, ratio, gap, table in [
+        (4, Ratio(1, 2), 3, {1: 1, 2: 2, 4: 3}),
+        (5, Ratio(1, 1), 4, {1: 1, 2: 2, 3: 3, 5: 4}),
+        (3, Ratio(1, 2), 2, {1: 1, 3: 2}),
+    ]:
+        gaps = GapSet(n, ratio, [gap])
+        for x, image in table.items():
+            if x == n:
+                assert collapse_gaps(FiniteSet([n]), gaps) == FiniteSet([image])
+                assert expand_gaps(FiniteSet([image]), gaps) == FiniteSet([n])
+            else:
+                pair, moved = FiniteSet([x, n]), FiniteSet([image, n - 1])
+                if x * ratio.q >= 2 * ratio.p:  # {x, n} is a member
+                    assert collapse_gaps(pair, gaps) == moved
+                    assert expand_gaps(moved, gaps) == pair
 
 
 def test_relabeling_table_is_strictly_increasing():
     gaps = GapSet(9, Ratio(1, 3), [6, 8])
-    table = relabeling_table(gaps)
-    domain = sorted(table)
-    assert domain == [x for x in range(1, 10) if x not in (6, 8)]
-    values = [table[x] for x in domain]
-    assert values == sorted(set(values)) == list(range(1, 8))
+    images = []
+    for x in [x for x in range(1, 9) if x not in (6, 8)]:
+        image = collapse_gaps(FiniteSet([x, 9]), gaps)
+        assert image.max == 7
+        assert expand_gaps(image, gaps) == FiniteSet([x, 9])
+        images.append(image.min)
+    assert images == list(range(1, 7))
+    assert collapse_gaps(FiniteSet([9]), gaps) == FiniteSet([7])
+    assert expand_gaps(FiniteSet([7]), gaps) == FiniteSet([9])
 
 
 def test_collapse_and_expand_known_pairs():

@@ -37,6 +37,8 @@ def run_cli(capsys, *argv):
         # n = 0 has no members on every route
         (["count", "--p", "1", "--q", "1", "--n", "0", "--method", "oracle"], "0\n"),
         (["enumerate", "--p", "1", "--q", "1", "--n", "0"], ""),
+        # part sizes are counted, not listed: 10^12 of them need no memory
+        (["turan", "--n", "3", "--parts", "1000000000000", "--method", "graph"], "3\n"),
     ],
 )
 def test_golden_outputs(capsys, argv, expected):

@@ -66,13 +66,19 @@ def combinations_oracle(n, ratio):
     return found
 
 
+def bitmask(fs):
+    return sum(1 << (x - 1) for x in fs)
+
+
 @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 1), (2, 3), (3, 1)])
 def test_listing_agrees_with_combinations_oracle(p, q):
     ratio = Ratio(p, q)
     for n in range(1, 9):
         listing = enumerate_schreier(n, ratio)
-        assert len(set(listing)) == len(listing)  # no duplicates
-        assert set(listing) == combinations_oracle(n, ratio)
+        expected = combinations_oracle(n, ratio)
+        # ascending-bitmask order: bit i-1 holds element i
+        assert list(listing) == sorted(expected, key=bitmask)
+        assert count_schreier_bruteforce(n, ratio) == len(expected)
 
 
 def test_every_member_satisfies_the_family_predicate():

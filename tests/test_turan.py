@@ -15,7 +15,6 @@ from schreier import (
     turan_edges_formula,
     turan_identity_suite,
 )
-from schreier.turan import balanced_part_sizes
 
 
 def test_edge_formula_known_values():
@@ -31,7 +30,6 @@ def test_edge_construction_known_values():
 
 
 def test_more_parts_than_vertices_gives_the_complete_graph(monkeypatch):
-    assert balanced_part_sizes(3, 5) == (1, 1, 1, 0, 0)
     assert turan_edges_construction(3, 5) == 3
 
     def refuse(n, p):
@@ -46,26 +44,15 @@ def test_more_parts_than_vertices_gives_the_complete_graph(monkeypatch):
 
 
 def vertex_pair_count(n, p):
-    """Literal oracle: place vertices into blocks, count cross pairs one by one."""
-    block = []
-    for index, size in enumerate(balanced_part_sizes(n, p)):
-        block.extend([index] * size)
-    return sum(1 for a, b in combinations(range(n), 2) if block[a] != block[b])
+    """Literal oracle: vertex v goes to block v % p, cross pairs counted one by one."""
+    return sum(1 for a, b in combinations(range(n), 2) if a % p != b % p)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
 def test_edge_counts_match_a_literal_graph(p):
     for n in range(1, 30):
         assert turan_edges_formula(n, p) == vertex_pair_count(n, p)
-
-
-def test_part_sizes_are_balanced_and_sum_to_n():
-    for n in range(1, 40):
-        for p in range(1, 12):
-            sizes = balanced_part_sizes(n, p)
-            assert len(sizes) == p
-            assert sum(sizes) == n
-            assert max(sizes) - min(sizes) <= 1
+        assert turan_edges_construction(n, p) == vertex_pair_count(n, p)
 
 
 def test_interval_sum_known_values():
