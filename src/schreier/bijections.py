@@ -14,8 +14,10 @@ domain checks (``DomainError``) and postcondition re-checks (plain
 ``RuntimeError`` -- a failure there is a bug, not bad input).
 :func:`schreier.verify.gap_bijection_suite` and
 :func:`schreier.verify.window_bijection_suite` check them as bijections
-on enumerated families; the window suite also recounts each family by
-window occupancy, so the claimed class sizes are tested, not assumed.
+on enumerated families; the window suite also counts each
+inclusion-exclusion layer by window occupancy and compares it with
+C(q, i) times the count i steps down, so the claimed class sizes are
+tested, not assumed.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable
 
 from .bfile import bfile_from_sequence
 from .counting import (
@@ -35,6 +34,10 @@ from .turan import (
 )
 from .verify import SUITES, run_suite
 
+_TURAN_METHODS = {
+    "formula": turan_edges_formula,
+    "graph": turan_edges_construction,
+}
 _INTERVAL_METHODS = {
     "sum": interval_count_sum,
     "closed": interval_count_closed,
@@ -52,6 +55,19 @@ class _DigitLimitError(Exception):
         )
 
 
+def _within_limit(value: int) -> int:
+    """``value`` unchanged, or _DigitLimitError if it is too long to print.
+
+    CPython (>= 3.11) refuses to convert an int of more than
+    sys.get_int_max_str_digits() decimal digits (0: no limit).  The limit
+    is reported, not lifted, as the conversion it guards is quadratic.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and value >= 10**limit:
+        raise _DigitLimitError()
+    return value
+
+
 def _printable(n: int, ratio: Ratio) -> int:
     """count(n) by the single-term engine, or exit 4 if it is too long to print.
 
@@ -59,31 +75,12 @@ def _printable(n: int, ratio: Ratio) -> int:
     family), so sizing m = p + q, 2(p + q), 4(p + q), ... below n first
     refuses at a cost bounded by CPython's int-to-str limit, not by n.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:  # 0 means no limit
-        return count_schreier_recurrence(n, ratio)
-    ceiling = 10**limit
-    m = ratio.p + ratio.q
-    while m < n:
-        if count_schreier_recurrence(m, ratio) >= ceiling:
-            raise _DigitLimitError()
-        m *= 2
-    value = count_schreier_recurrence(n, ratio)
-    if value >= ceiling:
-        raise _DigitLimitError()
-    return value
-
-
-def _decimal(render: Callable[[], str]) -> str:
-    """``render()``, with CPython's int-to-str digit limit (>= 3.11) as exit 4.
-
-    ``render`` only formats, so its ValueError is that limit; the limit is
-    reported, not lifted, as the conversion it guards is quadratic.
-    """
-    try:
-        return render()
-    except ValueError as exc:
-        raise _DigitLimitError() from exc
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)():  # 0 means no limit
+        m = ratio.p + ratio.q
+        while m < n:
+            _within_limit(count_schreier_recurrence(m, ratio))
+            m *= 2
+    return _within_limit(count_schreier_recurrence(n, ratio))
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -95,7 +92,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         value = _printable(args.n, ratio)
         if args.method == "direct":
             value = count_schreier_direct(args.n, ratio)
-    print(_decimal(lambda: str(value)))
+    print(value)
     return 0
 
 
@@ -110,9 +107,9 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     sequence = schreier_sequence(ratio, args.max)
     bfile = bfile_from_sequence(sequence, offset=start)
     if args.format == "csv":
-        print(_decimal(lambda: ",".join(str(v) for _, v in bfile.entries)))
+        print(",".join(str(v) for _, v in bfile.entries))
     else:
-        print(_decimal(bfile.render), end="")
+        print(bfile.render(), end="")
     return 0
 
 
@@ -124,15 +121,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_turan(args: argparse.Namespace) -> int:
-    if args.method == "formula":
-        print(turan_edges_formula(args.n, args.parts))
-    else:
-        print(turan_edges_construction(args.n, args.parts))
+    print(_within_limit(_TURAN_METHODS[args.method](args.n, args.parts)))
     return 0
 
 
 def cmd_interval_count(args: argparse.Namespace) -> int:
-    print(_INTERVAL_METHODS[args.method](args.n, args.p))
+    print(_within_limit(_INTERVAL_METHODS[args.method](args.n, args.p)))
     return 0
 
 
@@ -186,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     turan = sub.add_parser("turan", help="edge count of the Turán graph T(n, parts)")
     turan.add_argument("--n", type=int, required=True)
     turan.add_argument("--parts", type=int, required=True)
-    turan.add_argument("--method", choices=("formula", "graph"), default="formula")
+    turan.add_argument("--method", choices=list(_TURAN_METHODS), default="formula")
     turan.set_defaults(func=cmd_turan)
 
     interval = sub.add_parser(

@@ -68,8 +68,8 @@ def count_schreier_direct(n: int, ratio: Ratio) -> int:
     return total
 
 
-def _recurrence(ratio: Ratio) -> tuple[list[tuple[int, int]], list[int]]:
-    """The recurrence's q + 1 nonzero taps (k, c_k) and count(0), ..., count(p + q - 1).
+def _recurrence(ratio: Ratio, n: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """The recurrence's q + 1 nonzero taps (k, c_k) and count(m), m <= min(n, p+q-1).
 
     Both come from one generating function.  The members of size s have
     maximum n and minimum at least ceil(ps/q), so they contribute
@@ -84,13 +84,19 @@ def _recurrence(ratio: Ratio) -> tuple[list[tuple[int, int]], list[int]]:
     x^(ceil(pr/q) + r - 1) / (1 - x)^r, built from r = q down: add the
     monomial, then divide by 1 - x as a running sum.  That is O((p + q) q)
     additions, where dividing by Q's binomial taps would multiply big ints.
+    For n < p + q only count(0..n) is built and there are no taps: the
+    monomials rise with r, so every r whose monomial lies past n is skipped.
     """
     p, q = ratio.p, ratio.q
     depth = p + q
-    terms = [0] * depth
+    terms = [0] * min(n + 1, depth)
     for r in range(q, 0, -1):
-        terms[-(-p * r // q) + r - 1] += 1
-        terms = list(accumulate(terms))
+        first = -(-p * r // q) + r - 1
+        if first < len(terms):
+            terms[first] += 1
+            terms = list(accumulate(terms))
+    if n < depth:
+        return [], terms
     taps = [(k, (-1) ** (k + 1) * comb(q, k)) for k in range(1, q + 1)]
     return [*taps, (depth, 1)], terms
 
@@ -121,8 +127,10 @@ def count_schreier_recurrence(n: int, ratio: Ratio) -> int:
     for each 1 bit.
     """
     require_int("n", n, 0, "a non-negative integer")
-    taps, seeds = _recurrence(ratio)
+    taps, seeds = _recurrence(ratio, n)
     depth = len(seeds)
+    if n < depth:
+        return seeds[n]
     power = [1] + [0] * (depth - 1)  # x^0
     for bit in bin(n)[2:]:
         square = [0] * (2 * depth - 1)
@@ -142,7 +150,7 @@ def count_schreier_recurrence(n: int, ratio: Ratio) -> int:
 def schreier_sequence(ratio: Ratio, n_max: int) -> tuple[int, ...]:
     """Counts for 0 <= n <= n_max, indexed by n (O(n_max * q) additions in all)."""
     require_int("n", n_max, 0, "a non-negative integer")
-    taps, values = _recurrence(ratio)
+    taps, values = _recurrence(ratio, n_max)
     depth = len(values)
     # values[-depth] is the count p + q back, the tap (depth, 1)
     near = [(c, -k) for k, c in taps[:-1]]

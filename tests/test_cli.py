@@ -1,6 +1,7 @@
 """Command-line interface: golden outputs and the exit-code contract."""
 
 import sys
+from math import isqrt
 
 import pytest
 
@@ -157,8 +158,8 @@ def test_verify_suite_choices_come_from_the_registry():
 def test_verify_failure_exit_code_under_fault_injection(capsys, monkeypatch):
     honest = schreier.counting._recurrence
 
-    def corrupted(ratio):
-        taps, seeds = honest(ratio)
+    def corrupted(ratio, n):
+        taps, seeds = honest(ratio, n)
         if (ratio.p, ratio.q) == (1, 1):
             seeds[1] += 1
         return taps, seeds
@@ -191,11 +192,14 @@ def low_digit_limit():
         ["sequence", "--p", "1", "--q", "1", "--max", "4000", "--format", "csv"],
         ["sequence", "--p", "1", "--q", "1", "--max", "4000", "--format", "bfile"],
         ["count", "--p", "1", "--q", "1", "--n", "4000", "--method", "direct"],
+        ["turan", "--n", str(10**330), "--parts", "2"],
+        ["interval-count", "--n", str(10**330), "--p", "1"],
     ],
 )
 def test_count_beyond_the_digit_limit_exits_4(capsys, monkeypatch, low_digit_limit, argv):
-    # F(4000) has 836 decimal digits, beyond the lowered limit of 640.  The
-    # refusal must come before the direct sum or the forward pass runs.
+    # F(4000) has 836 decimal digits, and the Turán and interval counts at
+    # n = 10^330 have 659, all beyond the lowered limit of 640.  The refusal
+    # must come before the direct sum or the forward pass runs.
     def no_direct_sum(n, ratio):
         raise AssertionError(f"direct sum ran at n={n} before the refusal")
 
@@ -208,6 +212,21 @@ def test_count_beyond_the_digit_limit_exits_4(capsys, monkeypatch, low_digit_lim
     code, out, err = run_cli(capsys, *argv)
     assert code == 4
     assert out == ""
+    assert "sys.get_int_max_str_digits() = 640" in err
+
+
+def test_digit_limit_boundary_matches_the_printable_length(capsys, low_digit_limit):
+    # turan --parts n counts the complete graph's n(n - 1)/2 edges; at the
+    # largest n with n(n - 1)/2 < 10^640 that prints all 640 digits the limit
+    # allows, and one vertex more is refused
+    n = isqrt(2 * 10**640) + 1
+    while n * (n - 1) // 2 >= 10**640:
+        n -= 1
+    assert (n + 1) * n // 2 >= 10**640
+    code, out, _ = run_cli(capsys, "turan", "--n", str(n), "--parts", str(n))
+    assert (code, len(out.strip())) == (0, 640)
+    code, out, err = run_cli(capsys, "turan", "--n", str(n + 1), "--parts", str(n + 1))
+    assert (code, out) == (4, "")
     assert "sys.get_int_max_str_digits() = 640" in err
 
 

@@ -87,7 +87,7 @@ def test_initial_terms_match_the_oracle():
     for p in range(1, 9):
         for q in range(1, 9):
             ratio = Ratio(p, q)
-            _, initial = schreier.counting._recurrence(ratio)
+            _, initial = schreier.counting._recurrence(ratio, p + q - 1)
             assert initial == [count_schreier_bruteforce(n, ratio) for n in range(p + q)]
 
 
@@ -150,6 +150,18 @@ def test_direct_sum_imports_nothing_from_the_recurrence(monkeypatch):
     monkeypatch.setattr(schreier.counting, "comb", forbidden)
     assert count_schreier_direct(30, Ratio(1, 1)) == 832040
     assert count_schreier_direct(5, Ratio(1, 2)) == 9
+
+
+def test_counts_below_the_depth_build_no_taps(monkeypatch):
+    # n = 5 is far below p + q = 40000: only count(0..5) is built, and
+    # the q binomial taps, which would need comb, are never made
+    def forbidden(*args):
+        raise AssertionError("a tap was built below the recurrence depth")
+
+    monkeypatch.setattr(schreier.counting, "comb", forbidden)
+    ratio = Ratio(20000, 20000)
+    assert count_schreier_recurrence(5, ratio) == 5
+    assert schreier_sequence(ratio, 5) == (0, 1, 1, 2, 3, 5)
 
 
 def test_negative_arguments_are_rejected():

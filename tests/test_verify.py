@@ -89,8 +89,8 @@ def test_corrupted_base_case_is_caught(monkeypatch):
     # oracle comparison must flag it with a counterexample.
     honest = schreier.counting._recurrence
 
-    def corrupted(ratio):
-        taps, seeds = honest(ratio)
+    def corrupted(ratio, n):
+        taps, seeds = honest(ratio, n)
         if (ratio.p, ratio.q) == (1, 1):
             seeds[1] += 1
         return taps, seeds
@@ -115,6 +115,26 @@ def test_skewed_count_is_caught_by_the_window_recount(monkeypatch):
     assert report.failures == (
         "(p,q)=(1,2), n=8: layer 1 is 56, expected 58",
         "(p,q)=(1,2), n=9: layer 2 is 28, expected 29",
+    )
+
+
+def test_missing_member_is_caught_by_the_window_recount(monkeypatch):
+    honest = schreier.verify.enumerate_schreier
+    lost = FiniteSet([2, 8])
+
+    def lossy(n, ratio):
+        listing = honest(n, ratio)
+        if (n, ratio) == (8, Ratio(1, 2)):
+            return tuple(fs for fs in listing if fs != lost)
+        return listing
+
+    # {2, 8} misses both window values 6 and 7, so layer 1 at n = 8 loses
+    # C(2, 1) = 2; stripping the window at n = 11 lands on the short listing.
+    monkeypatch.setattr(schreier.verify, "enumerate_schreier", lossy)
+    report = window_bijection_suite(p_max=2, q_max=2, n_max=12)
+    assert report.failures == (
+        "(p,q)=(1,2), n=8: layer 1 is 54, expected 56",
+        "(p,q)=(1,2), n=11: strip image differs from the family at n=8",
     )
 
 
