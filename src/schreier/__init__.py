@@ -31,12 +31,7 @@ from .enumeration import (
     count_schreier_bruteforce,
     enumerate_schreier,
 )
-from .sets import (
-    FiniteSet,
-    Ratio,
-    in_schreier_family,
-    is_generalized_schreier,
-)
+from .sets import FiniteSet, Ratio, in_schreier_family
 from .turan import (
     interval_count_closed,
     interval_count_sum,
@@ -83,7 +78,6 @@ __all__ = [
     "interval_agreement_suite",
     "interval_count_closed",
     "interval_count_sum",
-    "is_generalized_schreier",
     "parse_bfile",
     "recurrence_suite",
     "run_suite",

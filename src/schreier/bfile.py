@@ -1,13 +1,14 @@
 """Reading and writing integer sequences in OEIS b-file form.
 
-A b-file is plain text: optional leading comment lines starting with
-'#', then one "index value" pair per line with indices stepping by
-exactly 1, and a trailing newline.  Values may be arbitrarily large.
+A b-file is plain text: one "index value" pair per line with indices
+stepping by exactly 1, and a trailing newline.  Values may be
+arbitrarily large.  Comment lines starting with '#' may precede the
+data; the parser skips them, and rendering writes none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -15,7 +16,6 @@ class BFile:
     """Parsed or to-be-rendered b-file content."""
 
     entries: tuple[tuple[int, int], ...]
-    comments: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
         indices = [i for i, _ in self.entries]
@@ -26,14 +26,14 @@ class BFile:
                 )
 
     def render(self) -> str:
-        lines = [f"# {c}" if c else "#" for c in self.comments]
-        lines.extend(f"{i} {v}" for i, v in self.entries)
-        return "\n".join(lines) + "\n"
+        return "\n".join(f"{i} {v}" for i, v in self.entries) + "\n"
 
 
 def parse_bfile(text: str) -> BFile:
-    """Parse b-file text, enforcing the index-step rule."""
-    comments: list[str] = []
+    """Parse b-file text, enforcing the index-step rule.
+
+    Leading '#' lines are skipped; one after the data is refused.
+    """
     entries: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -42,24 +42,23 @@ def parse_bfile(text: str) -> BFile:
         if line.startswith("#"):
             if entries:
                 raise ValueError(f"line {lineno}: comment after data lines")
-            comments.append(line[1:].strip())
             continue
         tokens = line.split()
         if len(tokens) != 2:
             raise ValueError(f"line {lineno}: expected 'index value', got {raw!r}")
         try:
             index, value = int(tokens[0]), int(tokens[1])
-        except ValueError:
+        except ValueError as exc:
+            if all(t.removeprefix("-").isdecimal() for t in tokens):
+                raise ValueError(f"line {lineno}: {exc}") from None  # digit limit
             raise ValueError(f"line {lineno}: non-integer token in {raw!r}") from None
         entries.append((index, value))
-    return BFile(tuple(entries), tuple(comments))
+    return BFile(tuple(entries))
 
 
-def bfile_from_sequence(
-    sequence: tuple[int, ...], offset: int = 1, comments: tuple[str, ...] = ()
-) -> BFile:
+def bfile_from_sequence(sequence: tuple[int, ...], offset: int = 1) -> BFile:
     """b-file entries (n, sequence[n]) for offset <= n <= the sequence end."""
     n_max = len(sequence) - 1
     if not 0 <= offset <= n_max:
         raise ValueError(f"offset {offset} outside the computed range 0..{n_max}")
-    return BFile(tuple(enumerate(sequence[offset:], start=offset)), comments)
+    return BFile(tuple(enumerate(sequence[offset:], start=offset)))

@@ -48,23 +48,20 @@ _INTERVAL_METHODS = {
 class _DigitLimitError(Exception):
     """A count has more decimal digits than the interpreter will convert."""
 
-    def __init__(self) -> None:
-        super().__init__(
-            "count too long to print: it has more decimal digits than "
-            f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}"
-        )
-
 
 def _within_limit(value: int) -> int:
     """``value`` unchanged, or _DigitLimitError if it is too long to print.
 
-    CPython (>= 3.11) refuses to convert an int of more than
+    CPython (3.10.7 onward) refuses to convert an int of more than
     sys.get_int_max_str_digits() decimal digits (0: no limit).  The limit
     is reported, not lifted, as the conversion it guards is quadratic.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and value >= 10**limit:
-        raise _DigitLimitError()
+        raise _DigitLimitError(
+            "count too long to print: it has more decimal digits than "
+            f"sys.get_int_max_str_digits() = {limit}"
+        )
     return value
 
 
@@ -141,6 +138,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(report.passed for report in reports) else 1
 
 
+def _required_ints(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(name, type=int, required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schreier",
@@ -150,9 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     count = sub.add_parser("count", help="one family size |S(n)| for a ratio p/q")
-    count.add_argument("--p", type=int, required=True)
-    count.add_argument("--q", type=int, required=True)
-    count.add_argument("--n", type=int, required=True)
+    _required_ints(count, "--p", "--q", "--n")
     count.add_argument(
         "--method",
         choices=("direct", "oracle", "recurrence"),
@@ -162,9 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     count.set_defaults(func=cmd_count)
 
     sequence = sub.add_parser("sequence", help="family sizes for n = 1..max")
-    sequence.add_argument("--p", type=int, required=True)
-    sequence.add_argument("--q", type=int, required=True)
-    sequence.add_argument("--max", type=int, required=True)
+    _required_ints(sequence, "--p", "--q", "--max")
     sequence.add_argument("--format", choices=("csv", "bfile"), default="csv")
     sequence.add_argument(
         "--offset", type=int, default=1, help="first n emitted (default 1)"
@@ -172,22 +170,18 @@ def build_parser() -> argparse.ArgumentParser:
     sequence.set_defaults(func=cmd_sequence)
 
     enumerate_ = sub.add_parser("enumerate", help="list every family member at n")
-    enumerate_.add_argument("--p", type=int, required=True)
-    enumerate_.add_argument("--q", type=int, required=True)
-    enumerate_.add_argument("--n", type=int, required=True)
+    _required_ints(enumerate_, "--p", "--q", "--n")
     enumerate_.set_defaults(func=cmd_enumerate)
 
     turan = sub.add_parser("turan", help="edge count of the Turán graph T(n, parts)")
-    turan.add_argument("--n", type=int, required=True)
-    turan.add_argument("--parts", type=int, required=True)
+    _required_ints(turan, "--n", "--parts")
     turan.add_argument("--method", choices=list(_TURAN_METHODS), default="formula")
     turan.set_defaults(func=cmd_turan)
 
     interval = sub.add_parser(
         "interval-count", help="qualifying intervals within {1..n}"
     )
-    interval.add_argument("--n", type=int, required=True)
-    interval.add_argument("--p", type=int, required=True)
+    _required_ints(interval, "--n", "--p")
     interval.add_argument(
         "--method", choices=sorted(_INTERVAL_METHODS), default="closed"
     )
@@ -216,7 +210,3 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

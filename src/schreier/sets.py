@@ -1,11 +1,12 @@
-"""Set types and membership predicates for min-constrained set families.
+"""Set types and the membership predicate for min-constrained set families.
 
 A finite set F of positive integers is *generalized Schreier* for a
 ratio p/q when q*min(F) >= p*|F|: the minimum must be large relative to
 the cardinality.  The classical Schreier condition min(F) >= |F| is the
-ratio 1/1.  Every family this package counts is built from these
-predicates, optionally anchored by a fixed maximum element or
-restricted to intervals of consecutive integers.
+ratio 1/1.  The family at n holds the generalized Schreier sets with
+max F = n; :func:`in_schreier_family` tests membership.  The interval
+families of the Turán identity apply the same inequality to intervals
+of consecutive integers.
 """
 
 from __future__ import annotations
@@ -97,11 +98,6 @@ class Ratio:
         return f"{self.p}/{self.q}"
 
 
-def is_generalized_schreier(fs: FiniteSet, ratio: Ratio) -> bool:
-    """True iff q*min(fs) >= p*|fs|."""
-    return ratio.q * fs.min >= ratio.p * len(fs)
-
-
 def in_schreier_family(fs: FiniteSet, ratio: Ratio, n: int) -> bool:
-    """True iff fs satisfies the ratio inequality and max(fs) == n."""
-    return fs.max == n and is_generalized_schreier(fs, ratio)
+    """True iff max(fs) == n and q*min(fs) >= p*|fs|."""
+    return fs.max == n and ratio.q * fs.min >= ratio.p * len(fs)

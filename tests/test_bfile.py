@@ -1,5 +1,7 @@
 """b-file rendering and parsing."""
 
+import sys
+
 import pytest
 
 from schreier import BFile, Ratio, bfile_from_sequence, parse_bfile, schreier_sequence
@@ -10,9 +12,8 @@ def test_render_plain_entries():
     assert bf.render() == "1 1\n2 2\n3 3\n"
 
 
-def test_render_with_comments():
-    bf = BFile(((5, 8),), comments=("family sizes for 1/1", ""))
-    assert bf.render() == "# family sizes for 1/1\n#\n5 8\n"
+def test_parse_skips_leading_comments():
+    assert parse_bfile("# family sizes for 1/1\n#\n5 8\n") == BFile(((5, 8),))
 
 
 def test_indices_must_step_by_one():
@@ -23,13 +24,12 @@ def test_indices_must_step_by_one():
 
 
 def test_parse_roundtrip():
-    bf = BFile(((0, 0), (1, 1), (2, 2)), comments=("hello",))
+    bf = BFile(((0, 0), (1, 1), (2, 2)))
     assert parse_bfile(bf.render()) == bf
 
 
 def test_parse_accepts_blank_lines_and_padding():
     parsed = parse_bfile("# note\n\n 1 10 \n2 20\n")
-    assert parsed.comments == ("note",)
     assert parsed.entries == ((1, 10), (2, 20))
 
 
@@ -42,6 +42,23 @@ def test_parse_rejects_malformed_lines():
         parse_bfile("1 1\n# too late\n2 2\n")
     with pytest.raises(ValueError):
         parse_bfile("1 1\n3 9\n")  # skipped index
+
+
+def test_parse_names_the_digit_limit_for_an_over_long_value():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError, match=r"^line 2: Exceeds the limit \(640 digits\)"):
+            parse_bfile("1 5\n2 " + "7" * 700 + "\n")
+        with pytest.raises(ValueError, match=r"^line 1: Exceeds the limit"):
+            parse_bfile("-" + "7" * 700 + " 5\n")
+    finally:
+        sys.set_int_max_str_digits(saved)
+    for text in ("1 x\n", "1 \u00b2\n"):
+        with pytest.raises(ValueError, match="non-integer token"):
+            parse_bfile(text)
 
 
 def test_from_sequence_default_offset_skips_zero():
@@ -66,7 +83,7 @@ def test_from_sequence_rejects_out_of_range_offsets():
 
 def test_sequence_bfile_roundtrip_preserves_big_values():
     seq = schreier_sequence(Ratio(1, 3), 400)  # values overflow machine words
-    bf = bfile_from_sequence(seq, comments=("big",))
+    bf = bfile_from_sequence(seq)
     parsed = parse_bfile(bf.render())
     assert parsed == bf
     assert parsed.entries[-1] == (400, seq[400])

@@ -15,7 +15,6 @@ from schreier import (
     count_schreier_bruteforce,
     enumerate_schreier,
     in_schreier_family,
-    is_generalized_schreier,
 )
 
 
@@ -61,7 +60,7 @@ def combinations_oracle(n, ratio):
     for size in range(0, n):
         for rest in combinations(pool, size):
             fs = FiniteSet(rest + (n,))
-            if is_generalized_schreier(fs, ratio):
+            if in_schreier_family(fs, ratio, n):
                 found.add(fs)
     return found
 

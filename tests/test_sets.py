@@ -12,7 +12,6 @@ from schreier import (
     enumerate_schreier,
     in_schreier_family,
     interval_count_closed,
-    is_generalized_schreier,
     schreier_sequence,
     turan_edges_formula,
 )
@@ -71,9 +70,9 @@ def test_bool_and_out_of_range_arguments_are_rejected(fn, args, error):
 
 
 def test_schreier_predicate_examples():
-    assert is_generalized_schreier(FiniteSet([2, 3]), Ratio(1, 1))
-    assert not is_generalized_schreier(FiniteSet([1, 2, 3]), Ratio(1, 1))
-    assert is_generalized_schreier(FiniteSet([1, 2]), Ratio(1, 2))
+    assert in_schreier_family(FiniteSet([2, 3]), Ratio(1, 1), 3)
+    assert not in_schreier_family(FiniteSet([1, 2, 3]), Ratio(1, 1), 3)
+    assert in_schreier_family(FiniteSet([1, 2]), Ratio(1, 2), 2)
 
 
 def test_family_membership_examples():
@@ -92,11 +91,13 @@ ratios = st.builds(
 
 @given(finite_sets, ratios, st.integers(min_value=1, max_value=5))
 def test_predicate_is_scale_invariant(fs, ratio, k):
-    assert is_generalized_schreier(fs, ratio) == is_generalized_schreier(
-        fs, ratio.scaled(k)
+    assert in_schreier_family(fs, ratio, fs.max) == in_schreier_family(
+        fs, ratio.scaled(k), fs.max
     )
 
 
 @given(finite_sets, ratios)
 def test_membership_at_own_max_reduces_to_the_predicate(fs, ratio):
-    assert in_schreier_family(fs, ratio, fs.max) == is_generalized_schreier(fs, ratio)
+    assert in_schreier_family(fs, ratio, fs.max) == (
+        ratio.q * fs.min >= ratio.p * len(fs)
+    )

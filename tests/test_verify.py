@@ -1,5 +1,7 @@
 """Verification suites: green on honest code, red under fault injection."""
 
+import re
+
 import pytest
 
 import schreier.counting
@@ -74,8 +76,12 @@ def test_run_suite_refuses_an_empty_grid():
     with pytest.raises(ValueError, match="no cases"):
         run_suite("recurrence", 0, 2, 8)
     # turan-cross would still run its quarter squares without a formula cell.
-    for bounds in [(0, None, None), (None, None, 0)]:
-        with pytest.raises(ValueError, match="turan-cross: the grid .* has no cases"):
+    for bounds, grid in [
+        ((0, None, None), "1<=p<=0, p<=n<=300"),
+        ((None, None, 0), "1<=p<=20, p<=n<=0"),
+    ]:
+        message = f"turan-cross: the grid {grid}; two parts up to n=100 has no cases"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_suite("turan-cross", *bounds)
 
 
