@@ -25,6 +25,7 @@ from .counting import (
     schreier_sequence,
 )
 from .enumeration import (
+    INTERVAL_LIMIT,
     ORACLE_LIMIT,
     OracleLimitError,
     count_interval_bruteforce,
@@ -58,6 +59,7 @@ __all__ = [
     "DomainError",
     "FiniteSet",
     "GapSet",
+    "INTERVAL_LIMIT",
     "ORACLE_LIMIT",
     "OracleLimitError",
     "Ratio",

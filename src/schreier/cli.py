@@ -19,11 +19,12 @@ from .counting import (
     schreier_sequence,
 )
 from .enumeration import (
+    INTERVAL_LIMIT,
     ORACLE_LIMIT,
     OracleLimitError,
+    _members,
     count_interval_bruteforce,
     count_schreier_bruteforce,
-    enumerate_schreier,
 )
 from .sets import Ratio, require_int
 from .turan import (
@@ -111,8 +112,8 @@ def cmd_sequence(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    listing = enumerate_schreier(args.n, Ratio(args.p, args.q))
-    for member in listing:
+    # each member is printed as the scan finds it; the guard runs before the first
+    for member in _members(args.n, Ratio(args.p, args.q)):
         print(member)
     return 0
 
@@ -183,7 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _required_ints(interval, "--n", "--p")
     interval.add_argument(
-        "--method", choices=sorted(_INTERVAL_METHODS), default="closed"
+        "--method",
+        choices=sorted(_INTERVAL_METHODS),
+        default="closed",
+        help="enum is quadratic and guarded at n <= %d" % INTERVAL_LIMIT,
     )
     interval.set_defaults(func=cmd_interval_count)
 

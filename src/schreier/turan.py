@@ -60,13 +60,15 @@ def interval_count_sum(n: int, p: int) -> int:
     """Qualifying intervals in {1..n}, summed minimum by minimum.
 
     An interval starting at m may extend to any of min(p*m, n+1-m)
-    right endpoints, so the total is sum over m of that minimum.
+    right endpoints, so the total is sum over m of that minimum.  The
+    budget p*m and the room n+1-m are stepped together over m = 1..n,
+    and the smaller is taken by one comparison rather than a min call.
     """
     require_int("n", n)
     require_int("p", p)
     total = 0
-    for m in range(1, n + 1):
-        total += min(p * m, n + 1 - m)
+    for budget, room in zip(range(p, p * n + 1, p), range(n, 0, -1)):
+        total += budget if budget < room else room
     return total
 
 

@@ -33,7 +33,9 @@ from .counting import (
     schreier_sequence,
 )
 from .enumeration import (
-    count_schreier_bruteforce,
+    Tally,
+    _subset_tally,
+    _tally_count,
     enumerate_schreier,
     interval_counts_bruteforce,
 )
@@ -125,8 +127,21 @@ def _window_cells(
 
 
 def recurrence_suite(p_max: int = 4, q_max: int = 4, n_max: int = 20) -> VerifyReport:
-    """Recurrence against the brute-force oracle, cell by cell."""
-    cases = _against_recurrence(p_max, q_max, n_max, count_schreier_bruteforce, "oracle")
+    """Recurrence against the brute-force oracle, cell by cell.
+
+    The oracle scans every subset at n once, on the first cell that
+    needs n, and tallies the subsets by (size, smallest element); each
+    ratio's count is read off that tally.  The tallies live only for
+    this call, so every run of the suite scans afresh.
+    """
+    tallies: dict[int, Tally] = {}
+
+    def oracle(n: int, ratio: Ratio) -> int:
+        if n not in tallies:
+            tallies[n] = _subset_tally(n)
+        return _tally_count(tallies[n], ratio)
+
+    cases = _against_recurrence(p_max, q_max, n_max, oracle, "oracle")
     return _drive("recurrence", f"1<=p<={p_max}, 1<=q<={q_max}, 1<=n<={n_max}", cases)
 
 

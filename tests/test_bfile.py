@@ -87,3 +87,22 @@ def test_sequence_bfile_roundtrip_preserves_big_values():
     parsed = parse_bfile(bf.render())
     assert parsed == bf
     assert parsed.entries[-1] == (400, seq[400])
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("1_0 5\n", "'1_0 5'"),  # int() reads it as 10
+        ("٧ 5\n", "'٧ 5'"),  # Arabic-Indic seven: int() reads 7
+        ("1 5\n2 1_000\n", "'2 1_000'"),
+        ("# café data_set\n1 ５\n", "'1 ５'"),  # fullwidth five
+    ],
+)
+def test_parse_refuses_what_int_reads_but_a_bfile_never_holds(text, line):
+    with pytest.raises(ValueError, match=f"non-integer token in {line}"):
+        parse_bfile(text)
+
+
+def test_parse_keeps_underscores_and_non_ascii_in_comments():
+    parsed = parse_bfile("# café data_set\n1 5\n2 6\n")
+    assert parsed.entries == ((1, 5), (2, 6))

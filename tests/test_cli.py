@@ -1,13 +1,21 @@
 """Command-line interface: golden outputs and the exit-code contract."""
 
+import os
 import sys
+import tracemalloc
 from math import isqrt
 
 import pytest
 
 import schreier.cli
 import schreier.counting
-from schreier import Ratio, parse_bfile
+from schreier import (
+    INTERVAL_LIMIT,
+    Ratio,
+    enumerate_schreier,
+    interval_count_closed,
+    parse_bfile,
+)
 from schreier.cli import build_parser, main
 from schreier.verify import SUITES
 
@@ -101,6 +109,61 @@ def test_oracle_guard_exit_code(capsys):
     assert "instance too large for oracle" in err
     code, _, _ = run_cli(capsys, "enumerate", "--p", "1", "--q", "1", "--n", "99")
     assert code == 3
+
+
+def test_enumerate_refuses_before_any_output(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--p", "1", "--q", "1", "--n", "31")
+    assert code == 3
+    assert out == ""
+    assert "n=31 exceeds the n <= 30 guard" in err
+
+
+def test_enumerate_streams_the_listing_byte_for_byte(capsys):
+    for p in range(1, 4):
+        for q in range(1, 4):
+            for n in range(13):
+                code, out, _ = run_cli(
+                    capsys, "enumerate", "--p", str(p), "--q", str(q), "--n", str(n)
+                )
+                assert code == 0
+                listing = enumerate_schreier(n, Ratio(p, q))
+                assert out == "".join(f"{member}\n" for member in listing)
+
+
+def test_enumerate_holds_one_member_at_a_time(monkeypatch):
+    # every one of the 2**15 sets at n = 16 is a member for p/q = 1/100
+    argv = ["enumerate", "--p", "1", "--q", "100", "--n", "16"]
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            streamed_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    listing = enumerate_schreier(16, Ratio(1, 100))
+    # what the whole tuple holds: the members and their element tuples
+    held = sys.getsizeof(listing) + sum(
+        sys.getsizeof(fs) + sys.getsizeof(fs.elements) for fs in listing
+    )
+    assert len(listing) == 1 << 15
+    assert streamed_peak * 20 < held
+
+
+def test_interval_enumeration_guard_exit_code(capsys):
+    argv = ["interval-count", "--p", "2", "--method", "enum", "--n"]
+    code, out, err = run_cli(capsys, *argv, str(INTERVAL_LIMIT))
+    assert code == 0
+    assert out == f"{interval_count_closed(INTERVAL_LIMIT, 2)}\n"
+    code, out, err = run_cli(capsys, *argv, str(INTERVAL_LIMIT + 1))
+    assert code == 3
+    assert out == ""
+    assert f"exceeds the n <= {INTERVAL_LIMIT} guard" in err
+    # the interval-agreement suite's brute-force leg meets the same guard
+    argv = ["verify", "--suite", "interval-agreement", "--nmax"]
+    code, out, err = run_cli(capsys, *argv, str(INTERVAL_LIMIT + 1))
+    assert (code, out) == (3, "")
+    assert "interval enumeration" in err
 
 
 def test_bad_values_exit_code(capsys):

@@ -4,9 +4,10 @@ from itertools import combinations
 
 import pytest
 
-from schreier.enumeration import interval_counts_bruteforce
+from schreier.enumeration import _subset_tally, _tally_count, interval_counts_bruteforce
 
 from schreier import (
+    INTERVAL_LIMIT,
     ORACLE_LIMIT,
     FiniteSet,
     OracleLimitError,
@@ -15,6 +16,7 @@ from schreier import (
     count_schreier_bruteforce,
     enumerate_schreier,
     in_schreier_family,
+    interval_count_closed,
 )
 
 
@@ -109,6 +111,32 @@ def test_guard_rejects_oversized_instances():
         count_schreier_bruteforce(ORACLE_LIMIT + 5, Ratio(1, 1))
 
 
+def test_tally_count_matches_the_per_mask_count():
+    # the tally applies the predicate once per (size, smallest) class,
+    # count_schreier_bruteforce once per mask of the same scan
+    for n in range(17):
+        tally = _subset_tally(n)
+        assert sum(count for count, _, _ in tally) == (1 << n >> 1)
+        for p in range(1, 7):
+            for q in range(1, 7):
+                ratio = Ratio(p, q)
+                assert _tally_count(tally, ratio) == count_schreier_bruteforce(n, ratio)
+
+
+def refusal(call, n):
+    with pytest.raises((OracleLimitError, ValueError)) as excinfo:
+        call(n)
+    return type(excinfo.value), str(excinfo.value)
+
+
+@pytest.mark.parametrize("n", [ORACLE_LIMIT + 1, -1, True])
+def test_tally_refuses_what_the_listing_refuses(n):
+    expected = OracleLimitError if n == ORACLE_LIMIT + 1 else ValueError
+    listing = refusal(lambda m: enumerate_schreier(m, Ratio(1, 1)), n)
+    assert listing[0] is expected
+    assert refusal(_subset_tally, n) == listing
+
+
 def test_interval_counts():
     assert count_interval_bruteforce(3, 2) == 5
     assert count_interval_bruteforce(3, 5) == 6
@@ -134,3 +162,14 @@ def test_interval_tally_matches_the_per_n_double_loop():
     assert interval_counts_bruteforce(0, 3) == [0]
     with pytest.raises(ValueError):
         interval_counts_bruteforce(-1, 3)
+
+
+def test_interval_guard_boundary():
+    assert count_interval_bruteforce(INTERVAL_LIMIT, 3) == interval_count_closed(
+        INTERVAL_LIMIT, 3
+    )
+    message = f"n={INTERVAL_LIMIT + 1} exceeds the n <= {INTERVAL_LIMIT} guard"
+    for call in (count_interval_bruteforce, interval_counts_bruteforce):
+        with pytest.raises(OracleLimitError, match="interval enumeration") as excinfo:
+            call(INTERVAL_LIMIT + 1, 3)
+        assert str(excinfo.value).endswith(message)

@@ -111,3 +111,10 @@ def test_identity_along_the_diagonal(n):
         turan_edges_formula(n + 1, n + 1),
         turan_edges_construction(n + 1, n + 1),
     } == {n * (n + 1) // 2}
+
+
+@given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=40))
+def test_interval_sum_matches_the_closed_form_and_the_enumeration(n, p):
+    summed = interval_count_sum(n, p)
+    assert summed == interval_count_closed(n, p)
+    assert summed == count_interval_bruteforce(n, p)

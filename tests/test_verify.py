@@ -109,6 +109,21 @@ def test_corrupted_base_case_is_caught(monkeypatch):
     assert "FAIL" in report.summary()
 
 
+def test_tally_missing_a_class_is_caught_by_the_oracle_leg(monkeypatch):
+    honest = schreier.verify._subset_tally
+
+    def lossy(n):
+        # drop the class of {n} alone: size 1, smallest n
+        return tuple(row for row in honest(n) if row[1:] != (1, n))
+
+    monkeypatch.setattr(schreier.verify, "_subset_tally", lossy)
+    report = recurrence_suite(p_max=2, q_max=2, n_max=10)
+    assert not report.passed
+    # {n} is a member whenever q*n >= p; the oracle then reads one short
+    assert report.failures[0] == "(p,q)=(1,1), n=1: recurrence 1 != oracle 0"
+    assert len(report.failures) == 2 * 2 * 10 - 1  # (2,1) at n=1 has no members
+
+
 def test_skewed_count_is_caught_by_the_window_recount(monkeypatch):
     honest = schreier.verify.count_schreier_recurrence
 
