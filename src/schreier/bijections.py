@@ -22,6 +22,7 @@ tested, not assumed.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -86,10 +87,11 @@ def collapse_gaps(fs: FiniteSet, gaps: GapSet) -> FiniteSet:
     """
     n, ratio = gaps.n, gaps.ratio
     _require_domain(fs, ratio, n, n)
-    collision = set(fs) & set(gaps.members)
-    if collision:
-        raise DomainError(f"{fs} meets the gaps at {sorted(collision)}")
-    image = FiniteSet(x - sum(g < x for g in gaps.members) for x in fs)
+    if not set(gaps.members).isdisjoint(fs.elements):
+        collision = sorted(set(fs) & set(gaps.members))
+        raise DomainError(f"{fs} meets the gaps at {collision}")
+    # gaps.members is sorted, so bisect_left counts the gap values below x
+    image = FiniteSet([x - bisect_left(gaps.members, x) for x in fs.elements])
     if not in_schreier_family(image, ratio, n - len(gaps)):
         raise RuntimeError(
             f"relabeling broke membership: {fs} -> {image} at n={n - len(gaps)}"
@@ -100,20 +102,18 @@ def collapse_gaps(fs: FiniteSet, gaps: GapSet) -> FiniteSet:
 def expand_gaps(fs: FiniteSet, gaps: GapSet) -> FiniteSet:
     """Inverse of :func:`collapse_gaps`: re-open the gaps.
 
-    ``fs`` must belong to the family at n - k; each element y walks up
-    the sorted gaps, one step for each gap value it reaches, back to
-    the y-th value outside the gaps.
+    ``fs`` must belong to the family at n - k; each element y goes back
+    to the y-th value outside the gaps.  The i-th smallest gap g
+    (counting from 0) has g - 1 - i values outside the gaps below it,
+    so it lies below that value exactly when g - i <= y, and those g - i
+    never decrease.
     """
     n, ratio = gaps.n, gaps.ratio
     _require_domain(fs, ratio, n, n - len(gaps))
-    opened = []
-    for y in fs:
-        for g in gaps.members:  # ascending, so y can pass each gap it reaches
-            if g <= y:
-                y += 1
-        opened.append(y)
-    image = FiniteSet(opened)
-    if not in_schreier_family(image, ratio, n) or set(image) & set(gaps.members):
+    lifted = [g - i for i, g in enumerate(gaps.members)]
+    image = FiniteSet([y + bisect_right(lifted, y) for y in fs.elements])
+    reopened = set(gaps.members).isdisjoint(image.elements)
+    if not (in_schreier_family(image, ratio, n) and reopened):
         raise RuntimeError(f"re-opening gaps produced a non-member: {fs} -> {image}")
     return image
 

@@ -4,17 +4,21 @@ Every fast method in this package is validated against the functions
 here.  They visit candidate sets exhaustively and apply the defining
 predicate to each one, with no pruning and no shortcuts, so that their
 correctness is evident by inspection.  The family count, the family
-listing and the class tally share one subset scan, which is exponential
-in n; ``ORACLE_LIMIT`` keeps instances desk-sized.  The interval tally
-is quadratic in n and has its own guard, ``INTERVAL_LIMIT``.
+listing and the class tally share one strided subset scan: the bitmasks
+of the sets with maximum n, split by smallest element s into strides
+that a ``range`` steps through, so every mask is visited once and its
+size is its bit count.  The predicate q*min F >= p*|F| then reads as
+a size cap, |F| <= q*s // p.  The scan is exponential in n;
+``ORACLE_LIMIT`` keeps instances desk-sized.  The interval tally is
+quadratic in n and has its own guard, ``INTERVAL_LIMIT``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate
-from operator import itemgetter
-from typing import Iterable, Iterator
+from heapq import merge
+from itertools import accumulate, compress
+from typing import Iterator
 
 from .sets import FiniteSet, Ratio, require_int
 
@@ -31,28 +35,41 @@ class OracleLimitError(RuntimeError):
     """Instance too large for a brute-force oracle."""
 
 
-def _scan(n: int) -> Iterator[tuple[int, int, int]]:
-    """The one subset scan: (mask, |F|, min F) for every F within {1..n} with max F = n.
+def _scan(n: int) -> list[tuple[int, range]]:
+    """The one subset scan: (s, the masks of every F with min F = s) for s = 1..n.
 
-    Walks all 2**(n-1) such sets in ascending bitmask order (bit i-1
-    holds element i, so bit n-1 is always set), reading |F| from the
-    bit count and min F from the lowest set bit, mask & -mask; no mask
-    is skipped.  Refuses n outside 0..ORACLE_LIMIT before any work.
+    F runs over the subsets of {1..n} with max F = n; bit i-1 of a mask
+    holds element i, so bit n-1 is always set.  Stride s < n holds the
+    masks whose lowest set bit is bit s-1: top | 1<<(s-1) stepped by
+    1<<s up to 2*top, with top = 1<<(n-1).  Stride n holds {n} alone.
+    The strides partition all 2**(n-1) masks, each in ascending order,
+    and no mask is skipped.  Refuses n outside 0..ORACLE_LIMIT at the
+    call, before any work.
     """
     require_int("n", n, 0, "a non-negative integer")
     if n > ORACLE_LIMIT:
         raise OracleLimitError(
             f"instance too large for oracle: n={n} exceeds the n <= {ORACLE_LIMIT} guard"
         )
-    # no set of positive integers has maximum 0
-    masks = range(1 << (n - 1), 1 << n) if n else range(0)
-    return ((mask, mask.bit_count(), (mask & -mask).bit_length()) for mask in masks)
+    if not n:  # no set of positive integers has maximum 0
+        return []
+    top = 1 << (n - 1)
+    strides = [(s, range(top | 1 << (s - 1), 2 * top, 1 << s)) for s in range(1, n)]
+    return strides + [(n, range(top, top + 1))]
 
 
-def _admitted(rows: Iterable[tuple[int, int, int]], ratio: Ratio) -> Iterator[int]:
-    """The first field of every (x, size, smallest) row with q*smallest >= p*size."""
-    p, q = ratio.p, ratio.q
-    return (x for x, size, smallest in rows if q * smallest >= p * size)
+def _cap(smallest: int, ratio: Ratio) -> int:
+    """The largest |F| that q*min F >= p*|F| admits when min F = ``smallest``.
+
+    The one form of the family predicate: an integer size meets
+    q*smallest >= p*size exactly when it is at most q*smallest // p.
+    """
+    return ratio.q * smallest // ratio.p
+
+
+def _fits(s: int, masks: range, ratio: Ratio) -> Iterator[bool]:
+    """Whether each mask of stride s is a family member, by its bit count."""
+    return map(_cap(s, ratio).__ge__, map(int.bit_count, masks))
 
 
 def _subset_tally(n: int) -> Tally:
@@ -62,21 +79,37 @@ def _subset_tally(n: int) -> Tally:
     count at n is the sum of the admitted classes' counts; one scan
     serves them all.  At most n**2 classes, whatever the scan's length.
     """
-    classes = Counter(map(itemgetter(1, 2), _scan(n)))
-    return tuple((count, size, smallest) for (size, smallest), count in classes.items())
+    return tuple(
+        (count, size, s)
+        for s, masks in _scan(n)
+        for size, count in Counter(map(int.bit_count, masks)).items()
+    )
 
 
 def _tally_count(tally: Tally, ratio: Ratio) -> int:
     """The family size at the tally's n: the counts of the admitted classes."""
-    return sum(_admitted(tally, ratio))
+    return sum(count for count, size, s in tally if size <= _cap(s, ratio))
+
+
+def _elements(mask: int) -> list[int]:
+    """The set a mask holds, one set bit at a time from the lowest."""
+    elements = []
+    while mask:
+        low = mask & -mask
+        elements.append(low.bit_length())
+        mask ^= low
+    return elements
 
 
 def _members(n: int, ratio: Ratio) -> Iterator[FiniteSet]:
-    """Every family member at n, one at a time, in ascending-bitmask order."""
-    return (
-        FiniteSet([i + 1 for i in range(n) if (mask >> i) & 1])
-        for mask in _admitted(_scan(n), ratio)
-    )
+    """Every family member at n, one at a time, in ascending-bitmask order.
+
+    Each stride is filtered on its own and ``heapq.merge`` interleaves
+    the strides, so members stream in order without a sort.
+    """
+    strides = _scan(n)
+    admitted = merge(*(compress(masks, _fits(s, masks, ratio)) for s, masks in strides))
+    return (FiniteSet(_elements(mask)) for mask in admitted)
 
 
 def enumerate_schreier(n: int, ratio: Ratio) -> tuple[FiniteSet, ...]:
@@ -91,7 +124,7 @@ def enumerate_schreier(n: int, ratio: Ratio) -> tuple[FiniteSet, ...]:
 
 def count_schreier_bruteforce(n: int, ratio: Ratio) -> int:
     """|enumerate_schreier(n, ratio)| without materializing the listing."""
-    return sum(1 for _ in _admitted(_scan(n), ratio))
+    return sum(sum(_fits(s, masks, ratio)) for s, masks in _scan(n))
 
 
 def interval_counts_bruteforce(n_max: int, p: int) -> list[int]:

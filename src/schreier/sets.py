@@ -100,4 +100,5 @@ class Ratio:
 
 def in_schreier_family(fs: FiniteSet, ratio: Ratio, n: int) -> bool:
     """True iff max(fs) == n and q*min(fs) >= p*|fs|."""
-    return fs.max == n and ratio.q * fs.min >= ratio.p * len(fs)
+    elements = fs.elements
+    return elements[-1] == n and ratio.q * elements[0] >= ratio.p * len(elements)

@@ -73,7 +73,7 @@ class VerifyReport:
 
 
 Case = tuple[str, "str | None"]
-Listings = dict[int, tuple[FiniteSet, ...]]  # family members by n
+Listings = dict[int, frozenset[FiniteSet]]  # family members by n
 
 
 def _drive(suite: str, grid: str, cases: Iterable[Case]) -> VerifyReport:
@@ -118,10 +118,16 @@ def _against_recurrence(
 def _window_cells(
     p_max: int, q_max: int, n_max: int
 ) -> Iterator[tuple[str, Ratio, int, Listings]]:
-    """(label, ratio, n, listings by n) for every cell with p + q <= n <= n_max."""
+    """(label, ratio, n, listings by n) for every cell with p + q <= n <= n_max.
+
+    Each listing is made a frozenset once per ratio, so the cells compare
+    their images with it without rebuilding it.
+    """
     for p, q in _ratios(p_max, q_max):
         ratio = Ratio(p, q)
-        listings = {m: enumerate_schreier(m, ratio) for m in range(1, n_max + 1)}
+        listings = {
+            m: frozenset(enumerate_schreier(m, ratio)) for m in range(1, n_max + 1)
+        }
         for n in range(p + q, n_max + 1):
             yield f"(p,q)=({p},{q}), n={n}", ratio, n, listings
 
@@ -191,11 +197,13 @@ def gap_bijection_suite(p_max: int = 3, q_max: int = 3, n_max: int = 14) -> Veri
         ratio: Ratio, n: int, chosen: tuple[int, ...], listings: Listings
     ) -> str | None:
         gaps = GapSet(n, ratio, chosen)
-        avoiders = [fs for fs in listings[n] if not set(fs) & set(chosen)]
+        avoids = set(chosen).isdisjoint
+        avoiders = [fs for fs in listings[n] if avoids(fs.elements)]
         images = [collapse_gaps(fs, gaps) for fs in avoiders]
-        if len(set(images)) != len(images):
+        image_set = set(images)
+        if len(image_set) != len(images):
             return "map is not injective"
-        if set(images) != set(listings[n - len(chosen)]):
+        if image_set != listings[n - len(chosen)]:
             return f"image differs from the family at n={n - len(chosen)}"
         if any(expand_gaps(image, gaps) != fs for fs, image in zip(avoiders, images)):
             return "inverse does not round-trip"
@@ -229,22 +237,23 @@ def window_bijection_suite(
     """
 
     def strip(ratio: Ratio, n: int, listings: Listings) -> str | None:
-        window = gap_window(n, ratio)
-        holders = [fs for fs in listings[n] if all(w in fs for w in window)]
+        holds = set(gap_window(n, ratio)).issubset
+        holders = [fs for fs in listings[n] if holds(fs.elements)]
         m = n - ratio.p - ratio.q
-        target: tuple[FiniteSet, ...] = listings[m] if m >= 1 else ()
+        target = listings[m] if m >= 1 else frozenset()
         images = [strip_window(fs, ratio, n) for fs in holders]
-        if len(set(images)) != len(images):
+        image_set = set(images)
+        if len(image_set) != len(images):
             return "strip map is not injective"
-        if set(images) != set(target):
+        if image_set != target:
             return f"strip image differs from the family at n={m}"
         if any(attach_window(im, ratio, n) != fs for fs, im in zip(holders, images)):
             return "attach does not invert strip"
         return None
 
     def recount(ratio: Ratio, n: int, listings: Listings) -> str | None:
-        window = gap_window(n, ratio)
-        missed = [sum(w not in fs for w in window) for fs in listings[n]]
+        misses = set(gap_window(n, ratio)).difference
+        missed = [len(misses(fs.elements)) for fs in listings[n]]
         for i in range(1, ratio.q + 1):
             # a member missing k window values avoids C(k, i) of the i-choices
             layer = sum(comb(k, i) for k in missed)

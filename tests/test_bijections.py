@@ -83,8 +83,14 @@ def test_collapse_and_expand_known_pairs():
 
 def test_collapse_rejects_sets_outside_the_domain():
     gaps = GapSet(4, Ratio(1, 2), [3])
-    with pytest.raises(DomainError):
-        collapse_gaps(FiniteSet([3, 4]), gaps)  # meets the gap
+    with pytest.raises(DomainError, match=r"^\{3,4\} meets the gaps at \[3\]$"):
+        collapse_gaps(FiniteSet([3, 4]), gaps)
+    two_gaps = GapSet(9, Ratio(1, 3), [8, 6])
+    for members, collision in [([6, 8, 9], "[6, 8]"), ([1, 8, 9], "[8]")]:
+        fs = FiniteSet(members)
+        with pytest.raises(DomainError) as excinfo:
+            collapse_gaps(fs, two_gaps)
+        assert str(excinfo.value) == f"{fs} meets the gaps at {collision}"
     with pytest.raises(DomainError):
         collapse_gaps(FiniteSet([1, 2, 4]), gaps)  # fails the family inequality
     with pytest.raises(DomainError):

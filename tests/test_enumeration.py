@@ -4,7 +4,13 @@ from itertools import combinations
 
 import pytest
 
-from schreier.enumeration import _subset_tally, _tally_count, interval_counts_bruteforce
+from schreier.enumeration import (
+    _members,
+    _scan,
+    _subset_tally,
+    _tally_count,
+    interval_counts_bruteforce,
+)
 
 from schreier import (
     INTERVAL_LIMIT,
@@ -73,13 +79,16 @@ def bitmask(fs):
 
 @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 1), (2, 3), (3, 1)])
 def test_listing_agrees_with_combinations_oracle(p, q):
+    # the listing, the per-mask count and the tally all read the strided
+    # scan, so each is held against the combinations oracle on its own
     ratio = Ratio(p, q)
-    for n in range(1, 9):
+    for n in range(1, 12):
         listing = enumerate_schreier(n, ratio)
         expected = combinations_oracle(n, ratio)
         # ascending-bitmask order: bit i-1 holds element i
         assert list(listing) == sorted(expected, key=bitmask)
         assert count_schreier_bruteforce(n, ratio) == len(expected)
+        assert _tally_count(_subset_tally(n), ratio) == len(expected)
 
 
 def test_every_member_satisfies_the_family_predicate():
@@ -121,6 +130,25 @@ def test_tally_count_matches_the_per_mask_count():
             for q in range(1, 7):
                 ratio = Ratio(p, q)
                 assert _tally_count(tally, ratio) == count_schreier_bruteforce(n, ratio)
+
+
+def test_strides_partition_the_masks_by_smallest_element():
+    for n in range(15):
+        strides = _scan(n)
+        assert [s for s, _ in strides] == list(range(1, n + 1))
+        masks = sorted(mask for _, stride in strides for mask in stride)
+        assert masks == (list(range(1 << (n - 1), 1 << n)) if n else [])
+        for s, stride in strides:
+            assert all((mask & -mask).bit_length() == s for mask in stride)
+
+
+@pytest.mark.parametrize("n", [ORACLE_LIMIT + 1, -1, True])
+def test_scan_readers_refuse_at_the_call(n):
+    # each raises on the call itself, before a caller could draw any output
+    expected = OracleLimitError if n == ORACLE_LIMIT + 1 else ValueError
+    for call in (_scan, lambda m: _members(m, Ratio(1, 1))):
+        with pytest.raises(expected):
+            call(n)
 
 
 def refusal(call, n):

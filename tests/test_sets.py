@@ -23,10 +23,25 @@ def test_elements_are_sorted_and_deduplication_is_rejected():
         FiniteSet([2, 2, 3])
 
 
-@pytest.mark.parametrize("bad", [[], [0, 1], [-2], [1.5, 2], ["a"]])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ([], ValueError, "FiniteSet must be nonempty"),
+        ([0, 1], ValueError, "elements must be >= 1, got 0"),
+        ([-2], ValueError, "elements must be >= 1, got -2"),
+        ([1.5, 2], TypeError, "elements must be integers, got 1.5"),
+        (["a"], TypeError, "elements must be integers, got 'a'"),
+        ([True, 3], TypeError, "elements must be integers, got True"),
+        ([2, 2, 3], ValueError, "duplicate element 2"),
+        ([5, 3, 5], ValueError, "duplicate element 5"),
+    ],
+)
 def test_invalid_element_collections_are_rejected(bad):
-    with pytest.raises((ValueError, TypeError)):
-        FiniteSet(bad)
+    elements, error, message = bad
+    with pytest.raises(error) as excinfo:
+        FiniteSet(elements)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
 
 
 def test_min_max_len_and_str():

@@ -159,6 +159,44 @@ def test_missing_member_is_caught_by_the_window_recount(monkeypatch):
     )
 
 
+def test_stray_member_is_caught_by_the_gap_image_check(monkeypatch):
+    honest = schreier.verify.enumerate_schreier
+    stray = FiniteSet([1, 6, 7, 8])  # 2*1 < 1*4: not a member at n = 8
+
+    def padded(n, ratio):
+        listing = honest(n, ratio)
+        return listing + (stray,) if (n, ratio) == (8, Ratio(1, 2)) else listing
+
+    # The stray holds the whole window {6, 7} at n = 8, so no gap choice
+    # there lets it through; every cell whose image is the family at
+    # n = 8 compares with the padded listing.
+    monkeypatch.setattr(schreier.verify, "enumerate_schreier", padded)
+    report = gap_bijection_suite(p_max=2, q_max=2, n_max=10)
+    assert report.failures == tuple(
+        f"(p,q)=(1,2), {cell}: image differs from the family at n=8"
+        for cell in ["n=9, gaps=(7,)", "n=9, gaps=(8,)", "n=10, gaps=(8, 9)"]
+    )
+
+
+def test_stray_member_is_caught_by_the_strip_image_check(monkeypatch):
+    honest = schreier.verify.enumerate_schreier
+    stray = FiniteSet([1, 2, 8])  # 2*1 < 1*3: not a member at n = 8
+
+    def padded(n, ratio):
+        listing = honest(n, ratio)
+        return listing + (stray,) if (n, ratio) == (8, Ratio(1, 2)) else listing
+
+    # The stray misses both window values 6 and 7 at n = 8, so layer 1
+    # gains C(2, 1) = 2; stripping the window at n = 11 lands on the
+    # padded listing.
+    monkeypatch.setattr(schreier.verify, "enumerate_schreier", padded)
+    report = window_bijection_suite(p_max=2, q_max=2, n_max=12)
+    assert report.failures == (
+        "(p,q)=(1,2), n=8: layer 1 is 58, expected 56",
+        "(p,q)=(1,2), n=11: strip image differs from the family at n=8",
+    )
+
+
 def test_broken_gap_map_is_caught_at_its_cell(monkeypatch):
     honest = schreier.verify.collapse_gaps
 
