@@ -4,12 +4,14 @@ Subcommands: ``count``, ``sequence``, ``enumerate``, ``turan``,
 ``interval-count``, ``verify``.  Counts are printed in full decimal --
 exactness is the point.  Exit codes are a stable contract: 0 success,
 1 verification failure, 2 usage error, 3 brute-force guard exceeded,
-4 count too long for the interpreter's int-to-decimal digit limit.
+4 count too long for the interpreter's int-to-decimal digit limit,
+141 output pipe closed by its reader (128 + SIGPIPE, as a shell reports).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .bfile import bfile_from_sequence
@@ -204,7 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone before the last write shows here
+        return code
+    except BrokenPipeError:
+        # not a failure of the answer: the reader stopped reading.  With
+        # stdout on devnull the interpreter's final flush stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OracleLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,22 +1,23 @@
 """Brute-force enumeration: the ground-truth oracles.
 
 Every fast method in this package is validated against the functions
-here.  They visit candidate sets exhaustively and apply the defining
-predicate to each one, with no pruning and no shortcuts, so that their
-correctness is evident by inspection.  The family count, the family
-listing and the class tally share one strided subset scan: the bitmasks
-of the sets with maximum n, split by smallest element s into strides
-that a ``range`` steps through, so every mask is visited once and its
-size is its bit count.  The predicate q*min F >= p*|F| then reads as
-a size cap, |F| <= q*s // p.  The scan is exponential in n;
-``ORACLE_LIMIT`` keeps instances desk-sized.  The interval tally is
-quadratic in n and has its own guard, ``INTERVAL_LIMIT``.
+here.  They visit every candidate set and apply the defining
+predicate, with no pruning and no shortcuts, so that their
+correctness is evident by inspection.  The family listing and every
+family count read one strided subset scan: the bitmasks of the sets
+with maximum n, split by smallest element s into strides that a
+``range`` steps through, so every mask is visited once and its size is
+its bit count.  The predicate q*min F >= p*|F| then reads as a size
+cap, |F| <= q*s // p.  The listing applies it mask by mask, and every
+count applies it class by class to the scan's (size, smallest) tally.
+The scan is exponential in n; ``ORACLE_LIMIT`` keeps instances
+desk-sized.  The interval tally is quadratic in n and has its own
+guard, ``INTERVAL_LIMIT``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from heapq import merge
 from itertools import accumulate, compress
 from typing import Iterator
 
@@ -67,11 +68,6 @@ def _cap(smallest: int, ratio: Ratio) -> int:
     return ratio.q * smallest // ratio.p
 
 
-def _fits(s: int, masks: range, ratio: Ratio) -> Iterator[bool]:
-    """Whether each mask of stride s is a family member, by its bit count."""
-    return map(_cap(s, ratio).__ge__, map(int.bit_count, masks))
-
-
 def _subset_tally(n: int) -> Tally:
     """The scan at n counted by (size, smallest): (count, size, smallest) per class.
 
@@ -104,12 +100,14 @@ def _elements(mask: int) -> list[int]:
 def _members(n: int, ratio: Ratio) -> Iterator[FiniteSet]:
     """Every family member at n, one at a time, in ascending-bitmask order.
 
-    Each stride is filtered on its own and ``heapq.merge`` interleaves
-    the strides, so members stream in order without a sort.
+    Each stride is filtered by its size cap on its own and ``heapq.merge``
+    interleaves the strides, so members stream in order without a sort.
     """
-    strides = _scan(n)
-    admitted = merge(*(compress(masks, _fits(s, masks, ratio)) for s, masks in strides))
-    return (FiniteSet(_elements(mask)) for mask in admitted)
+    from heapq import merge  # here, not at the top: only a listing needs it
+
+    strides = [(_cap(s, ratio), masks) for s, masks in _scan(n)]
+    admitted = (compress(m, map(c.__ge__, map(int.bit_count, m))) for c, m in strides)
+    return (FiniteSet(_elements(mask)) for mask in merge(*admitted))
 
 
 def enumerate_schreier(n: int, ratio: Ratio) -> tuple[FiniteSet, ...]:
@@ -123,8 +121,8 @@ def enumerate_schreier(n: int, ratio: Ratio) -> tuple[FiniteSet, ...]:
 
 
 def count_schreier_bruteforce(n: int, ratio: Ratio) -> int:
-    """|enumerate_schreier(n, ratio)| without materializing the listing."""
-    return sum(sum(_fits(s, masks, ratio)) for s, masks in _scan(n))
+    """|enumerate_schreier(n, ratio)|, read off the scan's (size, smallest) tally."""
+    return _tally_count(_subset_tally(n), ratio)
 
 
 def interval_counts_bruteforce(n_max: int, p: int) -> list[int]:

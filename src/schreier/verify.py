@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 from math import comb
 from typing import Callable, Iterable, Iterator
@@ -33,7 +34,6 @@ from .counting import (
     schreier_sequence,
 )
 from .enumeration import (
-    Tally,
     _subset_tally,
     _tally_count,
     enumerate_schreier,
@@ -140,14 +140,10 @@ def recurrence_suite(p_max: int = 4, q_max: int = 4, n_max: int = 20) -> VerifyR
     ratio's count is read off that tally.  The tallies live only for
     this call, so every run of the suite scans afresh.
     """
-    tallies: dict[int, Tally] = {}
-
-    def oracle(n: int, ratio: Ratio) -> int:
-        if n not in tallies:
-            tallies[n] = _subset_tally(n)
-        return _tally_count(tallies[n], ratio)
-
-    cases = _against_recurrence(p_max, q_max, n_max, oracle, "oracle")
+    tally = cache(_subset_tally)
+    cases = _against_recurrence(
+        p_max, q_max, n_max, lambda n, ratio: _tally_count(tally(n), ratio), "oracle"
+    )
     return _drive("recurrence", f"1<=p<={p_max}, 1<=q<={q_max}, 1<=n<={n_max}", cases)
 
 

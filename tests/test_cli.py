@@ -1,9 +1,11 @@
 """Command-line interface: golden outputs and the exit-code contract."""
 
 import os
+import subprocess
 import sys
 import tracemalloc
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +150,48 @@ def test_enumerate_holds_one_member_at_a_time(monkeypatch):
     )
     assert len(listing) == 1 << 15
     assert streamed_peak * 20 < held
+
+
+def child_env():
+    """This package's directory first on PYTHONPATH; stdout buffered, as in a shell."""
+    src = str(Path(schreier.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        # 2**17 members at n = 18 overrun any pipe buffer after the first line
+        (["enumerate", "--p", "1", "--q", "100", "--n", "18"], b"{18}\n"),
+        # a short answer is still in stdout's buffer when its command returns
+        (["count", "--p", "1", "--q", "1", "--n", "10"], None),
+    ],
+    ids=["mid-listing", "at-the-last-flush"],
+)
+def test_a_closed_pipe_exits_141_without_a_traceback(argv, first_line):
+    with subprocess.Popen(
+        [sys.executable, "-m", "schreier", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    ) as child:
+        if first_line is not None:
+            assert child.stdout.readline() == first_line
+        child.stdout.close()
+        assert child.wait(timeout=60) == 141
+        assert child.stderr.read() == b""
+
+
+def test_importing_the_cli_leaves_heapq_unloaded():
+    # only a listing merges strides, so no other command pays for heapq
+    probe = "import sys, schreier.cli; print('heapq' in sys.modules)"
+    child = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, "False\n", "")
 
 
 def test_interval_enumeration_guard_exit_code(capsys):

@@ -8,7 +8,6 @@ from schreier.enumeration import (
     _members,
     _scan,
     _subset_tally,
-    _tally_count,
     interval_counts_bruteforce,
 )
 
@@ -20,6 +19,7 @@ from schreier import (
     Ratio,
     count_interval_bruteforce,
     count_schreier_bruteforce,
+    count_schreier_direct,
     enumerate_schreier,
     in_schreier_family,
     interval_count_closed,
@@ -79,8 +79,8 @@ def bitmask(fs):
 
 @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 1), (2, 3), (3, 1)])
 def test_listing_agrees_with_combinations_oracle(p, q):
-    # the listing, the per-mask count and the tally all read the strided
-    # scan, so each is held against the combinations oracle on its own
+    # the listing and the count both read the strided scan, so each is
+    # held against the combinations oracle on its own
     ratio = Ratio(p, q)
     for n in range(1, 12):
         listing = enumerate_schreier(n, ratio)
@@ -88,7 +88,6 @@ def test_listing_agrees_with_combinations_oracle(p, q):
         # ascending-bitmask order: bit i-1 holds element i
         assert list(listing) == sorted(expected, key=bitmask)
         assert count_schreier_bruteforce(n, ratio) == len(expected)
-        assert _tally_count(_subset_tally(n), ratio) == len(expected)
 
 
 def test_every_member_satisfies_the_family_predicate():
@@ -120,16 +119,17 @@ def test_guard_rejects_oversized_instances():
         count_schreier_bruteforce(ORACLE_LIMIT + 5, Ratio(1, 1))
 
 
-def test_tally_count_matches_the_per_mask_count():
-    # the tally applies the predicate once per (size, smallest) class,
-    # count_schreier_bruteforce once per mask of the same scan
+def test_tally_count_matches_the_direct_sum():
+    # the tally's classes cover every mask of the scan once; the direct sum
+    # counts by binomial rows and shares no code with the scan
     for n in range(17):
-        tally = _subset_tally(n)
-        assert sum(count for count, _, _ in tally) == (1 << n >> 1)
+        assert sum(count for count, _, _ in _subset_tally(n)) == (1 << n >> 1)
         for p in range(1, 7):
             for q in range(1, 7):
                 ratio = Ratio(p, q)
-                assert _tally_count(tally, ratio) == count_schreier_bruteforce(n, ratio)
+                assert count_schreier_bruteforce(n, ratio) == count_schreier_direct(
+                    n, ratio
+                )
 
 
 def test_strides_partition_the_masks_by_smallest_element():

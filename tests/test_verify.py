@@ -210,6 +210,51 @@ def test_broken_gap_map_is_caught_at_its_cell(monkeypatch):
     assert report.failures == ("(p,q)=(1,2), n=9, gaps=(7,): map is not injective",)
 
 
+def test_broken_gap_inverse_is_caught_at_its_cell(monkeypatch):
+    honest = schreier.verify.expand_gaps
+
+    def broken(fs, gaps):
+        if (gaps.n, gaps.ratio, gaps.members) == (9, Ratio(1, 2), (7,)):
+            return FiniteSet([gaps.n])  # every image re-opens to {9}
+        return honest(fs, gaps)
+
+    # the collapse still bijects onto the family at n = 8; only the way
+    # back is wrong, and only at this one choice
+    monkeypatch.setattr(schreier.verify, "expand_gaps", broken)
+    report = gap_bijection_suite(p_max=2, q_max=2, n_max=10)
+    assert report.failures == (
+        "(p,q)=(1,2), n=9, gaps=(7,): inverse does not round-trip",
+    )
+
+
+def test_broken_strip_map_is_caught_at_its_cell(monkeypatch):
+    honest = schreier.verify.strip_window
+
+    def broken(fs, ratio, n):
+        if (ratio, n) == (Ratio(1, 2), 11):
+            return FiniteSet([n - 3])  # every full-window member lands on {8}
+        return honest(fs, ratio, n)
+
+    monkeypatch.setattr(schreier.verify, "strip_window", broken)
+    report = window_bijection_suite(p_max=2, q_max=2, n_max=12)
+    assert report.failures == ("(p,q)=(1,2), n=11: strip map is not injective",)
+
+
+def test_broken_attach_map_is_caught_at_its_cell(monkeypatch):
+    honest = schreier.verify.attach_window
+
+    def broken(fs, ratio, n):
+        if (ratio, n) == (Ratio(1, 2), 11):
+            return FiniteSet([n])  # {11} holds no window value 9 or 10
+        return honest(fs, ratio, n)
+
+    # the strip still bijects onto the family at n = 8; only the way back
+    # is wrong, and only at this one cell
+    monkeypatch.setattr(schreier.verify, "attach_window", broken)
+    report = window_bijection_suite(p_max=2, q_max=2, n_max=12)
+    assert report.failures == ("(p,q)=(1,2), n=11: attach does not invert strip",)
+
+
 def test_corrupted_edge_formula_is_caught(monkeypatch):
     honest = schreier.verify.turan_edges_formula
 
