@@ -7,88 +7,81 @@ independent ways (brute force, a linear recurrence, a direct binomial
 sum), exposes the structure-preserving maps that justify the
 recurrence, and cross-checks the companion interval-family count
 against Turán graph edge counts.  All arithmetic is exact.
+
+Each public name, and each submodule (``schreier.verify``, ...), loads on
+first use (PEP 562), so ``import schreier`` reads no submodule and a
+command line tool imports only the layers its command runs.
 """
 
-from .bfile import BFile, bfile_from_sequence, parse_bfile
-from .bijections import (
-    DomainError,
-    GapSet,
-    attach_window,
-    collapse_gaps,
-    expand_gaps,
-    gap_window,
-    strip_window,
-)
-from .counting import (
-    count_schreier_direct,
-    count_schreier_recurrence,
-    schreier_sequence,
-)
-from .enumeration import (
-    INTERVAL_LIMIT,
-    ORACLE_LIMIT,
-    OracleLimitError,
-    count_interval_bruteforce,
-    count_schreier_bruteforce,
-    enumerate_schreier,
-)
-from .sets import FiniteSet, Ratio, in_schreier_family
-from .turan import (
-    interval_count_closed,
-    interval_count_sum,
-    turan_edges_construction,
-    turan_edges_formula,
-)
-from .verify import (
-    VerifyReport,
-    formula_suite,
-    gap_bijection_suite,
-    interval_agreement_suite,
-    recurrence_suite,
-    run_suite,
-    scale_invariance_suite,
-    turan_cross_suite,
-    turan_identity_suite,
-    window_bijection_suite,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BFile",
-    "DomainError",
-    "FiniteSet",
-    "GapSet",
-    "INTERVAL_LIMIT",
-    "ORACLE_LIMIT",
-    "OracleLimitError",
-    "Ratio",
-    "VerifyReport",
-    "attach_window",
-    "bfile_from_sequence",
-    "collapse_gaps",
-    "count_interval_bruteforce",
-    "count_schreier_bruteforce",
-    "count_schreier_direct",
-    "count_schreier_recurrence",
-    "enumerate_schreier",
-    "expand_gaps",
-    "formula_suite",
-    "gap_bijection_suite",
-    "gap_window",
-    "in_schreier_family",
-    "interval_agreement_suite",
-    "interval_count_closed",
-    "interval_count_sum",
-    "parse_bfile",
-    "recurrence_suite",
-    "run_suite",
-    "scale_invariance_suite",
-    "schreier_sequence",
-    "strip_window",
-    "turan_cross_suite",
-    "turan_edges_construction",
-    "turan_edges_formula",
-    "turan_identity_suite",
-    "window_bijection_suite",
-]
+_EXPORTS = {
+    "bfile": ("BFile", "bfile_from_sequence", "parse_bfile"),
+    "bijections": (
+        "DomainError",
+        "GapSet",
+        "attach_window",
+        "collapse_gaps",
+        "expand_gaps",
+        "gap_window",
+        "strip_window",
+    ),
+    "counting": (
+        "count_schreier_direct",
+        "count_schreier_recurrence",
+        "schreier_sequence",
+    ),
+    "enumeration": (
+        "INTERVAL_LIMIT",
+        "ORACLE_LIMIT",
+        "OracleLimitError",
+        "count_interval_bruteforce",
+        "count_schreier_bruteforce",
+        "enumerate_schreier",
+    ),
+    "sets": ("FiniteSet", "Ratio", "in_schreier_family"),
+    "turan": (
+        "interval_count_closed",
+        "interval_count_sum",
+        "turan_edges_construction",
+        "turan_edges_formula",
+    ),
+    "verify": (
+        "VerifyReport",
+        "formula_suite",
+        "gap_bijection_suite",
+        "interval_agreement_suite",
+        "recurrence_suite",
+        "run_suite",
+        "scale_invariance_suite",
+        "turan_cross_suite",
+        "turan_identity_suite",
+        "window_bijection_suite",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str) -> object:
+    """A public name read from its submodule, or a submodule, imported on first use.
+
+    Names are not cached here: each read returns what the submodule holds
+    now, so a function replaced there (by a tracer, say) is replaced here too.
+    """
+    if name in _HOME:
+        return getattr(import_module(f".{_HOME[name]}", __name__), name)
+    if not name.startswith("_"):
+        try:
+            return import_module(f".{name}", __name__)
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise  # the submodule exists but needs a module that does not
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -8,22 +8,33 @@ data; the parser skips them, and rendering writes none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .sets import Frozen
 
 
-@dataclass(frozen=True)
-class BFile:
+class BFile(Frozen):
     """Parsed or to-be-rendered b-file content."""
 
     entries: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        indices = [i for i, _ in self.entries]
+    def __init__(self, entries: tuple[tuple[int, int], ...]) -> None:
+        indices = [i for i, _ in entries]
         for prev, cur in zip(indices, indices[1:]):
             if cur != prev + 1:
                 raise ValueError(
                     f"b-file indices must step by 1, got {prev} then {cur}"
                 )
+        object.__setattr__(self, "entries", entries)
+
+    def __repr__(self) -> str:
+        return f"BFile(entries={self.entries!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
 
     def render(self) -> str:
         return "\n".join(f"{i} {v}" for i, v in self.entries) + "\n"

@@ -23,8 +23,8 @@ tested, not assumed.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Iterable
 
 from .sets import FiniteSet, Ratio, in_schreier_family
 

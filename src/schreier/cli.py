@@ -6,6 +6,10 @@ exactness is the point.  Exit codes are a stable contract: 0 success,
 1 verification failure, 2 usage error, 3 brute-force guard exceeded,
 4 count too long for the interpreter's int-to-decimal digit limit,
 141 output pipe closed by its reader (128 + SIGPIPE, as a shell reports).
+
+A command imports only the layers it runs: the b-file writer loads
+inside ``sequence`` and the verification suites inside ``verify``, so
+building the parser and running a small count stay cheap.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterator
 
-from .bfile import bfile_from_sequence
 from .counting import (
     count_schreier_direct,
     count_schreier_recurrence,
@@ -35,7 +39,6 @@ from .turan import (
     turan_edges_construction,
     turan_edges_formula,
 )
-from .verify import SUITES, run_suite
 
 _TURAN_METHODS = {
     "formula": turan_edges_formula,
@@ -46,6 +49,22 @@ _INTERVAL_METHODS = {
     "closed": interval_count_closed,
     "enum": count_interval_bruteforce,
 }
+
+
+class _SuiteNames:
+    """The ``--suite`` choices: every name in verify.SUITES, then "all".
+
+    The registry is read when argparse first looks, which only a
+    ``verify`` command or its help does.
+    """
+
+    def __iter__(self) -> Iterator[str]:
+        from .verify import SUITES
+
+        return iter([*SUITES, "all"])
+
+    def __contains__(self, name: object) -> bool:
+        return name in list(self)
 
 
 class _DigitLimitError(Exception):
@@ -97,6 +116,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
+    from .bfile import bfile_from_sequence
+
     require_int("--max", args.max, 1, "at least 1")
     ratio = Ratio(args.p, args.q)
     start = args.offset
@@ -131,6 +152,8 @@ def cmd_interval_count(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_suite
+
     bounds = {"--pmax": args.pmax, "--qmax": args.qmax, "--nmax": args.nmax}
     for flag, bound in bounds.items():
         if bound is not None:
@@ -194,7 +217,15 @@ def build_parser() -> argparse.ArgumentParser:
     interval.set_defaults(func=cmd_interval_count)
 
     verify = sub.add_parser("verify", help="run a verification suite over its grid")
-    verify.add_argument("--suite", choices=[*SUITES, "all"], default="all")
+    # a metavar, so that argparse does not list the choices (and load the
+    # registry) while it builds the parser
+    verify.add_argument(
+        "--suite",
+        choices=_SuiteNames(),
+        default="all",
+        metavar="SUITE",
+        help="one of %(choices)s",
+    )
     verify.add_argument("--pmax", type=int, default=None)
     verify.add_argument("--qmax", type=int, default=None)
     verify.add_argument("--nmax", type=int, default=None)

@@ -18,8 +18,8 @@ guard, ``INTERVAL_LIMIT``.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from itertools import accumulate, compress
-from typing import Iterator
 
 from .sets import FiniteSet, Ratio, require_int
 

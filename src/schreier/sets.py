@@ -11,8 +11,7 @@ of consecutive integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 
 def require_int(
@@ -28,8 +27,23 @@ def require_int(
         raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
-@dataclass(frozen=True, order=True, init=False)
-class FiniteSet:
+class Frozen:
+    """Base of the package's value types: fields are set once, by ``__init__``.
+
+    Subclasses store their fields in the instance ``__dict__`` through
+    ``object.__setattr__``; any later assignment or deletion raises
+    AttributeError.  The ``__dict__`` is what lets pickle and
+    ``copy.deepcopy`` rebuild an instance without calling ``__setattr__``.
+    """
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FiniteSet(Frozen):
     """Nonempty set of positive integers, stored as a strictly increasing tuple.
 
     Accepts any iterable of distinct positive ints (``bool`` is refused); elements are
@@ -53,6 +67,37 @@ class FiniteSet:
                 raise ValueError(f"duplicate element {a}")
         object.__setattr__(self, "elements", elems)
 
+    def __repr__(self) -> str:
+        return f"FiniteSet(elements={self.elements!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.elements == other.elements
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.elements,))
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.elements < other.elements
+        return NotImplemented
+
+    def __le__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.elements <= other.elements
+        return NotImplemented
+
+    def __gt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.elements > other.elements
+        return NotImplemented
+
+    def __ge__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.elements >= other.elements
+        return NotImplemented
+
     @property
     def min(self) -> int:
         return self.elements[0]
@@ -74,8 +119,7 @@ class FiniteSet:
         return "{%s}" % ",".join(str(x) for x in self.elements)
 
 
-@dataclass(frozen=True)
-class Ratio:
+class Ratio(Frozen):
     """Parameter pair (p, q) of the defining inequality q*min(F) >= p*|F|.
 
     Kept unreduced: (2, 4) and (1, 2) describe the same family, and that
@@ -86,9 +130,22 @@ class Ratio:
     p: int
     q: int
 
-    def __post_init__(self):
-        require_int("p", self.p)
-        require_int("q", self.q)
+    def __init__(self, p: int, q: int):
+        require_int("p", p)
+        require_int("q", q)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+
+    def __repr__(self) -> str:
+        return f"Ratio(p={self.p!r}, q={self.q!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.p, self.q) == (other.p, other.q)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q))
 
     def scaled(self, k: int) -> Ratio:
         """The same ratio written with both parts multiplied by ``k``."""

@@ -2,7 +2,9 @@
 
 The number of intervals [lo, hi] within {1..n} satisfying
 p * lo >= hi - lo + 1 equals the edge count of the Turán graph
-T(n+1, p+1) whenever n >= p.  This module holds the independent
+T(n+1, p+1) at every n >= 1.  Below n = p both sides are n(n+1)/2:
+every interval qualifies, and T(n+1, p+1) is the complete graph.
+This module holds the independent
 routes on both sides: a closed form and a count from the balanced
 part sizes for the graph, a closed form and a term-by-term sum for
 the intervals.  The brute-force interval count lives in

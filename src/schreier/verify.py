@@ -14,11 +14,11 @@ Everything here is deterministic -- same bounds, same report.
 from __future__ import annotations
 
 import inspect
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
 from math import comb
-from typing import Callable, Iterable, Iterator
 
 from .bijections import (
     GapSet,

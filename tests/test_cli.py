@@ -194,6 +194,58 @@ def test_importing_the_cli_leaves_heapq_unloaded():
     assert (child.returncode, child.stdout, child.stderr) == (0, "False\n", "")
 
 
+def fresh_child(code):
+    """stdout of ``code`` run by a new interpreter, which must exit 0 in silence."""
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert (child.returncode, child.stderr) == (0, "")
+    return child.stdout
+
+
+def test_importing_the_cli_leaves_the_verify_layers_unloaded():
+    # measured against a bare interpreter, whatever its site start-up preloads
+    probe = "import sys{}; print(*sorted(sys.modules))"
+    bare = set(fresh_child(probe.format("")).split())
+    loaded = set(fresh_child(probe.format(", schreier.cli")).split())
+    assert not {
+        "schreier.verify", "schreier.bijections", "schreier.bfile", "dataclasses", "inspect"
+    } & (loaded - bare)
+    assert {"schreier.cli", "schreier.counting"} <= loaded
+
+
+def test_importing_the_package_loads_no_submodule_until_a_name_is_read():
+    out = fresh_child(
+        "import sys, schreier\n"
+        "print(*[m for m in sys.modules if m.startswith('schreier.')])\n"
+        "print(schreier.verify is sys.modules['schreier.verify'])\n"
+        "print([n for n in schreier.__all__ if not hasattr(schreier, n)])"
+    )
+    assert out == "\nTrue\n[]\n"
+
+
+def test_star_import_dir_and_unknown_names():
+    out = fresh_child(
+        "import schreier\n"
+        "space = {}\n"
+        "exec('from schreier import *', space)\n"
+        "print(sorted(set(space) - {'__builtins__'}) == sorted(schreier.__all__))\n"
+        "print(set(schreier.__all__) <= set(dir(schreier)))\n"
+        "for name in ('no_such_name', 'no_such_module', '_private'):\n"
+        "    try:\n"
+        "        getattr(schreier, name)\n"
+        "    except AttributeError as exc:\n"
+        "        print(exc)\n"
+    )
+    assert out.splitlines() == [
+        "True",
+        "True",
+        "module 'schreier' has no attribute 'no_such_name'",
+        "module 'schreier' has no attribute 'no_such_module'",
+        "module 'schreier' has no attribute '_private'",
+    ]
+
+
 def test_interval_enumeration_guard_exit_code(capsys):
     argv = ["interval-count", "--p", "2", "--method", "enum", "--n"]
     code, out, err = run_cli(capsys, *argv, str(INTERVAL_LIMIT))
@@ -260,6 +312,22 @@ def test_verify_suite_choices_come_from_the_registry():
     sub = next(a for a in build_parser()._actions if a.dest == "command")
     (suite,) = [a for a in sub.choices["verify"]._actions if a.dest == "suite"]
     assert list(suite.choices) == [*SUITES, "all"]
+
+
+def test_verify_usage_names_every_registered_suite(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # the suite list on one help line
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--suite", "bogus"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "bogus" in err
+    listed = err.rsplit("(choose from ", 1)[1].rstrip(")\n").split(", ")
+    assert [name.strip("'") for name in listed] == [*SUITES, "all"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "-h"])
+    assert excinfo.value.code == 0
+    (line,) = [line for line in capsys.readouterr().out.splitlines() if "one of" in line]
+    assert line.split("one of ", 1)[1].split(", ") == [*SUITES, "all"]
 
 
 def test_verify_failure_exit_code_under_fault_injection(capsys, monkeypatch):

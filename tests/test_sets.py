@@ -1,10 +1,15 @@
 """Set representation and the defining predicates."""
 
+import copy
+import operator
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from schreier import (
+    BFile,
     FiniteSet,
     Ratio,
     count_schreier_direct,
@@ -60,6 +65,57 @@ def test_ratio_validation_and_scaling():
         Ratio(0, 1)
     with pytest.raises(ValueError):
         Ratio(1, -2)
+
+
+@pytest.mark.parametrize(
+    "make,fields,text",
+    [
+        (
+            lambda: FiniteSet([9, 2, 5]),
+            {"elements": (2, 5, 9)},
+            "FiniteSet(elements=(2, 5, 9))",
+        ),
+        (lambda: Ratio(1, 2), {"p": 1, "q": 2}, "Ratio(p=1, q=2)"),
+        (
+            lambda: BFile(((1, 1), (2, 3))),
+            {"entries": ((1, 1), (2, 3))},
+            "BFile(entries=((1, 1), (2, 3)))",
+        ),
+    ],
+)
+def test_value_classes_are_frozen_records(make, fields, text):
+    # the three value types compare, hash and print by their fields, refuse
+    # changes, and survive pickle and deepcopy
+    value, twin, values = make(), make(), tuple(fields.values())
+    assert value is not twin and value == twin and not value != twin
+    assert value.__eq__(values) is NotImplemented and value != values
+    assert hash(value) == hash(twin) == hash(values)
+    assert repr(value) == text
+    for name, field in fields.items():
+        assert getattr(value, name) == field
+        with pytest.raises(AttributeError):
+            setattr(value, name, field)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(copied) is type(value)
+        assert copied == value and hash(copied) == hash(value)
+        assert repr(copied) == text
+
+
+def test_finite_sets_order_by_their_element_sequence():
+    order = (operator.lt, operator.le, operator.gt, operator.ge)
+    low, high = FiniteSet([1, 5]), FiniteSet([2, 3])
+    assert [op(low, high) for op in order] == [True, True, False, False]
+    assert [op(low, FiniteSet([5, 1])) for op in order] == [False, True, False, True]
+    assert FiniteSet([1, 2]) < FiniteSet([1, 2, 3])
+    for op in order:
+        with pytest.raises(TypeError):
+            op(low, (1, 5))
+        with pytest.raises(TypeError):
+            op(Ratio(1, 2), Ratio(1, 3))  # a ratio has no order
 
 
 @pytest.mark.parametrize(

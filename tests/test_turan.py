@@ -113,6 +113,20 @@ def test_identity_along_the_diagonal(n):
     } == {n * (n + 1) // 2}
 
 
+def test_identity_holds_below_the_diagonal():
+    # with n < p every interval qualifies and T(n+1, p+1) is complete: all
+    # five legs read C(n+1, 2)
+    for p in range(2, 41):
+        for n in range(1, p):
+            assert {
+                interval_count_closed(n, p),
+                interval_count_sum(n, p),
+                count_interval_bruteforce(n, p),
+                turan_edges_formula(n + 1, p + 1),
+                turan_edges_construction(n + 1, p + 1),
+            } == {n * (n + 1) // 2}
+
+
 @given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=40))
 def test_interval_sum_matches_the_closed_form_and_the_enumeration(n, p):
     summed = interval_count_sum(n, p)
