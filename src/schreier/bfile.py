@@ -8,6 +8,8 @@ data; the parser skips them, and rendering writes none.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .sets import Frozen
 
 
@@ -17,24 +19,14 @@ class BFile(Frozen):
     entries: tuple[tuple[int, int], ...]
 
     def __init__(self, entries: tuple[tuple[int, int], ...]) -> None:
+        if not {int}.issuperset(map(type, chain.from_iterable(entries))):  # no bool
+            bad = next(x for x in chain.from_iterable(entries) if type(x) is not int)
+            raise TypeError(f"b-file entries must be integers, got {bad!r}")
         indices = [i for i, _ in entries]
-        for prev, cur in zip(indices, indices[1:]):
-            if cur != prev + 1:
-                raise ValueError(
-                    f"b-file indices must step by 1, got {prev} then {cur}"
-                )
+        if indices and indices != list(range(indices[0], indices[0] + len(indices))):
+            prev, cur = next(p for p in zip(indices, indices[1:]) if p[1] != p[0] + 1)
+            raise ValueError(f"b-file indices must step by 1, got {prev} then {cur}")
         object.__setattr__(self, "entries", entries)
-
-    def __repr__(self) -> str:
-        return f"BFile(entries={self.entries!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.entries,))
 
     def render(self) -> str:
         return "\n".join(f"{i} {v}" for i, v in self.entries) + "\n"

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
-from dataclasses import dataclass
 
-from .sets import FiniteSet, Ratio, in_schreier_family
+from .sets import FiniteSet, Frozen, Ratio, in_schreier_family
 
 
 class DomainError(ValueError):
@@ -40,8 +39,7 @@ def gap_window(n: int, ratio: Ratio) -> tuple[int, ...]:
     return tuple(range(n - ratio.q, n))
 
 
-@dataclass(frozen=True, init=False)
-class GapSet:
+class GapSet(Frozen):
     """A nonempty choice of values to vacate from the window below n."""
 
     n: int

@@ -71,6 +71,11 @@ class _DigitLimitError(Exception):
     """A count has more decimal digits than the interpreter will convert."""
 
 
+def _digit_limit() -> int:
+    """The interpreter's int-to-str digit limit; 0 (no limit) where it has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _within_limit(value: int) -> int:
     """``value`` unchanged, or _DigitLimitError if it is too long to print.
 
@@ -78,7 +83,7 @@ def _within_limit(value: int) -> int:
     sys.get_int_max_str_digits() decimal digits (0: no limit).  The limit
     is reported, not lifted, as the conversion it guards is quadratic.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     if limit and value >= 10**limit:
         raise _DigitLimitError(
             "count too long to print: it has more decimal digits than "
@@ -94,7 +99,7 @@ def _printable(n: int, ratio: Ratio) -> int:
     family), so sizing m = p + q, 2(p + q), 4(p + q), ... below n first
     refuses at a cost bounded by CPython's int-to-str limit, not by n.
     """
-    if getattr(sys, "get_int_max_str_digits", lambda: 0)():  # 0 means no limit
+    if _digit_limit():
         m = ratio.p + ratio.q
         while m < n:
             _within_limit(count_schreier_recurrence(m, ratio))

@@ -12,6 +12,7 @@ of consecutive integers.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from functools import total_ordering
 
 
 def require_int(
@@ -28,12 +29,16 @@ def require_int(
 
 
 class Frozen:
-    """Base of the package's value types: fields are set once, by ``__init__``.
+    """Base of the package's value types: records whose fields are set once.
 
     Subclasses store their fields in the instance ``__dict__`` through
     ``object.__setattr__``; any later assignment or deletion raises
     AttributeError.  The ``__dict__`` is what lets pickle and
     ``copy.deepcopy`` rebuild an instance without calling ``__setattr__``.
+    The record rules read it too, in the order ``__init__`` sets the
+    fields: an instance equals only one of its own class with equal
+    fields, hashes as its field tuple and prints as ``Name(field=value,
+    ...)``.  FiniteSet restates ``__eq__`` and ``__hash__``, for speed.
     """
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -42,7 +47,20 @@ class Frozen:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
 
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+@total_ordering
 class FiniteSet(Frozen):
     """Nonempty set of positive integers, stored as a strictly increasing tuple.
 
@@ -67,9 +85,7 @@ class FiniteSet(Frozen):
                 raise ValueError(f"duplicate element {a}")
         object.__setattr__(self, "elements", elems)
 
-    def __repr__(self) -> str:
-        return f"FiniteSet(elements={self.elements!r})"
-
+    # Frozen's results without the __dict__ walk: bijection suites call these in bulk
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return self.elements == other.elements
@@ -81,21 +97,6 @@ class FiniteSet(Frozen):
     def __lt__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return self.elements < other.elements
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.elements <= other.elements
-        return NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.elements > other.elements
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.elements >= other.elements
         return NotImplemented
 
     @property
@@ -135,17 +136,6 @@ class Ratio(Frozen):
         require_int("q", q)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-
-    def __repr__(self) -> str:
-        return f"Ratio(p={self.p!r}, q={self.q!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.p, self.q) == (other.p, other.q)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q))
 
     def scaled(self, k: int) -> Ratio:
         """The same ratio written with both parts multiplied by ``k``."""

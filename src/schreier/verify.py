@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import inspect
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
 from math import comb
@@ -39,7 +38,7 @@ from .enumeration import (
     enumerate_schreier,
     interval_counts_bruteforce,
 )
-from .sets import FiniteSet, Ratio
+from .sets import FiniteSet, Frozen, Ratio
 from .turan import (
     interval_count_closed,
     interval_count_sum,
@@ -48,14 +47,21 @@ from .turan import (
 )
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Frozen):
     """Outcome of one suite run: grid size, case count, failures."""
 
     suite: str
     grid: str
     cases: int
-    failures: tuple[str, ...] = ()
+    failures: tuple[str, ...]
+
+    def __init__(
+        self, suite: str, grid: str, cases: int, failures: tuple[str, ...] = ()
+    ) -> None:
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "cases", cases)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def passed(self) -> bool:
@@ -367,9 +373,10 @@ def run_suite(
 ) -> list[VerifyReport]:
     """Run one registered suite (or 'all' of them), with optional bound overrides.
 
-    A bound reaches only the suites whose signature names it; bounds
-    left as None fall back to each suite's own defaults, which match
-    the verification grids the package is shipped against.
+    A bound reaches only the suites whose signature names it, and one
+    that none of them names is refused rather than dropped; bounds left
+    as None fall back to each suite's own defaults, which match the
+    verification grids the package is shipped against.
     """
     if name == "all":
         suites = [suite for group in SUITES.values() for suite in group]
@@ -378,10 +385,11 @@ def run_suite(
     else:
         raise ValueError(f"unknown suite {name!r}")
     bounds = {"p_max": p_max, "q_max": q_max, "n_max": n_max}
-    reports = []
-    for suite in suites:
-        accepted = inspect.signature(suite).parameters
-        reports.append(
-            suite(**{k: v for k, v in bounds.items() if v is not None and k in accepted})
-        )
-    return reports
+    accepted = [inspect.signature(suite).parameters for suite in suites]
+    for bound, value in bounds.items():
+        if value is not None and not any(bound in params for params in accepted):
+            raise ValueError(f"suite {name!r} takes no {bound} bound")
+    return [
+        suite(**{k: v for k, v in bounds.items() if v is not None and k in params})
+        for suite, params in zip(suites, accepted)
+    ]

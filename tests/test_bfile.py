@@ -23,6 +23,23 @@ def test_indices_must_step_by_one():
         BFile(((2, 1), (1, 1)))
 
 
+@pytest.mark.parametrize(
+    "entries, text, bad",
+    [
+        (((1.5, 1), (2.5, 1)), "1.5 1\n2.5 1\n", "1.5"),
+        (((True, 1), (2, 1)), "True 1\n2 1\n", "True"),
+        (((1, 1), (2, 2.0)), "1 1\n2 2.0\n", "2.0"),
+    ],
+    ids=["float-index", "bool-index", "float-value"],
+)
+def test_entries_must_be_plain_ints(entries, text, bad):
+    # entries whose indices step by 1, but whose rendering parse_bfile refuses
+    with pytest.raises(TypeError, match=f"^b-file entries must be integers, got {bad}$"):
+        BFile(entries)
+    with pytest.raises(ValueError, match="non-integer token"):
+        parse_bfile(text)
+
+
 def test_parse_roundtrip():
     bf = BFile(((0, 0), (1, 1), (2, 2)))
     assert parse_bfile(bf.render()) == bf

@@ -212,6 +212,9 @@ def test_importing_the_cli_leaves_the_verify_layers_unloaded():
         "schreier.verify", "schreier.bijections", "schreier.bfile", "dataclasses", "inspect"
     } & (loaded - bare)
     assert {"schreier.cli", "schreier.counting"} <= loaded
+    # the verify layers build their records on sets.Frozen, not dataclasses
+    layers = ", schreier.verify, schreier.bijections, schreier.bfile"
+    assert "dataclasses" not in set(fresh_child(probe.format(layers)).split()) - bare
 
 
 def test_importing_the_package_loads_no_submodule_until_a_name_is_read():
@@ -306,6 +309,16 @@ def test_verify_empty_grid_is_a_usage_error(capsys):
         assert code == 2
         assert out == ""
         assert "no cases" in err
+
+
+def test_verify_refuses_a_bound_the_suite_does_not_take(capsys):
+    for argv in (
+        ["--suite", "turan-cross", "--qmax", "0"],
+        ["--suite", "turan-identity", "--qmax", "3", "--pmax", "3", "--nmax", "20"],
+    ):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: suite '{argv[1]}' takes no q_max bound\n"
 
 
 def test_verify_suite_choices_come_from_the_registry():

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from schreier import (
     BFile,
     FiniteSet,
+    GapSet,
     Ratio,
+    VerifyReport,
     count_schreier_direct,
     count_schreier_recurrence,
     enumerate_schreier,
@@ -81,10 +83,31 @@ def test_ratio_validation_and_scaling():
             {"entries": ((1, 1), (2, 3))},
             "BFile(entries=((1, 1), (2, 3)))",
         ),
+        (
+            lambda: GapSet(7, Ratio(1, 3), [5, 4, 5]),
+            {"n": 7, "ratio": Ratio(1, 3), "members": (4, 5)},
+            "GapSet(n=7, ratio=Ratio(p=1, q=3), members=(4, 5))",
+        ),
+        (
+            lambda: VerifyReport("formula", "1<=n<=2", 2, ("n=2: 1 != 2",)),
+            {
+                "suite": "formula",
+                "grid": "1<=n<=2",
+                "cases": 2,
+                "failures": ("n=2: 1 != 2",),
+            },
+            "VerifyReport(suite='formula', grid='1<=n<=2', cases=2,"
+            " failures=('n=2: 1 != 2',))",
+        ),
+        (
+            lambda: VerifyReport("formula", "1<=n<=2", 2),
+            {"suite": "formula", "grid": "1<=n<=2", "cases": 2, "failures": ()},
+            "VerifyReport(suite='formula', grid='1<=n<=2', cases=2, failures=())",
+        ),
     ],
 )
 def test_value_classes_are_frozen_records(make, fields, text):
-    # the three value types compare, hash and print by their fields, refuse
+    # the value types compare, hash and print by their fields, refuse
     # changes, and survive pickle and deepcopy
     value, twin, values = make(), make(), tuple(fields.values())
     assert value is not twin and value == twin and not value != twin

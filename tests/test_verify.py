@@ -85,6 +85,15 @@ def test_run_suite_refuses_an_empty_grid():
             run_suite("turan-cross", *bounds)
 
 
+def test_run_suite_refuses_a_bound_none_of_its_suites_takes():
+    # only q_max is missing anywhere: the interval and Turán suites have no q
+    for name in ("interval-agreement", "turan-cross", "turan-identity"):
+        for bounds in [(None, 0, None), (3, 3, 20)]:
+            message = f"suite '{name}' takes no q_max bound"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run_suite(name, *bounds)
+
+
 def test_run_suite_defaults_apply_when_bounds_are_missing():
     (report,) = run_suite("recurrence", None, None, 6)
     assert report.grid == "1<=p<=4, 1<=q<=4, 1<=n<=6"
