@@ -8,6 +8,7 @@ data; the parser skips them, and rendering writes none.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import chain
 
 from .sets import Frozen
@@ -18,7 +19,8 @@ class BFile(Frozen):
 
     entries: tuple[tuple[int, int], ...]
 
-    def __init__(self, entries: tuple[tuple[int, int], ...]) -> None:
+    def __init__(self, entries: Iterable[Iterable[int]]) -> None:
+        entries = tuple(map(tuple, entries))  # a list of lists makes the same record
         if not {int}.issuperset(map(type, chain.from_iterable(entries))):  # no bool
             bad = next(x for x in chain.from_iterable(entries) if type(x) is not int)
             raise TypeError(f"b-file entries must be integers, got {bad!r}")
@@ -61,7 +63,7 @@ def parse_bfile(text: str) -> BFile:
                 raise ValueError(f"line {lineno}: {exc}") from None  # digit limit
             raise ValueError(f"line {lineno}: non-integer token in {raw!r}") from None
         entries.append((index, value))
-    return BFile(tuple(entries))
+    return BFile(entries)
 
 
 def bfile_from_sequence(sequence: tuple[int, ...], offset: int = 1) -> BFile:
@@ -69,4 +71,4 @@ def bfile_from_sequence(sequence: tuple[int, ...], offset: int = 1) -> BFile:
     n_max = len(sequence) - 1
     if not 0 <= offset <= n_max:
         raise ValueError(f"offset {offset} outside the computed range 0..{n_max}")
-    return BFile(tuple(enumerate(sequence[offset:], start=offset)))
+    return BFile(enumerate(sequence[offset:], start=offset))

@@ -48,6 +48,9 @@ class GapSet(Frozen):
 
     def __init__(self, n: int, ratio: Ratio, members: Iterable[int]) -> None:
         window = gap_window(n, ratio)  # also validates n against q
+        members = tuple(members)
+        if bad := [g for g in members if type(g) is not int]:  # refuses bool
+            raise TypeError(f"gap values must be integers, got {bad[0]!r}")
         chosen = tuple(sorted(set(members)))
         if not chosen:
             raise ValueError("a GapSet must name at least one window value")

@@ -8,8 +8,8 @@ exactness is the point.  Exit codes are a stable contract: 0 success,
 141 output pipe closed by its reader (128 + SIGPIPE, as a shell reports).
 
 A command imports only the layers it runs: the b-file writer loads
-inside ``sequence`` and the verification suites inside ``verify``, so
-building the parser and running a small count stay cheap.
+inside ``sequence --format bfile`` and the verification suites inside
+``verify``, so building the parser and running a small count stay cheap.
 """
 
 from __future__ import annotations
@@ -121,8 +121,6 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
-    from .bfile import bfile_from_sequence
-
     require_int("--max", args.max, 1, "at least 1")
     ratio = Ratio(args.p, args.q)
     start = args.offset
@@ -131,11 +129,12 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     # counts never decrease in n, so the term at --max is the longest one printed
     _printable(args.max, ratio)
     sequence = schreier_sequence(ratio, args.max)
-    bfile = bfile_from_sequence(sequence, offset=start)
     if args.format == "csv":
-        print(",".join(str(v) for _, v in bfile.entries))
+        print(",".join(map(str, sequence[start:])))
     else:
-        print(bfile.render(), end="")
+        from .bfile import bfile_from_sequence
+
+        print(bfile_from_sequence(sequence, offset=start).render(), end="")
     return 0
 
 

@@ -13,7 +13,6 @@ Everything here is deterministic -- same bounds, same report.
 
 from __future__ import annotations
 
-import inspect
 from collections.abc import Callable, Iterable, Iterator
 from functools import cache
 from itertools import combinations, product
@@ -99,9 +98,9 @@ def _drive(suite: str, grid: str, cases: Iterable[Case]) -> VerifyReport:
     return VerifyReport(suite, grid, count, tuple(failures))
 
 
-def _mismatch(got: object, want: object, template: str) -> str | None:
-    """None when the two values agree, else ``template`` filled with both."""
-    return None if got == want else template.format(got, want)
+def _mismatch(template: str, *legs: object) -> str | None:
+    """None when every leg is equal, else ``template`` filled with the legs in order."""
+    return None if legs.count(legs[0]) == len(legs) else template.format(*legs)
 
 
 def _ratios(p_max: int, q_max: int) -> Iterator[tuple[int, int]]:
@@ -117,7 +116,7 @@ def _against_recurrence(
         fast = schreier_sequence(ratio, n_max)
         for n in range(1, n_max + 1):
             yield f"(p,q)=({p},{q}), n={n}", _mismatch(
-                fast[n], route(n, ratio), f"recurrence {{}} != {name} {{}}"
+                f"recurrence {{}} != {name} {{}}", fast[n], route(n, ratio)
             )
 
 
@@ -138,7 +137,7 @@ def _window_cells(
             yield f"(p,q)=({p},{q}), n={n}", ratio, n, listings
 
 
-def recurrence_suite(p_max: int = 4, q_max: int = 4, n_max: int = 20) -> VerifyReport:
+def recurrence_suite(*, p_max: int = 4, q_max: int = 4, n_max: int = 20) -> VerifyReport:
     """Recurrence against the brute-force oracle, cell by cell.
 
     The oracle scans every subset at n once, on the first cell that
@@ -153,7 +152,7 @@ def recurrence_suite(p_max: int = 4, q_max: int = 4, n_max: int = 20) -> VerifyR
     return _drive("recurrence", f"1<=p<={p_max}, 1<=q<={q_max}, 1<=n<={n_max}", cases)
 
 
-def formula_suite(p_max: int = 6, q_max: int = 6, n_max: int = 300) -> VerifyReport:
+def formula_suite(*, p_max: int = 6, q_max: int = 6, n_max: int = 300) -> VerifyReport:
     """Recurrence against the independent direct formula."""
     cases = _against_recurrence(p_max, q_max, n_max, count_schreier_direct, "direct")
     return _drive("formula", f"1<=p<={p_max}, 1<=q<={q_max}, 1<=n<={n_max}", cases)
@@ -164,7 +163,7 @@ SCALE_FACTORS = (2, 3, 5)
 
 
 def scale_invariance_suite(
-    p_max: int = 3, q_max: int = 3, n_max: int = 200
+    *, p_max: int = 3, q_max: int = 3, n_max: int = 200
 ) -> VerifyReport:
     """(p, q) and (kp, kq) must produce identical sequences, k in SCALE_FACTORS.
 
@@ -180,14 +179,14 @@ def scale_invariance_suite(
                 scaled = schreier_sequence(ratio.scaled(k), n_max)
                 for n in range(n_max + 1):
                     yield f"(p,q)=({p},{q}), k={k}, n={n}", _mismatch(
-                        base[n], scaled[n], "{} != {}"
+                        "{} != {}", base[n], scaled[n]
                     )
 
     grid = f"1<=p<={p_max}, 1<=q<={q_max}, 0<=n<={n_max}, k in {SCALE_FACTORS}"
     return _drive("scale-invariance", grid, cases())
 
 
-def gap_bijection_suite(p_max: int = 3, q_max: int = 3, n_max: int = 14) -> VerifyReport:
+def gap_bijection_suite(*, p_max: int = 3, q_max: int = 3, n_max: int = 14) -> VerifyReport:
     """Gap-collapsing maps checked as actual bijections.
 
     For every grid cell and every nonempty gap choice: the map on the
@@ -222,7 +221,7 @@ def gap_bijection_suite(p_max: int = 3, q_max: int = 3, n_max: int = 14) -> Veri
 
 
 def window_bijection_suite(
-    p_max: int = 3, q_max: int = 3, n_max: int = 14
+    *, p_max: int = 3, q_max: int = 3, n_max: int = 14
 ) -> VerifyReport:
     """Window strip/attach maps and the layer recount, same grid.
 
@@ -273,27 +272,23 @@ def window_bijection_suite(
     return _drive("window-bijections", grid, cases())
 
 
-def interval_agreement_suite(p_max: int = 10, n_max: int = 200) -> VerifyReport:
+def interval_agreement_suite(*, p_max: int = 10, n_max: int = 200) -> VerifyReport:
     """Interval counts three ways: summed, closed form, brute force."""
 
     def cases() -> Iterator[Case]:
         for p in range(1, p_max + 1):
             tally = interval_counts_bruteforce(n_max, p)
             for n in range(1, n_max + 1):
-                summed = interval_count_sum(n, p)
-                closed = interval_count_closed(n, p)
-                brute = tally[n]
-                yield f"n={n}, p={p}", (
-                    None
-                    if summed == closed == brute
-                    else f"sum {summed}, closed {closed}, brute {brute}"
+                summed, closed = interval_count_sum(n, p), interval_count_closed(n, p)
+                yield f"n={n}, p={p}", _mismatch(
+                    "sum {}, closed {}, brute {}", summed, closed, tally[n]
                 )
 
     return _drive("interval-agreement", f"1<=p<={p_max}, 1<=n<={n_max}", cases())
 
 
 def turan_cross_suite(
-    p_max: int = 20, n_max: int = 300, quarter_n_max: int = 100
+    *, p_max: int = 20, n_max: int = 300, quarter_n_max: int = 100
 ) -> VerifyReport:
     """Edge formula against the from-parts count, plus quarter squares.
 
@@ -306,15 +301,15 @@ def turan_cross_suite(
         for p in range(1, p_max + 1):
             for n in range(p, n_max + 1):
                 yield f"n={n}, p={p}", _mismatch(
+                    "formula {} != construction {}",
                     turan_edges_formula(n, p),
                     turan_edges_construction(n, p),
-                    "formula {} != construction {}",
                 )
         if min(p_max, n_max) < 1:  # the first leg had no cell
             return
         for n in range(1, quarter_n_max + 1):
             yield f"n={n}, p=2", _mismatch(
-                turan_edges_formula(n, 2), n * n // 4, "{} != floor(n^2/4) = {}"
+                "{} != floor(n^2/4) = {}", turan_edges_formula(n, 2), n * n // 4
             )
 
     grid = f"1<=p<={p_max}, p<=n<={n_max}; two parts up to n={quarter_n_max}"
@@ -322,31 +317,31 @@ def turan_cross_suite(
 
 
 def turan_identity_suite(
-    p_max: int = 50, n_max: int = 500, enum_limit: int = 500
+    *, p_max: int = 50, n_max: int = 500, enum_limit: int = 500
 ) -> VerifyReport:
     """Interval count vs Turán edges over the full claimed range.
 
     Each cell (n, p) compares the interval closed form, sum and brute
     force with the edge formula and from-parts count of T(n+1, p+1).
     The brute force is one tally per p of every interval of
-    {1..enum_max}, enum_max = min(enum_limit, n_max); above it that leg
-    reads as None and the other four still run.
+    {1..enum_max}, enum_max = min(enum_limit, n_max); above it the other
+    four legs decide the cell, and a failure reads "enum None".
     """
     enum_max = max(0, min(enum_limit, n_max))
+    ran = "intervals closed {} / sum {} / enum {}, edges formula {} / construction {}"
+    skipped = ran.replace("enum {}", "enum None")
 
     def cases() -> Iterator[Case]:
         for p in range(1, p_max + 1):
             tally = interval_counts_bruteforce(enum_max, p)
             for n in range(p, n_max + 1):
                 closed, summed = interval_count_closed(n, p), interval_count_sum(n, p)
-                brute = tally[n] if n <= enum_max else None
                 formula = turan_edges_formula(n + 1, p + 1)
                 parts = turan_edges_construction(n + 1, p + 1)
                 yield f"n={n}, p={p}", (
-                    None
-                    if len({closed, summed, brute, formula, parts} - {None}) == 1
-                    else f"intervals closed {closed} / sum {summed} / enum {brute},"
-                    f" edges formula {formula} / construction {parts}"
+                    _mismatch(ran, closed, summed, tally[n], formula, parts)
+                    if n <= enum_max
+                    else _mismatch(skipped, closed, summed, formula, parts)
                 )
 
     grid = f"1<=p<={p_max}, p<=n<={n_max}, enumeration leg up to n={enum_max}"
@@ -373,7 +368,7 @@ def run_suite(
 ) -> list[VerifyReport]:
     """Run one registered suite (or 'all' of them), with optional bound overrides.
 
-    A bound reaches only the suites whose signature names it, and one
+    A bound reaches only the suites whose keyword bounds name it, and one
     that none of them names is refused rather than dropped; bounds left
     as None fall back to each suite's own defaults, which match the
     verification grids the package is shipped against.
@@ -385,7 +380,7 @@ def run_suite(
     else:
         raise ValueError(f"unknown suite {name!r}")
     bounds = {"p_max": p_max, "q_max": q_max, "n_max": n_max}
-    accepted = [inspect.signature(suite).parameters for suite in suites]
+    accepted = [suite.__kwdefaults__ for suite in suites]
     for bound, value in bounds.items():
         if value is not None and not any(bound in params for params in accepted):
             raise ValueError(f"suite {name!r} takes no {bound} bound")

@@ -35,6 +35,10 @@ def test_gapset_validation():
         GapSet(6, Ratio(1, 3), [6])  # n itself is not in the window
     with pytest.raises(ValueError):
         GapSet(6, Ratio(1, 1), [3])  # window for q=1 is just {5}
+    # 3.0 == 3 and True == 1 would pass the window test; only ints are gap values
+    for n, members, bad in [(5, [3.0], "3.0"), (3, [True], "True"), (5, [3, 3.0], "3.0")]:
+        with pytest.raises(TypeError, match=f"^gap values must be integers, got {bad}$"):
+            GapSet(n, Ratio(1, 2), members)
 
 
 def test_relabeling_tables():

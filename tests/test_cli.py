@@ -212,9 +212,21 @@ def test_importing_the_cli_leaves_the_verify_layers_unloaded():
         "schreier.verify", "schreier.bijections", "schreier.bfile", "dataclasses", "inspect"
     } & (loaded - bare)
     assert {"schreier.cli", "schreier.counting"} <= loaded
-    # the verify layers build their records on sets.Frozen, not dataclasses
+    # the verify layers build their records on sets.Frozen, not dataclasses,
+    # and run_suite reads the suites' bounds from __kwdefaults__, not inspect
     layers = ", schreier.verify, schreier.bijections, schreier.bfile"
-    assert "dataclasses" not in set(fresh_child(probe.format(layers)).split()) - bare
+    loaded = set(fresh_child(probe.format(layers)).split())
+    assert not {"dataclasses", "inspect"} & (loaded - bare)
+
+
+def test_a_csv_sequence_leaves_the_bfile_layer_unloaded():
+    out = fresh_child(
+        "import sys\n"
+        "from schreier.cli import main\n"
+        "main(['sequence', '--p', '1', '--q', '1', '--max', '6', '--offset', '0'])\n"
+        "print('schreier.bfile' in sys.modules)"
+    )
+    assert out == "0,1,1,2,3,5,8\nFalse\n"
 
 
 def test_importing_the_package_loads_no_submodule_until_a_name_is_read():

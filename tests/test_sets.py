@@ -104,6 +104,11 @@ def test_ratio_validation_and_scaling():
             {"suite": "formula", "grid": "1<=n<=2", "cases": 2, "failures": ()},
             "VerifyReport(suite='formula', grid='1<=n<=2', cases=2, failures=())",
         ),
+        (
+            lambda: BFile([[1, 1], [2, 3]]),  # stored as the tuple-built record
+            {"entries": ((1, 1), (2, 3))},
+            "BFile(entries=((1, 1), (2, 3)))",
+        ),
     ],
 )
 def test_value_classes_are_frozen_records(make, fields, text):

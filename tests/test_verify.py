@@ -303,6 +303,35 @@ def test_corrupted_identity_leg_is_caught_at_its_cell(monkeypatch, name, cell, l
     assert ("/ enum None," in report.failures[0]) == (cell == (35, 2))
 
 
+@pytest.mark.parametrize(
+    "name, stub, failing",
+    [
+        ("interval_count_closed", lambda n, p: None, 154),
+        ("interval_count_sum", lambda n, p: None, 154),
+        ("turan_edges_formula", lambda n, p: None, 154),
+        ("turan_edges_construction", lambda n, p: None, 154),
+        # the tally is read only up to enum_max = 30: 30 + 29 + 28 + 27 cells
+        ("interval_counts_bruteforce", lambda n_max, p: [None] * (n_max + 1), 114),
+    ],
+    ids=["closed", "sum", "edge-formula", "edge-construction", "enum-tally"],
+)
+def test_an_identity_leg_that_reads_none_fails_its_cells(monkeypatch, name, stub, failing):
+    # None is a wrong count like any other: no leg is left out for its value
+    monkeypatch.setattr(schreier.verify, name, stub)
+    report = turan_identity_suite(p_max=4, n_max=40, enum_limit=30)
+    assert (report.cases, len(report.failures)) == (154, failing)
+
+
+@pytest.mark.parametrize(
+    "suite",
+    [suite for group in schreier.verify.SUITES.values() for suite in group],
+    ids=lambda suite: suite.__name__,
+)
+def test_suite_bounds_are_keyword_only(suite):
+    with pytest.raises(TypeError, match="takes 0 positional arguments"):
+        suite(2)
+
+
 def test_turan_identity_grid_names_the_enumeration_leg_it_ran():
     report = turan_identity_suite(p_max=3, n_max=10, enum_limit=200)
     assert report.grid.endswith("enumeration leg up to n=10")
