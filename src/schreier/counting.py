@@ -7,14 +7,17 @@ Two independent methods are provided on purpose:
   big-int steps.  It is self-contained.
 * :func:`count_schreier_recurrence` evaluates the constant-coefficient
   linear recurrence of depth d = p + q at one n by polynomial powering:
-  it reduces x^n modulo the recurrence's characteristic polynomial in
-  O(d^2 log n) big-int multiplications and applies the result to the d
-  seeds.  :func:`schreier_sequence` steps the same recurrence forward
-  instead, in O(n * q) big-int additions for the whole prefix (a plain
-  tuple indexed by n), and so cross-checks the single-term engine.
-  Both take the recurrence's taps and its d seeds from the generating
-  function P(x)/Q(x), which groups the members by size, not by minimum
-  (see :func:`_recurrence`).
+  it reduces u = x^(n // 2) modulo the recurrence's characteristic
+  polynomial in O(d^2 log n) big-int multiplications, and finishes with
+  the Hankel form count(n) = sum_{i,j} u_i u_j count(i + j + n % 2) in
+  place of a last squaring.  That is exact because the linear map
+  sending x^k to count(k) vanishes on multiples of the polynomial.
+  :func:`schreier_sequence` steps the same recurrence forward instead,
+  in O(n * q) big-int additions for the whole prefix (a plain tuple
+  indexed by n), and so cross-checks the single-term engine.  Both take
+  the recurrence's taps and its d seeds from the generating function
+  P(x)/Q(x), which groups the members by size, not by minimum (see
+  :func:`_recurrence`).
 
 They share no code beyond the input checks, so agreement between them
 (and with the brute-force oracle) is meaningful evidence.  Counts are
@@ -120,19 +123,24 @@ def count_schreier_recurrence(n: int, ratio: Ratio) -> int:
     """Count via the recurrence, in O(d^2 log n) big-int multiplications (d = p + q).
 
     The recurrence makes x^d equal to sum_k c_k x^(d-k) + 1 modulo its
-    characteristic polynomial x^d - sum_k c_k x^(d-k) - 1, so count(n) is
-    the dot product of the seeds with the coefficients of x^n reduced
-    modulo that polynomial (Fiduccia's polynomial powering).  x^n is built
-    by binary powering: one schoolbook square per bit of n, and one shift
-    for each 1 bit.
+    characteristic polynomial x^d - sum_k c_k x^(d-k) - 1.  So the linear
+    map L sending x^k to count(k) vanishes on multiples of it, and
+    L(x^k mod it) = count(k) (Fiduccia's polynomial powering).  Binary
+    powering builds u = x^h mod it, h = floor(n / 2): one schoolbook
+    square per bit of h, and one shift for each 1 bit.  The last level
+    never squares: x^n = u^2 x^b (b = n mod 2), so by linearity
+    count(n) = sum_{i,j < d} u_i u_j count(i + j + b), a Hankel form on
+    the head count(0..2d-1), stepped from the seeds with the taps.
     """
     require_int("n", n, 0, "a non-negative integer")
-    taps, seeds = _recurrence(ratio, n)
-    depth = len(seeds)
+    taps, head = _recurrence(ratio, n)
+    depth = len(head)
     if n < depth:
-        return seeds[n]
+        return head[n]
+    for m in range(depth, 2 * depth):
+        head.append(sum(c * head[m - k] for k, c in taps))
     power = [1] + [0] * (depth - 1)  # x^0
-    for bit in bin(n)[2:]:
+    for bit in bin(n >> 1)[2:]:
         square = [0] * (2 * depth - 1)
         for i, a in enumerate(power):
             if a:
@@ -144,19 +152,30 @@ def count_schreier_recurrence(n: int, ratio: Ratio) -> int:
         if bit == "1":
             power.insert(0, 0)  # times x
             power = _fold(power, taps, depth)
-    return sum(a * s for a, s in zip(power, seeds))
+    odd = n & 1
+    return sum(
+        a * sum(b * h for b, h in zip(power, head[i + odd :]))
+        for i, a in enumerate(power)
+    )
 
 
 def schreier_sequence(ratio: Ratio, n_max: int) -> tuple[int, ...]:
-    """Counts for 0 <= n <= n_max, indexed by n (O(n_max * q) additions in all)."""
+    """Counts for 0 <= n <= n_max, indexed by n (O(n_max * q) additions in all).
+
+    Q(x) = (1 - x)^q - x^(p + q) makes the q-th backward difference of
+    count at n >= p + q equal to count(n - p - q).  So the pass keeps the
+    latest backward difference of each order below q and adds its way up
+    from count(n - p - q), never multiplying by Q's binomial taps.
+    """
     require_int("n", n_max, 0, "a non-negative integer")
-    taps, values = _recurrence(ratio, n_max)
+    _, values = _recurrence(ratio, n_max)
     depth = len(values)
-    # values[-depth] is the count p + q back, the tap (depth, 1)
-    near = [(c, -k) for k, c in taps[:-1]]
-    for _ in range(n_max + 1 - depth):
-        value = values[-depth]
-        for c, i in near:
-            value += c * values[i]
-        values.append(value)
-    return tuple(values[: n_max + 1])
+    levels, row = [0], values[-ratio.q :]
+    while row:  # levels[k]: the (q - k)-th backward difference at depth - 1
+        levels.insert(1, row[-1])
+        row = [b - a for a, b in zip(row, row[1:])]
+    for n in range(depth, n_max + 1):
+        levels[0] = values[n - depth]  # the q-th difference at n
+        levels = list(accumulate(levels))
+        values.append(levels[-1])
+    return tuple(values)

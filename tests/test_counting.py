@@ -63,6 +63,55 @@ def test_sequence_agrees_with_point_queries():
         assert seq[n] == count_schreier_recurrence(n, ratio)
 
 
+def test_engine_finish_matches_the_forward_pass_at_its_boundaries():
+    # n in 0..4(p + q) covers both parities, floor(n/2) below and above the
+    # depth, and the handoff at n = p + q, where the Hankel finish starts
+    for p in range(1, 9):
+        for q in range(1, 9):
+            ratio = Ratio(p, q)
+            seq = schreier_sequence(ratio, 4 * (p + q))
+            engine = [count_schreier_recurrence(n, ratio) for n in range(len(seq))]
+            assert engine == list(seq)
+
+
+def _largest_below(ratio, bound):
+    """The largest n with count(n) < bound, found with the engine: double, then bisect."""
+    high = 1
+    while count_schreier_recurrence(high, ratio) < bound:
+        high *= 2
+    low = high // 2  # counts never fall as n grows (shift every member up by one)
+    while high - low > 1:
+        mid = (low + high) // 2
+        if count_schreier_recurrence(mid, ratio) < bound:
+            low = mid
+        else:
+            high = mid
+    return low
+
+
+def _assert_engine_meets_the_direct_sum_at(ratio, digits):
+    # the engine at its last n below 10^digits, and that edge itself, by the direct sum
+    n = _largest_below(ratio, 10**digits)
+    assert count_schreier_recurrence(n, ratio) == count_schreier_direct(n, ratio)
+    assert count_schreier_direct(n + 1, ratio) >= 10**digits
+
+
+def test_engine_matches_the_direct_sum_where_counts_reach_a_thousand_digits():
+    for p in range(1, 7):
+        for q in range(1, 7):
+            _assert_engine_meets_the_direct_sum_at(Ratio(p, q), 1000)
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (3, 2), (1, 3)])
+def test_engine_matches_the_direct_sum_at_the_cli_digit_limit(p, q):
+    _assert_engine_meets_the_direct_sum_at(Ratio(p, q), 4300)
+
+
+def test_engine_matches_the_direct_sum_at_a_deep_ratio():
+    ratio = Ratio(50, 50)
+    assert count_schreier_recurrence(20000, ratio) == count_schreier_direct(20000, ratio)
+
+
 def test_recurrence_routes_never_call_the_direct_sum(monkeypatch):
     # the recurrence's initial terms come from its generating function, so
     # agreement with the direct sum is never the direct sum against itself
