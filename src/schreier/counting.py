@@ -5,19 +5,16 @@ Two independent methods are provided on purpose:
 * :func:`count_schreier_direct` sums binomial rows grouped by the
   minimum element, stepping from one row sum to the next in O(n)
   big-int steps.  It is self-contained.
-* :func:`count_schreier_recurrence` evaluates the constant-coefficient
-  linear recurrence of depth d = p + q at one n by polynomial powering:
-  it reduces u = x^(n // 2) modulo the recurrence's characteristic
-  polynomial in O(d^2 log n) big-int multiplications, and finishes with
-  the Hankel form count(n) = sum_{i,j} u_i u_j count(i + j + n % 2) in
-  place of a last squaring.  That is exact because the linear map
-  sending x^k to count(k) vanishes on multiples of the polynomial.
-  :func:`schreier_sequence` steps the same recurrence forward instead,
-  in O(n * q) big-int additions for the whole prefix (a plain tuple
-  indexed by n), and so cross-checks the single-term engine.  Both take
-  the recurrence's taps and its d seeds from the generating function
+* The recurrence of depth d = p + q, read off the generating function
   P(x)/Q(x), which groups the members by size, not by minimum (see
-  :func:`_recurrence`).
+  :func:`_numerator`).  Every count comes from one forward pass,
+  :func:`schreier_sequence`: q running sums of one stream, P's
+  coefficients and then the counts themselves, O(n * q) big-int
+  additions for the whole prefix (a plain tuple indexed by n).
+  :func:`count_schreier_recurrence` takes count(0..2d-1) from the pass
+  and reaches any larger n in O(d^2 log n) big-int multiplications by
+  polynomial powering with a Hankel finish, so beyond the head it
+  cross-checks the pass.
 
 They share no code beyond the input checks, so agreement between them
 (and with the brute-force oracle) is meaningful evidence.  Counts are
@@ -28,6 +25,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import comb
+from operator import mul, sub
 
 from .sets import Ratio, require_int
 
@@ -71,37 +69,28 @@ def count_schreier_direct(n: int, ratio: Ratio) -> int:
     return total
 
 
-def _recurrence(ratio: Ratio, n: int) -> tuple[list[tuple[int, int]], list[int]]:
-    """The recurrence's q + 1 nonzero taps (k, c_k) and count(m), m <= min(n, p+q-1).
+def _numerator(ratio: Ratio, length: int) -> list[int]:
+    """P's coefficients of x^0 .. x^(length - 1), P/Q being count's generating function.
 
-    Both come from one generating function.  The members of size s have
-    maximum n and minimum at least ceil(ps/q), so they contribute
-    x^(ceil(ps/q) + s - 1) / (1 - x)^s.  With s = qk + r (1 <= r <= q),
-    ceil(ps/q) = pk + ceil(pr/q), and the sum over k is geometric:
+    The members of size s = qk + r (1 <= r <= q) have maximum n and
+    minimum at least ceil(ps/q) = pk + ceil(pr/q), so they contribute
+    x^(ceil(ps/q) + s - 1) / (1 - x)^s, and the sum over k is geometric:
 
-        GF = P(x) / Q(x),  P(x) = sum_{r=1}^{q} x^(ceil(pr/q) + r - 1) (1 - x)^(q - r),
-                           Q(x) = (1 - x)^q - x^(p + q) = 1 - sum_k c_k x^k.
+        P(x) = sum_{r=1}^{q} x^(ceil(pr/q) + r - 1) (1 - x)^(q - r),
+        Q(x) = (1 - x)^q - x^(p + q).
 
-    P has degree p + q - 1, so count(n) = sum_k c_k count(n - k) for n >= p + q.
-    Below x^(p + q), Q agrees with (1 - x)^q and P / Q is the sum over r of
-    x^(ceil(pr/q) + r - 1) / (1 - x)^r, built from r = q down: add the
-    monomial, then divide by 1 - x as a running sum.  That is O((p + q) q)
-    additions, where dividing by Q's binomial taps would multiply big ints.
-    For n < p + q only count(0..n) is built and there are no taps: the
-    monomials rise with r, so every r whose monomial lies past n is skipped.
+    P has degree p + q - 1.  Horner's rule in 1 - x builds it: for
+    r = 1 .. q, one difference pass, then r's monomial.  Truncation
+    commutes with both, so nothing past ``length`` is made, nor a binomial.
     """
     p, q = ratio.p, ratio.q
-    depth = p + q
-    terms = [0] * min(n + 1, depth)
-    for r in range(q, 0, -1):
+    coeffs = [0] * length
+    for r in range(1, q + 1):
+        coeffs = list(map(sub, coeffs, [0, *coeffs]))  # times 1 - x
         first = -(-p * r // q) + r - 1
-        if first < len(terms):
-            terms[first] += 1
-            terms = list(accumulate(terms))
-    if n < depth:
-        return [], terms
-    taps = [(k, (-1) ** (k + 1) * comb(q, k)) for k in range(1, q + 1)]
-    return [*taps, (depth, 1)], terms
+        if first < length:
+            coeffs[first] += 1
+    return coeffs
 
 
 def _fold(poly: list[int], taps: list[tuple[int, int]], depth: int) -> list[int]:
@@ -122,25 +111,30 @@ def _fold(poly: list[int], taps: list[tuple[int, int]], depth: int) -> list[int]
 def count_schreier_recurrence(n: int, ratio: Ratio) -> int:
     """Count via the recurrence, in O(d^2 log n) big-int multiplications (d = p + q).
 
-    The recurrence makes x^d equal to sum_k c_k x^(d-k) + 1 modulo its
-    characteristic polynomial x^d - sum_k c_k x^(d-k) - 1.  So the linear
-    map L sending x^k to count(k) vanishes on multiples of it, and
-    L(x^k mod it) = count(k) (Fiduccia's polynomial powering).  Binary
-    powering builds u = x^h mod it, h = floor(n / 2): one schoolbook
-    square per bit of h, and one shift for each 1 bit.  The last level
-    never squares: x^n = u^2 x^b (b = n mod 2), so by linearity
-    count(n) = sum_{i,j < d} u_i u_j count(i + j + b), a Hankel form on
-    the head count(0..2d-1), stepped from the seeds with the taps.
+    The forward pass gives the head count(0 .. 2d - 1) and answers every
+    n < 2d; from n = 2d on, the engine powers.  With Q = 1 - sum_k c_k x^k,
+    the linear map L sending x^k to count(k) vanishes on multiples of the
+    characteristic polynomial x^d - sum_k c_k x^(d-k) - 1, so
+    L(x^k mod it) = count(k) (Fiduccia).  Binary powering builds
+    u = x^h mod it, h = floor(n / 2).  It starts from x^(h >> r), r the
+    least shift that leaves fewer bits than d has, so that power needs no
+    fold; each of the r low bits of h then costs one schoolbook square,
+    one degree higher on a 1 bit, and one fold through the taps.
+    As x^n = u^2 x^b (b = n mod 2), linearity gives the Hankel form
+    count(n) = sum_{i,j < d} u_i u_j count(i + j + b) on the head.
     """
     require_int("n", n, 0, "a non-negative integer")
-    taps, head = _recurrence(ratio, n)
-    depth = len(head)
-    if n < depth:
+    depth = ratio.p + ratio.q
+    head = schreier_sequence(ratio, min(n, 2 * depth - 1))
+    if n < 2 * depth:
         return head[n]
-    for m in range(depth, 2 * depth):
-        head.append(sum(c * head[m - k] for k, c in taps))
-    power = [1] + [0] * (depth - 1)  # x^0
-    for bit in bin(n >> 1)[2:]:
+    q = ratio.q
+    taps = [(k, (-1) ** (k + 1) * comb(q, k)) for k in range(1, q + 1)] + [(depth, 1)]
+    half = n >> 1
+    low = half.bit_length() - depth.bit_length() + 1
+    power = [0] * depth
+    power[half >> low] = 1  # fewer bits than depth: below it
+    for k in reversed(range(low)):
         square = [0] * (2 * depth - 1)
         for i, a in enumerate(power):
             if a:
@@ -148,34 +142,28 @@ def count_schreier_recurrence(n: int, ratio: Ratio) -> int:
                 twice = a + a
                 for j in range(i + 1, depth):
                     square[i + j] += twice * power[j]
+        if half >> k & 1:
+            square.insert(0, 0)  # times x
         power = _fold(square, taps, depth)
-        if bit == "1":
-            power.insert(0, 0)  # times x
-            power = _fold(power, taps, depth)
     odd = n & 1
-    return sum(
-        a * sum(b * h for b, h in zip(power, head[i + odd :]))
-        for i, a in enumerate(power)
-    )
+    return sum(a * sum(map(mul, power, head[i + odd :])) for i, a in enumerate(power))
 
 
 def schreier_sequence(ratio: Ratio, n_max: int) -> tuple[int, ...]:
     """Counts for 0 <= n <= n_max, indexed by n (O(n_max * q) additions in all).
 
-    Q(x) = (1 - x)^q - x^(p + q) makes the q-th backward difference of
-    count at n >= p + q equal to count(n - p - q).  So the pass keeps the
-    latest backward difference of each order below q and adds its way up
-    from count(n - p - q), never multiplying by Q's binomial taps.
+    With d = p + q, count's generating function P/Q (see :func:`_numerator`)
+    gives (1 - x)^q count = P + x^d count.  So count is the q-th running
+    sum of one input stream: P's coefficients for n < d (P has degree
+    d - 1), then count(n - d).  Each step feeds the stream's next term to
+    q chained running sums and appends what comes out, which the stream
+    reads again d steps later.  No step multiplies.
     """
     require_int("n", n_max, 0, "a non-negative integer")
-    _, values = _recurrence(ratio, n_max)
-    depth = len(values)
-    levels, row = [0], values[-ratio.q :]
-    while row:  # levels[k]: the (q - k)-th backward difference at depth - 1
-        levels.insert(1, row[-1])
-        row = [b - a for a, b in zip(row, row[1:])]
-    for n in range(depth, n_max + 1):
-        levels[0] = values[n - depth]  # the q-th difference at n
+    stream = _numerator(ratio, min(n_max + 1, ratio.p + ratio.q))
+    levels = [0] * (ratio.q + 1)  # levels[k]: the k-th running sum at n
+    for n in range(n_max + 1):
+        levels[0] = stream[n]
         levels = list(accumulate(levels))
-        values.append(levels[-1])
-    return tuple(values)
+        stream.append(levels[-1])
+    return tuple(stream[-(n_max + 1) :])

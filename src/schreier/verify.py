@@ -107,17 +107,15 @@ def _ratios(p_max: int, q_max: int) -> Iterator[tuple[int, int]]:
     return product(range(1, p_max + 1), range(1, q_max + 1))
 
 
-def _against_recurrence(
-    p_max: int, q_max: int, n_max: int, route: Callable[[int, Ratio], int], name: str
-) -> Iterator[Case]:
-    """One recurrence sequence per ratio, compared with ``route`` at each n >= 1."""
+def _sequence_cells(
+    p_max: int, q_max: int, n_max: int
+) -> Iterator[tuple[str, Ratio, int, int]]:
+    """(label, ratio, n, count(n) by the forward pass) for 1 <= n <= n_max."""
     for p, q in _ratios(p_max, q_max):
         ratio = Ratio(p, q)
         fast = schreier_sequence(ratio, n_max)
         for n in range(1, n_max + 1):
-            yield f"(p,q)=({p},{q}), n={n}", _mismatch(
-                f"recurrence {{}} != {name} {{}}", fast[n], route(n, ratio)
-            )
+            yield f"(p,q)=({p},{q}), n={n}", ratio, n, fast[n]
 
 
 def _window_cells(
@@ -138,24 +136,35 @@ def _window_cells(
 
 
 def recurrence_suite(*, p_max: int = 4, q_max: int = 4, n_max: int = 20) -> VerifyReport:
-    """Recurrence against the brute-force oracle, cell by cell.
+    """Recurrence and single-count engine against the brute-force oracle, cell by cell.
 
     The oracle scans every subset at n once, on the first cell that
     needs n, and tallies the subsets by (size, smallest element); each
     ratio's count is read off that tally.  The tallies live only for
-    this call, so every run of the suite scans afresh.
+    this call, so every run of the suite scans afresh.  Where the
+    forward pass meets the oracle, the engine must meet the pass.
     """
     tally = cache(_subset_tally)
-    cases = _against_recurrence(
-        p_max, q_max, n_max, lambda n, ratio: _tally_count(tally(n), ratio), "oracle"
-    )
-    return _drive("recurrence", f"1<=p<={p_max}, 1<=q<={q_max}, 1<=n<={n_max}", cases)
+
+    def cases() -> Iterator[Case]:
+        for label, ratio, n, fast in _sequence_cells(p_max, q_max, n_max):
+            oracle = _tally_count(tally(n), ratio)
+            engine = count_schreier_recurrence(n, ratio)
+            problem = _mismatch("recurrence {} != oracle {}", fast, oracle)
+            yield label, problem or _mismatch("engine {} != recurrence {}", engine, fast)
+
+    return _drive("recurrence", f"1<=p<={p_max}, 1<=q<={q_max}, 1<=n<={n_max}", cases())
 
 
 def formula_suite(*, p_max: int = 6, q_max: int = 6, n_max: int = 300) -> VerifyReport:
     """Recurrence against the independent direct formula."""
-    cases = _against_recurrence(p_max, q_max, n_max, count_schreier_direct, "direct")
-    return _drive("formula", f"1<=p<={p_max}, 1<=q<={q_max}, 1<=n<={n_max}", cases)
+
+    def cases() -> Iterator[Case]:
+        for label, ratio, n, fast in _sequence_cells(p_max, q_max, n_max):
+            direct = count_schreier_direct(n, ratio)
+            yield label, _mismatch("recurrence {} != direct {}", fast, direct)
+
+    return _drive("formula", f"1<=p<={p_max}, 1<=q<={q_max}, 1<=n<={n_max}", cases())
 
 
 SCALE_FACTORS = (2, 3, 5)

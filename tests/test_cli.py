@@ -356,15 +356,15 @@ def test_verify_usage_names_every_registered_suite(capsys, monkeypatch):
 
 
 def test_verify_failure_exit_code_under_fault_injection(capsys, monkeypatch):
-    honest = schreier.counting._recurrence
+    honest = schreier.counting._numerator
 
-    def corrupted(ratio, n):
-        taps, seeds = honest(ratio, n)
-        if (ratio.p, ratio.q) == (1, 1):
-            seeds[1] += 1
-        return taps, seeds
+    def corrupted(ratio, length):
+        coeffs = honest(ratio, length)
+        if (ratio.p, ratio.q) == (1, 1) and length > 1:
+            coeffs[1] += 1
+        return coeffs
 
-    monkeypatch.setattr(schreier.counting, "_recurrence", corrupted)
+    monkeypatch.setattr(schreier.counting, "_numerator", corrupted)
     code, out, _ = run_cli(
         capsys,
         "verify", "--suite", "recurrence", "--pmax", "1", "--qmax", "1", "--nmax", "6",

@@ -65,7 +65,7 @@ def test_sequence_agrees_with_point_queries():
 
 def test_engine_finish_matches_the_forward_pass_at_its_boundaries():
     # n in 0..4(p + q) covers both parities, floor(n/2) below and above the
-    # depth, and the handoff at n = p + q, where the Hankel finish starts
+    # depth, and the handoff at n = 2(p + q), where the powering starts
     for p in range(1, 9):
         for q in range(1, 9):
             ratio = Ratio(p, q)
@@ -79,6 +79,7 @@ def _largest_below(ratio, bound):
     high = 1
     while count_schreier_recurrence(high, ratio) < bound:
         high *= 2
+        assert high < 2**22, f"no count below n = {high} reaches {bound}"
     low = high // 2  # counts never fall as n grows (shift every member up by one)
     while high - low > 1:
         mid = (low + high) // 2
@@ -136,8 +137,8 @@ def test_initial_terms_match_the_oracle():
     for p in range(1, 9):
         for q in range(1, 9):
             ratio = Ratio(p, q)
-            _, initial = schreier.counting._recurrence(ratio, p + q - 1)
-            assert initial == [count_schreier_bruteforce(n, ratio) for n in range(p + q)]
+            oracle = tuple(count_schreier_bruteforce(n, ratio) for n in range(p + q))
+            assert schreier_sequence(ratio, p + q - 1) == oracle
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (1, 4)])
@@ -194,7 +195,7 @@ def test_direct_sum_imports_nothing_from_the_recurrence(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the direct sum reached the recurrence")
 
-    monkeypatch.setattr(schreier.counting, "_recurrence", forbidden)
+    monkeypatch.setattr(schreier.counting, "_numerator", forbidden)
     monkeypatch.setattr(schreier.counting, "_fold", forbidden)
     monkeypatch.setattr(schreier.counting, "comb", forbidden)
     assert count_schreier_direct(30, Ratio(1, 1)) == 832040
@@ -211,6 +212,16 @@ def test_counts_below_the_depth_build_no_taps(monkeypatch):
     ratio = Ratio(20000, 20000)
     assert count_schreier_recurrence(5, ratio) == 5
     assert schreier_sequence(ratio, 5) == (0, 1, 1, 2, 3, 5)
+
+
+def test_engine_reads_its_whole_head_off_the_forward_pass(monkeypatch):
+    # every n < 2(p + q) is answered from the pass, before any tap is built
+    def forbidden(*args):
+        raise AssertionError("a tap was built below twice the recurrence depth")
+
+    monkeypatch.setattr(schreier.counting, "comb", forbidden)
+    ratio = Ratio(100, 100)
+    assert count_schreier_recurrence(399, ratio) == count_schreier_direct(399, ratio)
 
 
 def test_negative_arguments_are_rejected():

@@ -100,22 +100,37 @@ def test_run_suite_defaults_apply_when_bounds_are_missing():
 
 
 def test_corrupted_base_case_is_caught(monkeypatch):
-    # Sabotage one seed value; the recurrence inherits the error and the
-    # oracle comparison must flag it with a counterexample.
-    honest = schreier.counting._recurrence
+    # Sabotage one coefficient of the generating function's numerator; the
+    # whole recurrence inherits one bad seed and the oracle comparison must
+    # flag it with a counterexample.
+    honest = schreier.counting._numerator
 
-    def corrupted(ratio, n):
-        taps, seeds = honest(ratio, n)
-        if (ratio.p, ratio.q) == (1, 1):
-            seeds[1] += 1
-        return taps, seeds
+    def corrupted(ratio, length):
+        coeffs = honest(ratio, length)
+        if (ratio.p, ratio.q) == (1, 1) and length > 1:
+            coeffs[1] += 1
+        return coeffs
 
-    monkeypatch.setattr(schreier.counting, "_recurrence", corrupted)
+    monkeypatch.setattr(schreier.counting, "_numerator", corrupted)
     report = recurrence_suite(p_max=1, q_max=1, n_max=6)
     assert not report.passed
     assert report.failures
     assert "(p,q)=(1,1)" in report.failures[0]
     assert "FAIL" in report.summary()
+
+
+def test_engine_skewed_at_one_cell_is_caught_by_the_recurrence_suite(monkeypatch):
+    honest = schreier.verify.count_schreier_recurrence
+
+    def skewed(n, ratio):
+        return honest(n, ratio) + ((n, ratio.p, ratio.q) == (12, 2, 3))
+
+    monkeypatch.setattr(schreier.verify, "count_schreier_recurrence", skewed)
+    report = recurrence_suite(p_max=4, q_max=4, n_max=20)
+    assert report.cases == 320
+    (failure,) = report.failures
+    engine = honest(12, Ratio(2, 3))
+    assert failure == f"(p,q)=(2,3), n=12: engine {engine + 1} != recurrence {engine}"
 
 
 def test_tally_missing_a_class_is_caught_by_the_oracle_leg(monkeypatch):
