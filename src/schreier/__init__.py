@@ -43,6 +43,7 @@ _EXPORTS = {
     ),
     "sets": ("FiniteSet", "Ratio", "in_schreier_family"),
     "turan": (
+        "INTERVAL_SUM_LIMIT",
         "interval_count_closed",
         "interval_count_sum",
         "turan_edges_construction",

@@ -3,7 +3,7 @@
 Subcommands: ``count``, ``sequence``, ``enumerate``, ``turan``,
 ``interval-count``, ``verify``.  Counts are printed in full decimal --
 exactness is the point.  Exit codes are a stable contract: 0 success,
-1 verification failure, 2 usage error, 3 brute-force guard exceeded,
+1 verification failure, 2 usage error, 3 size guard exceeded,
 4 count too long for the interpreter's int-to-decimal digit limit,
 141 output pipe closed by its reader (128 + SIGPIPE, as a shell reports).
 
@@ -34,6 +34,7 @@ from .enumeration import (
 )
 from .sets import Ratio, require_int
 from .turan import (
+    INTERVAL_SUM_LIMIT,
     interval_count_closed,
     interval_count_sum,
     turan_edges_construction,
@@ -216,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=sorted(_INTERVAL_METHODS),
         default="closed",
-        help="enum is quadratic and guarded at n <= %d" % INTERVAL_LIMIT,
+        help="sum is linear and guarded at n <= %d, enum is quadratic and "
+        "guarded at n <= %d" % (INTERVAL_SUM_LIMIT, INTERVAL_LIMIT),
     )
     interval.set_defaults(func=cmd_interval_count)
 

@@ -11,10 +11,14 @@ Two independent methods are provided on purpose:
   :func:`schreier_sequence`: q running sums of one stream, P's
   coefficients and then the counts themselves, O(n * q) big-int
   additions for the whole prefix (a plain tuple indexed by n).
-  :func:`count_schreier_recurrence` takes count(0..2d-1) from the pass
-  and reaches any larger n in O(d^2 log n) big-int multiplications by
-  polynomial powering with a Hankel finish, so beyond the head it
-  cross-checks the pass.
+  :func:`count_schreier_recurrence` first reduces the ratio by
+  g = gcd(p, q), which is exact because q*min F >= p*|F| is the same
+  predicate at (p/g, q/g), so it runs at the family's minimal depth
+  d = (p + q)/g.  It takes count(0..2d-1) from the pass and reaches
+  any larger n in O(d^2 log n) big-int multiplications by polynomial
+  powering with a Hankel finish.  The pass and the direct sum keep the
+  ratio as given, so at a reducible ratio the engine beyond its head
+  cross-checks a pass of g times its depth.
 
 They share no code beyond the input checks, so agreement between them
 (and with the brute-force oracle) is meaningful evidence.  Counts are
@@ -24,7 +28,7 @@ exact arbitrary-precision integers throughout.
 from __future__ import annotations
 
 from itertools import accumulate
-from math import comb
+from math import comb, gcd
 from operator import mul, sub
 
 from .sets import Ratio, require_int
@@ -109,13 +113,17 @@ def _fold(poly: list[int], taps: list[tuple[int, int]], depth: int) -> list[int]
 
 
 def count_schreier_recurrence(n: int, ratio: Ratio) -> int:
-    """Count via the recurrence, in O(d^2 log n) big-int multiplications (d = p + q).
+    """Count via the recurrence, in O(d^2 log n) big-int multiplications.
 
-    The forward pass gives the head count(0 .. 2d - 1) and answers every
-    n < 2d; from n = 2d on, the engine powers.  With Q = 1 - sum_k c_k x^k,
-    the linear map L sending x^k to count(k) vanishes on multiples of the
-    characteristic polynomial x^d - sum_k c_k x^(d-k) - 1, so
-    L(x^k mod it) = count(k) (Fiduccia).  Binary powering builds
+    The depth is d = (p + q)/g, g = gcd(p, q): (p, q) and (p/g, q/g)
+    define the family by the same predicate, so the engine runs on the
+    reduced ratio, whose recurrence is the family's minimal one.  The
+    forward pass at that ratio gives the head count(0 .. 2d - 1) and
+    answers every n < 2d; from n = 2d on, the engine powers.  With
+    Q = 1 - sum_k c_k x^k, the linear map L sending x^k to count(k)
+    vanishes on multiples of the characteristic polynomial
+    x^d - sum_k c_k x^(d-k) - 1, so L(x^k mod it) = count(k)
+    (Fiduccia).  Binary powering builds
     u = x^h mod it, h = floor(n / 2).  It starts from x^(h >> r), r the
     least shift that leaves fewer bits than d has, so that power needs no
     fold; each of the r low bits of h then costs one schoolbook square,
@@ -124,6 +132,8 @@ def count_schreier_recurrence(n: int, ratio: Ratio) -> int:
     count(n) = sum_{i,j < d} u_i u_j count(i + j + b) on the head.
     """
     require_int("n", n, 0, "a non-negative integer")
+    g = gcd(ratio.p, ratio.q)
+    ratio = Ratio(ratio.p // g, ratio.q // g)
     depth = ratio.p + ratio.q
     head = schreier_sequence(ratio, min(n, 2 * depth - 1))
     if n < 2 * depth:

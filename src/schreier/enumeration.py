@@ -33,7 +33,7 @@ Tally = tuple[tuple[int, int, int], ...]  # (count, size, smallest) per class
 
 
 class OracleLimitError(RuntimeError):
-    """Instance too large for a brute-force oracle."""
+    """Instance too large for a brute-force oracle or the interval sum."""
 
 
 def _scan(n: int) -> list[tuple[int, range]]:

@@ -125,7 +125,8 @@ class Ratio(Frozen):
 
     Kept unreduced: (2, 4) and (1, 2) describe the same family, and that
     equivalence is a tested property of the package rather than a
-    normalization performed here.
+    normalization performed here; only the single-count engine reduces
+    the ratio it is given, to run at the family's minimal depth.
     """
 
     p: int

@@ -15,7 +15,11 @@ route falls back on another: each closed form covers p > n as written.
 
 from __future__ import annotations
 
+from .enumeration import OracleLimitError
 from .sets import require_int
+
+INTERVAL_SUM_LIMIT = 10**7
+"""Largest n the interval sum accepts (n steps, about a second at the limit)."""
 
 
 def turan_edges_construction(n: int, p: int) -> int:
@@ -65,9 +69,15 @@ def interval_count_sum(n: int, p: int) -> int:
     right endpoints, so the total is sum over m of that minimum.  The
     budget p*m and the room n+1-m are stepped together over m = 1..n,
     and the smaller is taken by one comparison rather than a min call.
+    Refuses n > INTERVAL_SUM_LIMIT before any work.
     """
     require_int("n", n)
     require_int("p", p)
+    if n > INTERVAL_SUM_LIMIT:
+        raise OracleLimitError(
+            "instance too large for the interval sum: "
+            f"n={n} exceeds the n <= {INTERVAL_SUM_LIMIT} guard"
+        )
     total = 0
     for budget, room in zip(range(p, p * n + 1, p), range(n, 0, -1)):
         total += budget if budget < room else room

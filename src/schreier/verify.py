@@ -176,8 +176,11 @@ def scale_invariance_suite(
 ) -> VerifyReport:
     """(p, q) and (kp, kq) must produce identical sequences, k in SCALE_FACTORS.
 
-    The scaled ratio drives a recurrence of different depth, so this is
-    a real cross-check of the engine, not a tautology.
+    Both sides are forward passes, which keep the ratio as given: the
+    scaled one runs the recurrence at depth k(p + q), the base one at
+    p + q, so this is a real cross-check, not a tautology.  (The
+    single-count engine reduces a ratio first, so it would run both
+    sides at the same depth.)
     """
 
     def cases() -> Iterator[Case]:

@@ -13,6 +13,7 @@ import schreier.cli
 import schreier.counting
 from schreier import (
     INTERVAL_LIMIT,
+    INTERVAL_SUM_LIMIT,
     Ratio,
     enumerate_schreier,
     interval_count_closed,
@@ -275,6 +276,17 @@ def test_interval_enumeration_guard_exit_code(capsys):
     code, out, err = run_cli(capsys, *argv, str(INTERVAL_LIMIT + 1))
     assert (code, out) == (3, "")
     assert "interval enumeration" in err
+
+
+def test_interval_sum_guard_exit_code(capsys):
+    # the linear sum refuses before any work; the closed form has no guard
+    argv = ["interval-count", "--p", "1", "--method", "sum", "--n"]
+    for n in (INTERVAL_SUM_LIMIT + 1, 10**12):
+        code, out, err = run_cli(capsys, *argv, str(n))
+        assert (code, out) == (3, "")
+        assert f"n={n} exceeds the n <= {INTERVAL_SUM_LIMIT} guard" in err
+    code, out, _ = run_cli(capsys, "interval-count", "--p", "1", "--n", str(10**12))
+    assert (code, out) == (0, f"{interval_count_closed(10**12, 1)}\n")
 
 
 def test_bad_values_exit_code(capsys):

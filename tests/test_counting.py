@@ -49,8 +49,8 @@ def test_sequence_indexing_and_length():
 
 
 def test_sequence_agrees_with_point_queries():
-    # the forward pass cross-checks the single-term engine, through the seed
-    # handoff at n = p + q - 1 and p + q and on to n = 200
+    # below n = 2(p + q)/gcd(p, q) the engine returns the pass's own value;
+    # from there on it powers, so up to n = 200 the pass cross-checks it
     for p in range(1, 7):
         for q in range(1, 7):
             ratio = Ratio(p, q)
@@ -109,8 +109,43 @@ def test_engine_matches_the_direct_sum_at_the_cli_digit_limit(p, q):
 
 
 def test_engine_matches_the_direct_sum_at_a_deep_ratio():
-    ratio = Ratio(50, 50)
-    assert count_schreier_recurrence(20000, ratio) == count_schreier_direct(20000, ratio)
+    # (50, 50) reduces to (1, 1); the coprime (50, 51) powers at depth 101
+    for ratio in (Ratio(50, 50), Ratio(50, 51)):
+        assert count_schreier_recurrence(20000, ratio) == count_schreier_direct(20000, ratio)
+
+
+def test_engine_powers_at_the_reduced_depth(monkeypatch):
+    # (6, 4) reduces to (3, 2): the head comes from the pass at (3, 2), and
+    # every fold runs at depth 5, not 10
+    heads, depths = [], []
+    sequence, fold = schreier.counting.schreier_sequence, schreier.counting._fold
+
+    def spy_sequence(ratio, n_max):
+        heads.append((ratio, n_max))
+        return sequence(ratio, n_max)
+
+    def spy_fold(poly, taps, depth):
+        depths.append(depth)
+        return fold(poly, taps, depth)
+
+    monkeypatch.setattr(schreier.counting, "schreier_sequence", spy_sequence)
+    monkeypatch.setattr(schreier.counting, "_fold", spy_fold)
+    n = 1000
+    assert count_schreier_recurrence(n, Ratio(6, 4)) == sequence(Ratio(6, 4), n)[n]
+    assert heads == [(Ratio(3, 2), 9)]
+    assert depths and set(depths) == {5}
+
+
+def test_engine_matches_the_unreduced_pass():
+    # the engine runs at (p + q)/gcd, the pass at the ratio as given: a
+    # cross-depth check from the head through the powering, both parities
+    for p in range(1, 7):
+        for q in range(1, 7):
+            for k in range(2, 5):
+                ratio = Ratio(p, q).scaled(k)
+                seq = schreier_sequence(ratio, 4 * k * (p + q))
+                engine = [count_schreier_recurrence(n, ratio) for n in range(len(seq))]
+                assert engine == list(seq), ratio
 
 
 def test_recurrence_routes_never_call_the_direct_sum(monkeypatch):
@@ -203,25 +238,27 @@ def test_direct_sum_imports_nothing_from_the_recurrence(monkeypatch):
 
 
 def test_counts_below_the_depth_build_no_taps(monkeypatch):
-    # n = 5 is far below p + q = 40000: only count(0..5) is built, and
-    # the q binomial taps, which would need comb, are never made
+    # n = 5 is far below the depth p + q = 40001 of the coprime ratio: only
+    # count(0..5) is built, and the q binomial taps, which would need comb,
+    # are never made
     def forbidden(*args):
         raise AssertionError("a tap was built below the recurrence depth")
 
     monkeypatch.setattr(schreier.counting, "comb", forbidden)
-    ratio = Ratio(20000, 20000)
+    ratio = Ratio(20000, 20001)
     assert count_schreier_recurrence(5, ratio) == 5
     assert schreier_sequence(ratio, 5) == (0, 1, 1, 2, 3, 5)
 
 
 def test_engine_reads_its_whole_head_off_the_forward_pass(monkeypatch):
-    # every n < 2(p + q) is answered from the pass, before any tap is built
+    # every n < 2(p + q) is answered from the pass, before any tap is built;
+    # (100, 101) is coprime, so n = 401 is just below 2 * 201
     def forbidden(*args):
         raise AssertionError("a tap was built below twice the recurrence depth")
 
     monkeypatch.setattr(schreier.counting, "comb", forbidden)
-    ratio = Ratio(100, 100)
-    assert count_schreier_recurrence(399, ratio) == count_schreier_direct(399, ratio)
+    ratio = Ratio(100, 101)
+    assert count_schreier_recurrence(401, ratio) == count_schreier_direct(401, ratio)
 
 
 def test_negative_arguments_are_rejected():
@@ -267,6 +304,6 @@ def test_sequence_values_never_go_negative(ratio, n_max):
 @given(ratios, st.integers(min_value=2, max_value=4), st.integers(min_value=0, max_value=80))
 @settings(max_examples=40)
 def test_counts_ignore_the_ratio_representation(ratio, k, n):
-    assert count_schreier_recurrence(n, ratio) == count_schreier_recurrence(
-        n, ratio.scaled(k)
-    )
+    # the engine reduces (kp, kq); the pass runs at depth k(p + q)
+    scaled = ratio.scaled(k)
+    assert count_schreier_recurrence(n, scaled) == schreier_sequence(scaled, n)[n]

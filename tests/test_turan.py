@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 import schreier.turan
 from schreier import (
+    INTERVAL_SUM_LIMIT,
+    OracleLimitError,
     count_interval_bruteforce,
     interval_count_closed,
     interval_count_sum,
@@ -59,6 +61,17 @@ def test_interval_sum_known_values():
     assert interval_count_sum(3, 2) == 5
     assert interval_count_sum(1, 1) == 1
     assert interval_count_sum(3, 5) == 6
+
+
+def test_interval_sum_guard_boundary():
+    limit = INTERVAL_SUM_LIMIT
+    assert interval_count_sum(limit, 3) == interval_count_closed(limit, 3)
+    message = f"n={limit + 1} exceeds the n <= {limit} guard"
+    with pytest.raises(OracleLimitError, match="interval sum") as excinfo:
+        interval_count_sum(limit + 1, 3)
+    assert str(excinfo.value).endswith(message)
+    with pytest.raises(OracleLimitError):  # refused before any work
+        interval_count_sum(10**100, 1)
 
 
 def test_interval_closed_known_values():
