@@ -28,7 +28,7 @@ class BFile(Frozen):
         if indices and indices != list(range(indices[0], indices[0] + len(indices))):
             prev, cur = next(p for p in zip(indices, indices[1:]) if p[1] != p[0] + 1)
             raise ValueError(f"b-file indices must step by 1, got {prev} then {cur}")
-        object.__setattr__(self, "entries", entries)
+        super().__init__(entries=entries)
 
     def render(self) -> str:
         return "\n".join(f"{i} {v}" for i, v in self.entries) + "\n"

@@ -59,9 +59,7 @@ class GapSet(Frozen):
             raise ValueError(
                 f"gap values {stray} fall outside the window {window[0]}..{window[-1]}"
             )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ratio", ratio)
-        object.__setattr__(self, "members", chosen)
+        super().__init__(n=n, ratio=ratio, members=chosen)
 
     def __len__(self) -> int:
         return len(self.members)

@@ -64,9 +64,6 @@ class _SuiteNames:
 
         return iter([*SUITES, "all"])
 
-    def __contains__(self, name: object) -> bool:
-        return name in list(self)
-
 
 class _DigitLimitError(Exception):
     """A count has more decimal digits than the interpreter will convert."""
@@ -122,7 +119,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
-    require_int("--max", args.max, 1, "at least 1")
+    require_int("--max", args.max)
     ratio = Ratio(args.p, args.q)
     start = args.offset
     if not 0 <= start <= args.max:
@@ -162,7 +159,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     bounds = {"--pmax": args.pmax, "--qmax": args.qmax, "--nmax": args.nmax}
     for flag, bound in bounds.items():
         if bound is not None:
-            require_int(flag, bound, 0, "a non-negative integer")
+            require_int(flag, bound, 0)
     reports = run_suite(args.suite, args.pmax, args.qmax, args.nmax)
     for report in reports:
         print(report.summary())

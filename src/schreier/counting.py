@@ -50,7 +50,7 @@ def count_schreier_direct(n: int, ratio: Ratio) -> int:
     unit drop of c subtracts C(t, c), and C(t, c - 1) = C(t, c) c / (t - c + 1).
     The walk stops at the first cap < 0, since cap never rises again.
     """
-    require_int("n", n, 0, "a non-negative integer")
+    require_int("n", n, 0)
     p, q = ratio.p, ratio.q
     total = 1 if q * n >= p else 0
     row, top, c = 1, 1, 0  # S(t, c), C(t, c) and c, from t = 0
@@ -131,7 +131,7 @@ def count_schreier_recurrence(n: int, ratio: Ratio) -> int:
     As x^n = u^2 x^b (b = n mod 2), linearity gives the Hankel form
     count(n) = sum_{i,j < d} u_i u_j count(i + j + b) on the head.
     """
-    require_int("n", n, 0, "a non-negative integer")
+    require_int("n", n, 0)
     g = gcd(ratio.p, ratio.q)
     ratio = Ratio(ratio.p // g, ratio.q // g)
     depth = ratio.p + ratio.q
@@ -169,7 +169,7 @@ def schreier_sequence(ratio: Ratio, n_max: int) -> tuple[int, ...]:
     q chained running sums and appends what comes out, which the stream
     reads again d steps later.  No step multiplies.
     """
-    require_int("n", n_max, 0, "a non-negative integer")
+    require_int("n", n_max, 0)
     stream = _numerator(ratio, min(n_max + 1, ratio.p + ratio.q))
     levels = [0] * (ratio.q + 1)  # levels[k]: the k-th running sum at n
     for n in range(n_max + 1):

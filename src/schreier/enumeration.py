@@ -36,6 +36,13 @@ class OracleLimitError(RuntimeError):
     """Instance too large for a brute-force oracle or the interval sum."""
 
 
+def refuse_above(n: int, limit: int, what: str) -> None:
+    """The one size guard: OracleLimitError, naming ``what``, when n > limit."""
+    if n > limit:
+        msg = f"instance too large for {what}: n={n} exceeds the n <= {limit} guard"
+        raise OracleLimitError(msg)
+
+
 def _scan(n: int) -> list[tuple[int, range]]:
     """The one subset scan: (s, the masks of every F with min F = s) for s = 1..n.
 
@@ -47,11 +54,8 @@ def _scan(n: int) -> list[tuple[int, range]]:
     and no mask is skipped.  Refuses n outside 0..ORACLE_LIMIT at the
     call, before any work.
     """
-    require_int("n", n, 0, "a non-negative integer")
-    if n > ORACLE_LIMIT:
-        raise OracleLimitError(
-            f"instance too large for oracle: n={n} exceeds the n <= {ORACLE_LIMIT} guard"
-        )
+    require_int("n", n, 0)
+    refuse_above(n, ORACLE_LIMIT, "oracle")
     if not n:  # no set of positive integers has maximum 0
         return []
     top = 1 << (n - 1)
@@ -133,13 +137,9 @@ def interval_counts_bruteforce(n_max: int, p: int) -> list[int]:
     hi.  Entry n of the returned prefix sums counts the intervals
     within {1..n}.  Refuses n_max > INTERVAL_LIMIT before any work.
     """
-    require_int("n", n_max, 0, "a non-negative integer")
+    require_int("n", n_max, 0)
     require_int("p", p)
-    if n_max > INTERVAL_LIMIT:
-        raise OracleLimitError(
-            "instance too large for interval enumeration: "
-            f"n={n_max} exceeds the n <= {INTERVAL_LIMIT} guard"
-        )
+    refuse_above(n_max, INTERVAL_LIMIT, "interval enumeration")
     by_max = [0] * (n_max + 1)
     for lo in range(1, n_max + 1):
         lo_weight = p * lo

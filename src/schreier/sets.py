@@ -15,31 +15,33 @@ from collections.abc import Iterable, Iterator
 from functools import total_ordering
 
 
-def require_int(
-    name: str, value: object, minimum: int = 1, rule: str = "a positive integer"
-) -> None:
+def require_int(name: str, value: object, minimum: int = 1) -> None:
     """Raise ValueError unless ``value`` is a plain int >= ``minimum``.
 
     ``bool`` is refused although it subclasses int: ``True`` as a size
-    or bound is a caller's mistake, not the number 1.  ``rule`` words
-    the bound in the message.
+    or bound is a caller's mistake, not the number 1.  The message words
+    the minimum, 1 or 0, as "a positive" or "a non-negative integer".
     """
     if type(value) is not int or value < minimum:
+        rule = "a positive integer" if minimum else "a non-negative integer"
         raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 class Frozen:
     """Base of the package's value types: records whose fields are set once.
 
-    Subclasses store their fields in the instance ``__dict__`` through
-    ``object.__setattr__``; any later assignment or deletion raises
-    AttributeError.  The ``__dict__`` is what lets pickle and
+    Subclasses pass their fields, in order, as keywords to ``Frozen.__init__``,
+    which stores them in the instance ``__dict__``; any later assignment or
+    deletion raises AttributeError.  The ``__dict__`` is what lets pickle and
     ``copy.deepcopy`` rebuild an instance without calling ``__setattr__``.
     The record rules read it too, in the order ``__init__`` sets the
     fields: an instance equals only one of its own class with equal
     fields, hashes as its field tuple and prints as ``Name(field=value,
     ...)``.  FiniteSet restates ``__eq__`` and ``__hash__``, for speed.
     """
+
+    def __init__(self, **fields: object) -> None:
+        self.__dict__.update(fields)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -83,6 +85,7 @@ class FiniteSet(Frozen):
         for a, b in zip(elems, elems[1:]):
             if a == b:
                 raise ValueError(f"duplicate element {a}")
+        # not Frozen.__init__: that call adds ~15 % to this hot construction
         object.__setattr__(self, "elements", elems)
 
     # Frozen's results without the __dict__ walk: bijection suites call these in bulk
@@ -135,8 +138,7 @@ class Ratio(Frozen):
     def __init__(self, p: int, q: int):
         require_int("p", p)
         require_int("q", q)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        super().__init__(p=p, q=q)
 
     def scaled(self, k: int) -> Ratio:
         """The same ratio written with both parts multiplied by ``k``."""

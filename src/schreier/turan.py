@@ -15,7 +15,7 @@ route falls back on another: each closed form covers p > n as written.
 
 from __future__ import annotations
 
-from .enumeration import OracleLimitError
+from .enumeration import refuse_above
 from .sets import require_int
 
 INTERVAL_SUM_LIMIT = 10**7
@@ -73,11 +73,7 @@ def interval_count_sum(n: int, p: int) -> int:
     """
     require_int("n", n)
     require_int("p", p)
-    if n > INTERVAL_SUM_LIMIT:
-        raise OracleLimitError(
-            "instance too large for the interval sum: "
-            f"n={n} exceeds the n <= {INTERVAL_SUM_LIMIT} guard"
-        )
+    refuse_above(n, INTERVAL_SUM_LIMIT, "the interval sum")
     total = 0
     for budget, room in zip(range(p, p * n + 1, p), range(n, 0, -1)):
         total += budget if budget < room else room

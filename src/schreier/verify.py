@@ -36,9 +36,11 @@ from .enumeration import (
     _tally_count,
     enumerate_schreier,
     interval_counts_bruteforce,
+    refuse_above,
 )
-from .sets import FiniteSet, Frozen, Ratio
+from .sets import FiniteSet, Frozen, Ratio, require_int
 from .turan import (
+    INTERVAL_SUM_LIMIT,
     interval_count_closed,
     interval_count_sum,
     turan_edges_construction,
@@ -57,10 +59,7 @@ class VerifyReport(Frozen):
     def __init__(
         self, suite: str, grid: str, cases: int, failures: tuple[str, ...] = ()
     ) -> None:
-        object.__setattr__(self, "suite", suite)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "cases", cases)
-        object.__setattr__(self, "failures", failures)
+        super().__init__(suite=suite, grid=grid, cases=cases, failures=failures)
 
     @property
     def passed(self) -> bool:
@@ -78,7 +77,7 @@ class VerifyReport(Frozen):
 
 
 Case = tuple[str, "str | None"]
-Listings = dict[int, frozenset[FiniteSet]]  # family members by n
+Listings = list[frozenset[FiniteSet]]  # family members, indexed by n from 0
 
 
 def _drive(suite: str, grid: str, cases: Iterable[Case]) -> VerifyReport:
@@ -103,19 +102,19 @@ def _mismatch(template: str, *legs: object) -> str | None:
     return None if legs.count(legs[0]) == len(legs) else template.format(*legs)
 
 
-def _ratios(p_max: int, q_max: int) -> Iterator[tuple[int, int]]:
-    return product(range(1, p_max + 1), range(1, q_max + 1))
+def _ratios(p_max: int, q_max: int) -> Iterator[tuple[str, Ratio]]:
+    for p, q in product(range(1, p_max + 1), range(1, q_max + 1)):
+        yield f"(p,q)=({p},{q})", Ratio(p, q)
 
 
 def _sequence_cells(
     p_max: int, q_max: int, n_max: int
 ) -> Iterator[tuple[str, Ratio, int, int]]:
     """(label, ratio, n, count(n) by the forward pass) for 1 <= n <= n_max."""
-    for p, q in _ratios(p_max, q_max):
-        ratio = Ratio(p, q)
+    for label, ratio in _ratios(p_max, q_max):
         fast = schreier_sequence(ratio, n_max)
         for n in range(1, n_max + 1):
-            yield f"(p,q)=({p},{q}), n={n}", ratio, n, fast[n]
+            yield f"{label}, n={n}", ratio, n, fast[n]
 
 
 def _window_cells(
@@ -123,16 +122,13 @@ def _window_cells(
 ) -> Iterator[tuple[str, Ratio, int, Listings]]:
     """(label, ratio, n, listings by n) for every cell with p + q <= n <= n_max.
 
-    Each listing is made a frozenset once per ratio, so the cells compare
-    their images with it without rebuilding it.
+    Each listing, from the empty one at n = 0 up, is made a frozenset once
+    per ratio, so the cells compare their images with it without rebuilding it.
     """
-    for p, q in _ratios(p_max, q_max):
-        ratio = Ratio(p, q)
-        listings = {
-            m: frozenset(enumerate_schreier(m, ratio)) for m in range(1, n_max + 1)
-        }
-        for n in range(p + q, n_max + 1):
-            yield f"(p,q)=({p},{q}), n={n}", ratio, n, listings
+    for label, ratio in _ratios(p_max, q_max):
+        listings = [frozenset(enumerate_schreier(m, ratio)) for m in range(n_max + 1)]
+        for n in range(ratio.p + ratio.q, n_max + 1):
+            yield f"{label}, n={n}", ratio, n, listings
 
 
 def recurrence_suite(*, p_max: int = 4, q_max: int = 4, n_max: int = 20) -> VerifyReport:
@@ -184,13 +180,12 @@ def scale_invariance_suite(
     """
 
     def cases() -> Iterator[Case]:
-        for p, q in _ratios(p_max, q_max):
-            ratio = Ratio(p, q)
+        for label, ratio in _ratios(p_max, q_max):
             base = schreier_sequence(ratio, n_max)
             for k in SCALE_FACTORS:
                 scaled = schreier_sequence(ratio.scaled(k), n_max)
                 for n in range(n_max + 1):
-                    yield f"(p,q)=({p},{q}), k={k}, n={n}", _mismatch(
+                    yield f"{label}, k={k}, n={n}", _mismatch(
                         "{} != {}", base[n], scaled[n]
                     )
 
@@ -253,12 +248,11 @@ def window_bijection_suite(
         holds = set(gap_window(n, ratio)).issubset
         holders = [fs for fs in listings[n] if holds(fs.elements)]
         m = n - ratio.p - ratio.q
-        target = listings[m] if m >= 1 else frozenset()
         images = [strip_window(fs, ratio, n) for fs in holders]
         image_set = set(images)
         if len(image_set) != len(images):
             return "strip map is not injective"
-        if image_set != target:
+        if image_set != listings[m]:
             return f"strip image differs from the family at n={m}"
         if any(attach_window(im, ratio, n) != fs for fs, im in zip(holders, images)):
             return "attach does not invert strip"
@@ -337,8 +331,10 @@ def turan_identity_suite(
     force with the edge formula and from-parts count of T(n+1, p+1).
     The brute force is one tally per p of every interval of
     {1..enum_max}, enum_max = min(enum_limit, n_max); above it the other
-    four legs decide the cell, and a failure reads "enum None".
+    four legs decide the cell, and a failure reads "enum None".  An
+    n_max past the interval sum's guard is refused before the first cell.
     """
+    refuse_above(n_max, INTERVAL_SUM_LIMIT, "the interval sum")
     enum_max = max(0, min(enum_limit, n_max))
     ran = "intervals closed {} / sum {} / enum {}, edges formula {} / construction {}"
     skipped = ran.replace("enum {}", "enum None")
@@ -380,10 +376,11 @@ def run_suite(
 ) -> list[VerifyReport]:
     """Run one registered suite (or 'all' of them), with optional bound overrides.
 
-    A bound reaches only the suites whose keyword bounds name it, and one
-    that none of them names is refused rather than dropped; bounds left
-    as None fall back to each suite's own defaults, which match the
-    verification grids the package is shipped against.
+    A bound must be a non-negative int.  It reaches only the suites whose
+    keyword bounds name it, and one that none of them names is refused
+    rather than dropped, before any suite runs; bounds left as None fall
+    back to each suite's own defaults, which match the verification grids
+    the package is shipped against.
     """
     if name == "all":
         suites = [suite for group in SUITES.values() for suite in group]
@@ -394,8 +391,10 @@ def run_suite(
     bounds = {"p_max": p_max, "q_max": q_max, "n_max": n_max}
     accepted = [suite.__kwdefaults__ for suite in suites]
     for bound, value in bounds.items():
-        if value is not None and not any(bound in params for params in accepted):
-            raise ValueError(f"suite {name!r} takes no {bound} bound")
+        if value is not None:
+            require_int(bound, value, 0)
+            if not any(bound in params for params in accepted):
+                raise ValueError(f"suite {name!r} takes no {bound} bound")
     return [
         suite(**{k: v for k, v in bounds.items() if v is not None and k in params})
         for suite, params in zip(suites, accepted)

@@ -11,6 +11,7 @@ import pytest
 
 import schreier.cli
 import schreier.counting
+import schreier.verify
 from schreier import (
     INTERVAL_LIMIT,
     INTERVAL_SUM_LIMIT,
@@ -302,6 +303,29 @@ def test_bad_values_exit_code(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "formula", "--nmax", "-1")
     assert code == 2
     assert "--nmax must be a non-negative integer, got -1" in err
+
+
+def test_sequence_refuses_a_zero_max_in_the_validator_wording(capsys):
+    code, out, err = run_cli(capsys, "sequence", "--p", "1", "--q", "1", "--max", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: --max must be a positive integer, got 0\n"
+
+
+def test_verify_turan_identity_refuses_an_nmax_past_the_interval_sum_guard(
+    capsys, monkeypatch
+):
+    def summed(n, p):
+        raise AssertionError("the interval sum ran")
+
+    monkeypatch.setattr(schreier.verify, "interval_count_sum", summed)
+    n = INTERVAL_SUM_LIMIT + 1
+    argv = ["verify", "--suite", "turan-identity", "--pmax", "1", "--nmax", str(n)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: instance too large for the interval sum: "
+        f"n={n} exceeds the n <= {INTERVAL_SUM_LIMIT} guard\n"
+    )
 
 
 def test_unparseable_flags_exit_code():

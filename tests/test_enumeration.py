@@ -117,6 +117,12 @@ def test_guard_rejects_oversized_instances():
         enumerate_schreier(ORACLE_LIMIT + 1, Ratio(1, 1))
     with pytest.raises(OracleLimitError):
         count_schreier_bruteforce(ORACLE_LIMIT + 5, Ratio(1, 1))
+    n = ORACLE_LIMIT + 1
+    with pytest.raises(OracleLimitError) as excinfo:
+        count_schreier_bruteforce(n, Ratio(1, 1))
+    assert str(excinfo.value) == (
+        f"instance too large for oracle: n={n} exceeds the n <= {ORACLE_LIMIT} guard"
+    )
 
 
 def test_tally_count_matches_the_direct_sum():
@@ -201,3 +207,5 @@ def test_interval_guard_boundary():
         with pytest.raises(OracleLimitError, match="interval enumeration") as excinfo:
             call(INTERVAL_LIMIT + 1, 3)
         assert str(excinfo.value).endswith(message)
+        prefix = "instance too large for interval enumeration: "
+        assert str(excinfo.value) == prefix + message

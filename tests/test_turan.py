@@ -70,6 +70,7 @@ def test_interval_sum_guard_boundary():
     with pytest.raises(OracleLimitError, match="interval sum") as excinfo:
         interval_count_sum(limit + 1, 3)
     assert str(excinfo.value).endswith(message)
+    assert str(excinfo.value) == f"instance too large for the interval sum: {message}"
     with pytest.raises(OracleLimitError):  # refused before any work
         interval_count_sum(10**100, 1)
 

@@ -94,6 +94,24 @@ def test_run_suite_refuses_a_bound_none_of_its_suites_takes():
                 run_suite(name, *bounds)
 
 
+@pytest.mark.parametrize("value", [True, 2.5, -1])
+@pytest.mark.parametrize("position", range(3))
+def test_run_suite_refuses_a_bound_that_is_not_a_non_negative_int(
+    monkeypatch, position, value
+):
+    def drive(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(schreier.verify, "_drive", drive)
+    bounds = [None, None, None]
+    bounds[position] = value
+    bound = ("p_max", "q_max", "n_max")[position]
+    message = f"{bound} must be a non-negative integer, got {value!r}"
+    for name in ("all", "formula"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_suite(name, *bounds)
+
+
 def test_run_suite_defaults_apply_when_bounds_are_missing():
     (report,) = run_suite("recurrence", None, None, 6)
     assert report.grid == "1<=p<=4, 1<=q<=4, 1<=n<=6"
