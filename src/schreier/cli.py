@@ -18,6 +18,7 @@ import argparse
 import os
 import sys
 from collections.abc import Iterator
+from math import comb, lgamma, log
 
 from .counting import (
     count_schreier_direct,
@@ -90,19 +91,21 @@ def _within_limit(value: int) -> int:
     return value
 
 
-def _printable(n: int, ratio: Ratio) -> int:
-    """count(n) by the single-term engine, or exit 4 if it is too long to print.
+def _refuse_a_long_term(n: int, ratio: Ratio) -> None:
+    """Exit 4 if a term of count(n) = sum_s C(n - ceil(ps/q), s - 1) is too long.
 
-    Counts never decrease in n (shifting a member by +1 keeps it in the
-    family), so sizing m = p + q, 2(p + q), 4(p + q), ... below n first
-    refuses at a cost bounded by CPython's int-to-str limit, not by n.
+    A member of size s has min m >= ceil(ps/q) and its other s - 2 elements
+    strictly between m and n, so each term is a lower bound on count(n).
+    Floats only skip terms clearly below 10^D; the first exact term >= 10^D refuses.
     """
-    if _digit_limit():
-        m = ratio.p + ratio.q
-        while m < n:
-            _within_limit(count_schreier_recurrence(m, ratio))
-            m *= 2
-    return _within_limit(count_schreier_recurrence(n, ratio))
+    limit = _digit_limit()
+    k = 0  # the size s, less one
+    while limit and (top := n + ratio.p * (k + 1) // -ratio.q) >= k:
+        # log of top (top - 1) ... (top - k + 1); top^k bounds it from top = 2^32 on
+        falling = lgamma(top + 1) - lgamma(top - k + 1) if top < 2**32 else k * log(top)
+        if falling - lgamma(k + 1) > limit * log(10) - 1:
+            _within_limit(comb(top, k))
+        k += 1
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -111,9 +114,10 @@ def cmd_count(args: argparse.Namespace) -> int:
         # it refuses n > ORACLE_LIMIT (exit 3), so its counts are always printable
         value = count_schreier_bruteforce(args.n, ratio)
     else:
-        value = _printable(args.n, ratio)
-        if args.method == "direct":
-            value = count_schreier_direct(args.n, ratio)
+        _refuse_a_long_term(args.n, ratio)
+        direct = args.method == "direct"
+        route = count_schreier_direct if direct else count_schreier_recurrence
+        value = _within_limit(route(args.n, ratio))
     print(value)
     return 0
 
@@ -125,8 +129,9 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     if not 0 <= start <= args.max:
         raise ValueError(f"--offset {start} outside the computed range 0..{args.max}")
     # counts never decrease in n, so the term at --max is the longest one printed
-    _printable(args.max, ratio)
+    _refuse_a_long_term(args.max, ratio)
     sequence = schreier_sequence(ratio, args.max)
+    _within_limit(sequence[-1])
     if args.format == "csv":
         print(",".join(map(str, sequence[start:])))
     else:

@@ -14,7 +14,7 @@ Everything here is deterministic -- same bounds, same report.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from functools import cache
+from functools import cache, wraps
 from itertools import combinations, product
 from math import comb
 
@@ -97,6 +97,19 @@ def _drive(suite: str, grid: str, cases: Iterable[Case]) -> VerifyReport:
     return VerifyReport(suite, grid, count, tuple(failures))
 
 
+def _bounded(suite: Callable[..., VerifyReport]) -> Callable[..., VerifyReport]:
+    """``suite``, refusing a keyword bound that is not a non-negative int before any cell."""
+
+    @wraps(suite)
+    def checked(**bounds: int) -> VerifyReport:
+        for bound, value in bounds.items():
+            require_int(bound, value, 0)
+        return suite(**bounds)
+
+    checked.__kwdefaults__ = suite.__kwdefaults__  # the bounds run_suite reads
+    return checked
+
+
 def _mismatch(template: str, *legs: object) -> str | None:
     """None when every leg is equal, else ``template`` filled with the legs in order."""
     return None if legs.count(legs[0]) == len(legs) else template.format(*legs)
@@ -131,6 +144,7 @@ def _window_cells(
             yield f"{label}, n={n}", ratio, n, listings
 
 
+@_bounded
 def recurrence_suite(*, p_max: int = 4, q_max: int = 4, n_max: int = 20) -> VerifyReport:
     """Recurrence and single-count engine against the brute-force oracle, cell by cell.
 
@@ -152,6 +166,7 @@ def recurrence_suite(*, p_max: int = 4, q_max: int = 4, n_max: int = 20) -> Veri
     return _drive("recurrence", f"1<=p<={p_max}, 1<=q<={q_max}, 1<=n<={n_max}", cases())
 
 
+@_bounded
 def formula_suite(*, p_max: int = 6, q_max: int = 6, n_max: int = 300) -> VerifyReport:
     """Recurrence against the independent direct formula."""
 
@@ -167,6 +182,7 @@ SCALE_FACTORS = (2, 3, 5)
 """The factors k by which scale_invariance_suite scales each ratio."""
 
 
+@_bounded
 def scale_invariance_suite(
     *, p_max: int = 3, q_max: int = 3, n_max: int = 200
 ) -> VerifyReport:
@@ -193,6 +209,7 @@ def scale_invariance_suite(
     return _drive("scale-invariance", grid, cases())
 
 
+@_bounded
 def gap_bijection_suite(*, p_max: int = 3, q_max: int = 3, n_max: int = 14) -> VerifyReport:
     """Gap-collapsing maps checked as actual bijections.
 
@@ -227,6 +244,7 @@ def gap_bijection_suite(*, p_max: int = 3, q_max: int = 3, n_max: int = 14) -> V
     return _drive("gap-bijections", grid, cases())
 
 
+@_bounded
 def window_bijection_suite(
     *, p_max: int = 3, q_max: int = 3, n_max: int = 14
 ) -> VerifyReport:
@@ -278,6 +296,7 @@ def window_bijection_suite(
     return _drive("window-bijections", grid, cases())
 
 
+@_bounded
 def interval_agreement_suite(*, p_max: int = 10, n_max: int = 200) -> VerifyReport:
     """Interval counts three ways: summed, closed form, brute force."""
 
@@ -293,6 +312,7 @@ def interval_agreement_suite(*, p_max: int = 10, n_max: int = 200) -> VerifyRepo
     return _drive("interval-agreement", f"1<=p<={p_max}, 1<=n<={n_max}", cases())
 
 
+@_bounded
 def turan_cross_suite(
     *, p_max: int = 20, n_max: int = 300, quarter_n_max: int = 100
 ) -> VerifyReport:
@@ -322,6 +342,7 @@ def turan_cross_suite(
     return _drive("turan-cross", grid, cases())
 
 
+@_bounded
 def turan_identity_suite(
     *, p_max: int = 50, n_max: int = 500, enum_limit: int = 500
 ) -> VerifyReport:

@@ -1,13 +1,17 @@
 """Command-line interface: golden outputs and the exit-code contract."""
 
+import io
 import os
 import subprocess
 import sys
 import tracemalloc
-from math import isqrt
+from contextlib import redirect_stderr, redirect_stdout
+from math import comb, isqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import schreier.cli
 import schreier.counting
@@ -16,6 +20,7 @@ from schreier import (
     INTERVAL_LIMIT,
     INTERVAL_SUM_LIMIT,
     Ratio,
+    count_schreier_direct,
     enumerate_schreier,
     interval_count_closed,
     parse_bfile,
@@ -477,10 +482,58 @@ def default_digit_limit():
     sys.set_int_max_str_digits(saved)
 
 
+ROUTES = ("count_schreier_recurrence", "count_schreier_direct", "schreier_sequence")
+
+
+def forbid(patch, *routes):
+    """Make each named counting route raise if the CLI calls it."""
+
+    def ran(*args):
+        raise AssertionError("a counting route ran before the refusal")
+
+    for route in routes:
+        patch.setattr(schreier.cli, route, ran)
+
+
 def test_refusal_cost_is_bounded_by_the_limit(capsys, monkeypatch, default_digit_limit):
-    # At (6,6) the counts are sized at n = 12, 24, ..., and the one at
-    # 24576 = 12 * 2^11 is the first past 4300 digits, so n = 10^6 is
-    # refused without the engine ever running above 24576.
+    # At (6,6) one term of the size sum passes 4300 digits far below n = 10^6,
+    # so n = 10^6 and 10^12 are both refused from that term alone: no
+    # counting route runs, however large n is.
+    forbid(monkeypatch, *ROUTES)
+    for n in (10**6, 10**12):
+        code, out, err = run_cli(capsys, "count", "--p", "6", "--q", "6", "--n", str(n))
+        assert code == 4
+        assert out == ""
+        assert "sys.get_int_max_str_digits() = 4300" in err
+
+
+@pytest.mark.parametrize(
+    "p,q,n",
+    [(1000000, 1, 10**9), (1, 1000000, 2 * 10**6), (1000, 1, 10**7), (1, 300, 10**5)],
+)
+def test_a_deep_or_wide_count_is_refused_before_any_route_runs(
+    capsys, monkeypatch, default_digit_limit, p, q, n
+):
+    # the engine at depth 10^6 + 1, a pass 10^6 sums wide, or n = 10^7 by
+    # either route would take minutes; one term of the size sum refuses at once
+    forbid(monkeypatch, *ROUTES)
+    code, out, err = run_cli(capsys, "count", "--p", str(p), "--q", str(q), "--n", str(n))
+    assert (code, out) == (4, "")
+    assert "sys.get_int_max_str_digits() = 4300" in err
+
+
+def test_a_deep_sequence_runs_the_forward_pass_alone(capsys, monkeypatch, default_digit_limit):
+    # the terms up to --max 300000 at (100000,1) have 6 digits; no engine
+    # at depth 100001 may size them first
+    forbid(monkeypatch, "count_schreier_recurrence")
+    code, out, _ = run_cli(capsys, "sequence", "--p", "100000", "--q", "1", "--max", "300000")
+    assert code == 0
+    values = out.split(",")
+    assert len(values) == 300000
+    assert int(values[-1]) == count_schreier_direct(300000, Ratio(100000, 1))
+
+
+def test_count_runs_the_engine_once_and_direct_never(capsys, monkeypatch, default_digit_limit):
     honest = schreier.cli.count_schreier_recurrence
     sized = []
 
@@ -489,11 +542,79 @@ def test_refusal_cost_is_bounded_by_the_limit(capsys, monkeypatch, default_digit
         return honest(n, ratio)
 
     monkeypatch.setattr(schreier.cli, "count_schreier_recurrence", recording)
-    code, out, err = run_cli(capsys, "count", "--p", "6", "--q", "6", "--n", "1000000")
-    assert code == 4
-    assert out == ""
-    assert "sys.get_int_max_str_digits() = 4300" in err
-    assert max(sized) == 24576
+    code, out, _ = run_cli(capsys, "count", "--p", "6", "--q", "6", "--n", "20000")
+    assert (code, sized) == (0, [20000])
+    forbid(monkeypatch, "count_schreier_recurrence", "schreier_sequence")
+    assert run_cli(
+        capsys, "count", "--p", "6", "--q", "6", "--n", "20000", "--method", "direct"
+    ) == (0, out, "")
+
+
+def _size_terms(n, ratio):
+    """C(n - ceil(ps/q), s - 1) for s = 1, 2, ... while it can be nonzero."""
+    s = 1
+    while (top := n - -(-ratio.p * s // ratio.q)) >= s - 1:
+        yield comb(top, s - 1)
+        s += 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--p", "1", "--q", "1", "--n", "3065"],
+        ["count", "--p", "1", "--q", "1", "--n", "3065", "--method", "direct"],
+        ["sequence", "--p", "1", "--q", "1", "--max", "3065"],
+    ],
+)
+def test_a_count_just_past_the_limit_is_refused_after_its_route(capsys, low_digit_limit, argv):
+    # F(3065) has 641 digits, but no term of its size sum reaches 10^640
+    # before n = 3072: the pre-check passes, and the computed count is refused
+    assert all(term < 10**640 for term in _size_terms(3065, Ratio(1, 1)))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert "sys.get_int_max_str_digits() = 640" in err
+
+
+@given(
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.integers(0, 4000),
+    st.sampled_from(["recurrence", "direct"]),
+)
+@example(1, 1, 3064, "recurrence")  # the largest n whose count fits
+@example(1, 1, 3065, "direct")  # past the limit, though every term still fits
+@example(1, 1, 3072, "recurrence")  # the first n with a term past the limit
+@example(1, 40, 2153, "recurrence")
+@settings(max_examples=60, deadline=None)
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="this interpreter has no int-to-str digit limit",
+)
+def test_count_exits_4_exactly_past_the_limit_and_early_on_a_long_term(p, q, n, method):
+    # the lowest limit CPython allows is 640 digits; no size-sum term may
+    # reach 10^640 unless the count does, and once one does, no route runs
+    ratio = Ratio(p, q)
+    count = count_schreier_direct(n, ratio)
+    long_term = any(term >= 10**640 for term in _size_terms(n, ratio))
+    assert not long_term or count >= 10**640
+    saved = sys.get_int_max_str_digits()
+    with pytest.MonkeyPatch.context() as patch:
+        if long_term:
+            forbid(patch, *ROUTES)
+        out, err = io.StringIO(), io.StringIO()
+        sys.set_int_max_str_digits(640)
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(
+                    ["count", "--p", str(p), "--q", str(q), "--n", str(n), "--method", method]
+                )
+        finally:
+            sys.set_int_max_str_digits(saved)
+    if count >= 10**640:
+        assert (code, out.getvalue()) == (4, "")
+        assert "sys.get_int_max_str_digits() = 640" in err.getvalue()
+    else:
+        assert (code, out.getvalue()) == (0, f"{count}\n")
 
 
 def test_no_digit_limit_prints_every_count(capsys):

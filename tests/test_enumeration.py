@@ -1,6 +1,7 @@
 """Brute-force enumerators: cross-checked against a second, even dumber oracle."""
 
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -123,6 +124,22 @@ def test_guard_rejects_oversized_instances():
     assert str(excinfo.value) == (
         f"instance too large for oracle: n={n} exceeds the n <= {ORACLE_LIMIT} guard"
     )
+
+
+def test_members_of_each_size_number_one_binomial():
+    # the lemma behind the CLI's digit-limit refusal: a member of size s has
+    # min m >= ceil(ps/q) and its other s - 2 elements strictly between m and
+    # n, so the admitted classes of size s number C(n - ceil(ps/q), s - 1)
+    for n in range(19):
+        tally = _subset_tally(n)
+        for p in range(1, 9):
+            for q in range(1, 9):
+                for size in range(1, n + 1):
+                    admitted = sum(
+                        count for count, k, s in tally if k == size and q * s >= p * k
+                    )
+                    top = n - -(-p * size // q)
+                    assert admitted == (comb(top, size - 1) if top >= 0 else 0)
 
 
 def test_tally_count_matches_the_direct_sum():

@@ -112,6 +112,30 @@ def test_run_suite_refuses_a_bound_that_is_not_a_non_negative_int(
             run_suite(name, *bounds)
 
 
+@pytest.mark.parametrize("value", [True, 2.5, -1])
+@pytest.mark.parametrize(
+    "suite,bound",
+    [
+        (suite, bound)
+        for group in schreier.verify.SUITES.values()
+        for suite in group
+        for bound in suite.__kwdefaults__
+    ],
+    ids=lambda arg: getattr(arg, "__name__", arg),
+)
+def test_every_suite_refuses_a_bound_that_is_not_a_non_negative_int(
+    monkeypatch, suite, bound, value
+):
+    # called directly, not through run_suite: the check comes before any cell
+    def drive(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(schreier.verify, "_drive", drive)
+    message = f"{bound} must be a non-negative integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        suite(**{bound: value})
+
+
 def test_run_suite_defaults_apply_when_bounds_are_missing():
     (report,) = run_suite("recurrence", None, None, 6)
     assert report.grid == "1<=p<=4, 1<=q<=4, 1<=n<=6"
