@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import chain
 
-from .sets import Frozen
+from .sets import Frozen, require_int
 
 
 class BFile(Frozen):
@@ -24,7 +24,12 @@ class BFile(Frozen):
         if not {int}.issuperset(map(type, chain.from_iterable(entries))):  # no bool
             bad = next(x for x in chain.from_iterable(entries) if type(x) is not int)
             raise TypeError(f"b-file entries must be integers, got {bad!r}")
-        indices = [i for i, _ in entries]
+        try:
+            indices = [i for i, _ in entries]
+        except ValueError:  # an entry that does not unpack as a pair
+            bad = next(entry for entry in entries if len(entry) != 2)
+            msg = f"b-file entries must be (index, value) pairs, got {bad!r}"
+            raise ValueError(msg) from None
         if indices and indices != list(range(indices[0], indices[0] + len(indices))):
             prev, cur = next(p for p in zip(indices, indices[1:]) if p[1] != p[0] + 1)
             raise ValueError(f"b-file indices must step by 1, got {prev} then {cur}")
@@ -68,7 +73,8 @@ def parse_bfile(text: str) -> BFile:
 
 def bfile_from_sequence(sequence: tuple[int, ...], offset: int = 1) -> BFile:
     """b-file entries (n, sequence[n]) for offset <= n <= the sequence end."""
+    require_int("offset", offset, 0)
     n_max = len(sequence) - 1
-    if not 0 <= offset <= n_max:
+    if offset > n_max:
         raise ValueError(f"offset {offset} outside the computed range 0..{n_max}")
     return BFile(enumerate(sequence[offset:], start=offset))

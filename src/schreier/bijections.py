@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 
-from .sets import FiniteSet, Frozen, Ratio, in_schreier_family
+from .sets import FiniteSet, Frozen, Ratio, in_schreier_family, require_int
 
 
 class DomainError(ValueError):
@@ -34,6 +34,7 @@ class DomainError(ValueError):
 
 def gap_window(n: int, ratio: Ratio) -> tuple[int, ...]:
     """The q consecutive values {n-q, ..., n-1} just below n."""
+    require_int("n", n, 0)
     if n < ratio.q + 1:
         raise ValueError(f"window needs n >= q + 1, got n={n} with q={ratio.q}")
     return tuple(range(n - ratio.q, n))

@@ -3,8 +3,9 @@
 Two independent methods are provided on purpose:
 
 * :func:`count_schreier_direct` sums binomial rows grouped by the
-  minimum element, stepping from one row sum to the next in O(n)
-  big-int steps.  It is self-contained.
+  minimum element: the leading rows, which hold every subset of their
+  gap, in one term, then each row sum from the last in O(1) big-int
+  steps.  It is self-contained.
 * The recurrence of depth d = p + q, read off the generating function
   P(x)/Q(x), which groups the members by size, not by minimum (see
   :func:`_numerator`).  Every count comes from one forward pass,
@@ -43,28 +44,30 @@ def count_schreier_direct(n: int, ratio: Ratio) -> int:
     c = min(cap, t).  The lone singleton {n} contributes when q*n >= p.
 
     The rows are walked with m falling, so t rises by one per row and
-    cap only falls, and each row follows from the last in O(1) big-int
-    steps, O(n) in all.  Pascal's rule gives
+    cap only falls.  Row t is saturated (cap >= t: every subset of the
+    gap fits) exactly when t <= T = min(floor((q(n-1) - 2p)/(p+q)), n-2),
+    so rows 0..T add 2^0 + ... + 2^T = 2^(T+1) - 1 in one term.  Past T,
+    cap - t only falls, so no row saturates again; each later row follows
+    from the last in O(1) big-int steps, O(n p/(p+q)) row steps in all.
+    Pascal's rule gives
     S(t + 1, c) = 2 S(t, c) - C(t, c) and C(t + 1, c) = C(t, c) (t + 1) / (t + 1 - c);
-    a row that stays saturated (c = t + 1) adds its new top term 1; each
-    unit drop of c subtracts C(t, c), and C(t, c - 1) = C(t, c) c / (t - c + 1).
+    each unit drop of c subtracts C(t, c), and C(t, c - 1) = C(t, c) c / (t - c + 1).
     The walk stops at the first cap < 0, since cap never rises again.
     """
     require_int("n", n, 0)
     p, q = ratio.p, ratio.q
     total = 1 if q * n >= p else 0
-    row, top, c = 1, 1, 0  # S(t, c), C(t, c) and c, from t = 0
-    for t, m in enumerate(range(n - 1, 0, -1)):
-        cap = q * m // p - 2  # extra elements allowed beyond {m, n}
+    last = min((q * (n - 1) - 2 * p) // (p + q), n - 2)  # T, the last saturated row
+    if last < 0:
+        return total
+    total += (2 << last) - 1
+    row, top, c = 1 << last, 1, last  # S(T, T), C(T, T) and c, at t = T
+    for t in range(last + 1, n - 1):
+        cap = q * (n - 1 - t) // p - 2  # extra elements beyond {m, n}, m = n - 1 - t
         if cap < 0:
             break
-        if t:
-            row = 2 * row - top
-            top = top * t // (t - c)
-            if cap > c:  # only a saturated row (c = t - 1) can widen
-                row += 1
-                top = 1
-                c = t
+        row = 2 * row - top
+        top = top * t // (t - c)
         while c > cap:
             row -= top
             top = top * c // (t - c + 1)

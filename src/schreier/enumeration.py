@@ -8,8 +8,10 @@ family count read one strided subset scan: the bitmasks of the sets
 with maximum n, split by smallest element s into strides that a
 ``range`` steps through, so every mask is visited once and its size is
 its bit count.  The predicate q*min F >= p*|F| then reads as a size
-cap, |F| <= q*s // p.  The listing applies it mask by mask, and every
+cap, |F| <= q*s // p.  The listings apply it mask by mask, and every
 count applies it class by class to the scan's (size, smallest) tally.
+One listing pass serves a whole grid of ratios at one n and builds one
+FiniteSet per admitted mask, shared by every ratio that admits it.
 The scan is exponential in n; ``ORACLE_LIMIT`` keeps instances
 desk-sized.  The interval tally is quadratic in n and has its own
 guard, ``INTERVAL_LIMIT``.
@@ -18,8 +20,8 @@ guard, ``INTERVAL_LIMIT``.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
-from itertools import accumulate, compress
+from collections.abc import Iterable, Iterator
+from itertools import accumulate, chain, compress
 
 from .sets import FiniteSet, Ratio, require_int
 
@@ -101,6 +103,11 @@ def _elements(mask: int) -> list[int]:
     return elements
 
 
+def _within_cap(masks: range, cap: int) -> Iterator[int]:
+    """The masks of one stride whose size is at most ``cap``, in ascending order."""
+    return compress(masks, map(cap.__ge__, map(int.bit_count, masks)))
+
+
 def _members(n: int, ratio: Ratio) -> Iterator[FiniteSet]:
     """Every family member at n, one at a time, in ascending-bitmask order.
 
@@ -109,9 +116,23 @@ def _members(n: int, ratio: Ratio) -> Iterator[FiniteSet]:
     """
     from heapq import merge  # here, not at the top: only a listing needs it
 
-    strides = [(_cap(s, ratio), masks) for s, masks in _scan(n)]
-    admitted = (compress(m, map(c.__ge__, map(int.bit_count, m))) for c, m in strides)
+    admitted = [_within_cap(masks, _cap(s, ratio)) for s, masks in _scan(n)]
     return (FiniteSet(_elements(mask)) for mask in merge(*admitted))
+
+
+def _listings(n: int, ratios: Iterable[Ratio]) -> list[tuple[FiniteSet, ...]]:
+    """The family at n for each ratio in turn, each in ascending-bitmask order.
+
+    One scan serves every ratio, and one FiniteSet is built per mask that
+    any ratio admits: the ratios that admit a mask share its object.
+    """
+    strides = _scan(n)
+    admitted = [
+        sorted(chain.from_iterable(_within_cap(m, _cap(s, r)) for s, m in strides))
+        for r in ratios
+    ]
+    built = {mask: FiniteSet(_elements(mask)) for mask in set().union(*admitted)}
+    return [tuple(map(built.__getitem__, masks)) for masks in admitted]
 
 
 def enumerate_schreier(n: int, ratio: Ratio) -> tuple[FiniteSet, ...]:
@@ -121,7 +142,7 @@ def enumerate_schreier(n: int, ratio: Ratio) -> tuple[FiniteSet, ...]:
     i), so listings are deterministic and diffable; a FiniteSet is
     built for members only.
     """
-    return tuple(_members(n, ratio))
+    return _listings(n, [ratio])[0]
 
 
 def count_schreier_bruteforce(n: int, ratio: Ratio) -> int:

@@ -142,6 +142,7 @@ class Ratio(Frozen):
 
     def scaled(self, k: int) -> Ratio:
         """The same ratio written with both parts multiplied by ``k``."""
+        require_int("k", k)
         return Ratio(k * self.p, k * self.q)
 
     def __str__(self) -> str:

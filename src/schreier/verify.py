@@ -32,9 +32,9 @@ from .counting import (
     schreier_sequence,
 )
 from .enumeration import (
+    _listings,
     _subset_tally,
     _tally_count,
-    enumerate_schreier,
     interval_counts_bruteforce,
     refuse_above,
 )
@@ -135,11 +135,16 @@ def _window_cells(
 ) -> Iterator[tuple[str, Ratio, int, Listings]]:
     """(label, ratio, n, listings by n) for every cell with p + q <= n <= n_max.
 
-    Each listing, from the empty one at n = 0 up, is made a frozenset once
-    per ratio, so the cells compare their images with it without rebuilding it.
+    The listings at each n come from one pass for the whole grid, which
+    shares one member object among the ratios that admit it.  Each
+    ratio's listings, from the empty one at n = 0 up, are made frozensets
+    once, so the cells compare their images with them without rebuilding.
     """
-    for label, ratio in _ratios(p_max, q_max):
-        listings = [frozenset(enumerate_schreier(m, ratio)) for m in range(n_max + 1)]
+    grid = list(_ratios(p_max, q_max))
+    ratios = [ratio for _, ratio in grid]
+    by_n = [_listings(m, ratios) for m in range(n_max + 1)]
+    for (label, ratio), rows in zip(grid, zip(*by_n)):
+        listings = list(map(frozenset, rows))
         for n in range(ratio.p + ratio.q, n_max + 1):
             yield f"{label}, n={n}", ratio, n, listings
 

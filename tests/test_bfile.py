@@ -1,5 +1,6 @@
 """b-file rendering and parsing."""
 
+import re
 import sys
 
 import pytest
@@ -38,6 +39,19 @@ def test_entries_must_be_plain_ints(entries, text, bad):
         BFile(entries)
     with pytest.raises(ValueError, match="non-integer token"):
         parse_bfile(text)
+
+
+@pytest.mark.parametrize("entry", [(1, 2, 3), (1,), ()])
+def test_entries_must_be_index_value_pairs(entry):
+    message = f"b-file entries must be (index, value) pairs, got {entry!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BFile([(0, 1), entry])
+
+
+def test_a_non_int_in_an_entry_of_any_length_is_still_a_type_error():
+    for entries in ([(1, 2, "x")], [("x",)], [(1, 2.0)]):
+        with pytest.raises(TypeError, match="^b-file entries must be integers, got "):
+            BFile(entries)
 
 
 def test_parse_roundtrip():
@@ -96,6 +110,21 @@ def test_from_sequence_rejects_out_of_range_offsets():
         bfile_from_sequence(seq, offset=6)
     with pytest.raises(ValueError):
         bfile_from_sequence(seq, offset=-1)
+
+
+@pytest.mark.parametrize("offset", [True, 1.5, "1", -1])
+def test_from_sequence_refuses_an_offset_that_is_not_a_non_negative_int(offset):
+    seq = schreier_sequence(Ratio(1, 1), 5)
+    message = f"offset must be a non-negative integer, got {offset!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        bfile_from_sequence(seq, offset=offset)
+
+
+def test_from_sequence_names_the_range_for_an_offset_past_it():
+    seq = schreier_sequence(Ratio(1, 1), 5)
+    message = "offset 6 outside the computed range 0..5"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        bfile_from_sequence(seq, offset=6)
 
 
 def test_sequence_bfile_roundtrip_preserves_big_values():

@@ -1,5 +1,7 @@
 """The structure-preserving maps, exercised as maps and as bijections."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,22 @@ def test_gap_window_bounds():
     assert gap_window(4, Ratio(2, 1)) == (3,)
     with pytest.raises(ValueError):
         gap_window(2, Ratio(1, 2))  # window would dip below 1
+
+
+@pytest.mark.parametrize("n", [2.5, True, -1])
+def test_gap_window_refuses_an_n_that_is_not_a_non_negative_int(n):
+    message = f"n must be a non-negative integer, got {n!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gap_window(n, Ratio(1, 1))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GapSet(n, Ratio(1, 1), [1])
+
+
+def test_gap_window_names_the_window_for_every_int_n_below_it():
+    for n in range(3):
+        message = f"window needs n >= q + 1, got n={n} with q=2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gap_window(n, Ratio(1, 2))
 
 
 def test_gapset_validation():

@@ -226,6 +226,22 @@ def test_direct_sum_matches_the_quadratic_reference():
             assert count_schreier_direct(n, ratio) == quadratic_direct_sum(n, ratio)
 
 
+def test_saturated_rows_summed_in_one_term_match_the_quadratic_reference():
+    # rows t <= T = min((q(n-1) - 2p) // (p+q), n - 2) hold every subset of
+    # their gap and are added as 2^(T+1) - 1; n <= 150 takes in n = 0, 1, 2
+    # (no row at all) and every n where T moves, at every ratio
+    for p in range(1, 13):
+        for q in range(1, 13):
+            ratio = Ratio(p, q)
+            for n in range(151):
+                assert count_schreier_direct(n, ratio) == quadratic_direct_sum(n, ratio)
+    # q far above p: almost every row is saturated, the walk starts late
+    for p, q in [(1, 40), (1, 200), (3, 500)]:
+        ratio = Ratio(p, q)
+        for n in [*range(601), 1000, 1001]:
+            assert count_schreier_direct(n, ratio) == quadratic_direct_sum(n, ratio)
+
+
 def test_direct_sum_imports_nothing_from_the_recurrence(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the direct sum reached the recurrence")

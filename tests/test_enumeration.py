@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from schreier.enumeration import (
+    _listings,
     _members,
     _scan,
     _subset_tally,
@@ -89,6 +90,31 @@ def test_listing_agrees_with_combinations_oracle(p, q):
         # ascending-bitmask order: bit i-1 holds element i
         assert list(listing) == sorted(expected, key=bitmask)
         assert count_schreier_bruteforce(n, ratio) == len(expected)
+
+
+def test_grid_listing_is_the_stream_and_the_predicate_filter():
+    # one pass lists every ratio of the grid: each listing is the streamed
+    # one, in order, and the filter of every subset of {1..n} by the predicate
+    ratios = [Ratio(p, q) for p in range(1, 5) for q in range(1, 5)]
+    subsets = []  # every nonempty subset of {1..n}, in ascending-bitmask order
+    for n in range(17):
+        if n:  # the masks with bit n-1 set follow, in the same order
+            subsets += [FiniteSet([n])]
+            subsets += [FiniteSet(fs.elements + (n,)) for fs in subsets[:-1]]
+        for ratio, listing in zip(ratios, _listings(n, ratios), strict=True):
+            assert list(listing) == list(_members(n, ratio))
+            assert list(listing) == [
+                fs for fs in subsets if in_schreier_family(fs, ratio, n)
+            ]
+
+
+def test_ratios_that_admit_a_mask_share_its_member():
+    wide, narrow = _listings(12, [Ratio(1, 3), Ratio(2, 3)])
+    by_elements = {fs.elements: fs for fs in wide}
+    assert 0 < len(narrow) < len(wide)
+    assert all(by_elements[fs.elements] is fs for fs in narrow)
+    same, scaled = _listings(10, [Ratio(1, 2), Ratio(2, 4)])
+    assert same and all(a is b for a, b in zip(same, scaled, strict=True))
 
 
 def test_every_member_satisfies_the_family_predicate():
@@ -186,6 +212,19 @@ def test_tally_refuses_what_the_listing_refuses(n):
     listing = refusal(lambda m: enumerate_schreier(m, Ratio(1, 1)), n)
     assert listing[0] is expected
     assert refusal(_subset_tally, n) == listing
+
+
+@pytest.mark.parametrize(
+    "n,error,message",
+    [
+        (31, OracleLimitError, "instance too large for oracle: n=31 exceeds the n <= 30 guard"),
+        (-1, ValueError, "n must be a non-negative integer, got -1"),
+    ],
+)
+def test_grid_listing_refuses_what_the_listing_refuses(n, error, message):
+    listing = refusal(lambda m: enumerate_schreier(m, Ratio(1, 1)), n)
+    assert listing == (error, message)
+    assert refusal(lambda m: _listings(m, [Ratio(1, 1), Ratio(2, 1)]), n) == listing
 
 
 def test_interval_counts():

@@ -3,6 +3,7 @@
 import copy
 import operator
 import pickle
+import re
 
 import pytest
 from hypothesis import given
@@ -57,6 +58,14 @@ def test_min_max_len_and_str():
     assert str(fs) == "{2,5,9}"
     assert list(fs) == [2, 5, 9]
     assert 5 in fs and 4 not in fs
+
+
+@pytest.mark.parametrize("k", [1.5, True, 0])
+def test_scaling_refuses_a_factor_that_is_not_a_positive_int(k):
+    # 1.5 would blame p ("got 3.0") and True would return the ratio unchanged
+    message = f"k must be a positive integer, got {k!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Ratio(2, 2).scaled(k)
 
 
 def test_ratio_validation_and_scaling():

@@ -205,19 +205,29 @@ def test_skewed_count_is_caught_by_the_window_recount(monkeypatch):
     )
 
 
+def per_cell(fault):
+    """The grid listing at n, with ``fault`` applied to each ratio's listing."""
+    honest = schreier.verify._listings
+
+    def faulty(n, ratios):
+        listings = honest(n, ratios)
+        return [fault(n, ratio, listing) for ratio, listing in zip(ratios, listings)]
+
+    return faulty
+
+
 def test_missing_member_is_caught_by_the_window_recount(monkeypatch):
-    honest = schreier.verify.enumerate_schreier
     lost = FiniteSet([2, 8])
 
-    def lossy(n, ratio):
-        listing = honest(n, ratio)
+    @per_cell
+    def lossy(n, ratio, listing):
         if (n, ratio) == (8, Ratio(1, 2)):
             return tuple(fs for fs in listing if fs != lost)
         return listing
 
     # {2, 8} misses both window values 6 and 7, so layer 1 at n = 8 loses
     # C(2, 1) = 2; stripping the window at n = 11 lands on the short listing.
-    monkeypatch.setattr(schreier.verify, "enumerate_schreier", lossy)
+    monkeypatch.setattr(schreier.verify, "_listings", lossy)
     report = window_bijection_suite(p_max=2, q_max=2, n_max=12)
     assert report.failures == (
         "(p,q)=(1,2), n=8: layer 1 is 54, expected 56",
@@ -226,17 +236,16 @@ def test_missing_member_is_caught_by_the_window_recount(monkeypatch):
 
 
 def test_stray_member_is_caught_by_the_gap_image_check(monkeypatch):
-    honest = schreier.verify.enumerate_schreier
     stray = FiniteSet([1, 6, 7, 8])  # 2*1 < 1*4: not a member at n = 8
 
-    def padded(n, ratio):
-        listing = honest(n, ratio)
+    @per_cell
+    def padded(n, ratio, listing):
         return listing + (stray,) if (n, ratio) == (8, Ratio(1, 2)) else listing
 
     # The stray holds the whole window {6, 7} at n = 8, so no gap choice
     # there lets it through; every cell whose image is the family at
     # n = 8 compares with the padded listing.
-    monkeypatch.setattr(schreier.verify, "enumerate_schreier", padded)
+    monkeypatch.setattr(schreier.verify, "_listings", padded)
     report = gap_bijection_suite(p_max=2, q_max=2, n_max=10)
     assert report.failures == tuple(
         f"(p,q)=(1,2), {cell}: image differs from the family at n=8"
@@ -245,17 +254,16 @@ def test_stray_member_is_caught_by_the_gap_image_check(monkeypatch):
 
 
 def test_stray_member_is_caught_by_the_strip_image_check(monkeypatch):
-    honest = schreier.verify.enumerate_schreier
     stray = FiniteSet([1, 2, 8])  # 2*1 < 1*3: not a member at n = 8
 
-    def padded(n, ratio):
-        listing = honest(n, ratio)
+    @per_cell
+    def padded(n, ratio, listing):
         return listing + (stray,) if (n, ratio) == (8, Ratio(1, 2)) else listing
 
     # The stray misses both window values 6 and 7 at n = 8, so layer 1
     # gains C(2, 1) = 2; stripping the window at n = 11 lands on the
     # padded listing.
-    monkeypatch.setattr(schreier.verify, "enumerate_schreier", padded)
+    monkeypatch.setattr(schreier.verify, "_listings", padded)
     report = window_bijection_suite(p_max=2, q_max=2, n_max=12)
     assert report.failures == (
         "(p,q)=(1,2), n=8: layer 1 is 58, expected 56",
