@@ -3,17 +3,19 @@
 Each suite sweeps a parameter grid in sorted order, compares two or
 more independently computed values per cell, and returns a
 :class:`VerifyReport` listing any disagreements.  A suite is written as
-a generator of one ``(label, problem)`` pair per case, ``problem``
-being None when the case agrees; :func:`_drive` counts the cases and
-collects the failures.  Suites never stop at the first failure; the
-report carries them all, so a regression shows its full extent.  A
-grid with no cases is refused rather than reported as a pass.
-Everything here is deterministic -- same bounds, same report.
+a generator under :func:`_suite`: it yields its grid description, then
+one ``(label, problem)`` pair per case, ``problem`` being None when the
+case agrees, and runs any size guard before its first case.  The
+decorator checks the bounds first; :func:`_drive` counts the cases and
+collects the failures.  Suites never stop at the first failure; the report
+carries them all, so a regression shows its full extent.  A grid with
+no cases is refused rather than reported as a pass.  Everything here is
+deterministic -- same bounds, same report.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from functools import cache, wraps
 from itertools import combinations, product
 from math import comb
@@ -32,6 +34,7 @@ from .counting import (
     schreier_sequence,
 )
 from .enumeration import (
+    ORACLE_LIMIT,
     _listings,
     _subset_tally,
     _tally_count,
@@ -76,20 +79,21 @@ class VerifyReport(Frozen):
         return head
 
 
-Case = tuple[str, "str | None"]
+Cases = Iterator["str | tuple[str, str | None]"]  # the grid, then (label, problem)s
 Listings = list[frozenset[FiniteSet]]  # family members, indexed by n from 0
 
 
-def _drive(suite: str, grid: str, cases: Iterable[Case]) -> VerifyReport:
+def _drive(suite: str, cases: Cases) -> VerifyReport:
     """Run every case of one suite and gather its report.
 
-    An empty grid raises ValueError: a pass over zero cases checks
-    nothing and must not read as evidence.
+    ``cases`` yields the grid description, then the cases.  An empty grid
+    raises ValueError: a pass over zero cases checks nothing and must
+    not read as evidence.
     """
+    grid = next(cases)
     failures: list[str] = []
     count = 0
-    for label, problem in cases:
-        count += 1
+    for count, (label, problem) in enumerate(cases, 1):
         if problem is not None:
             failures.append(f"{label}: {problem}")
     if not count:
@@ -97,17 +101,25 @@ def _drive(suite: str, grid: str, cases: Iterable[Case]) -> VerifyReport:
     return VerifyReport(suite, grid, count, tuple(failures))
 
 
-def _bounded(suite: Callable[..., VerifyReport]) -> Callable[..., VerifyReport]:
-    """``suite``, refusing a keyword bound that is not a non-negative int before any cell."""
+def _suite(name: str) -> Callable[[Callable[..., Cases]], Callable[..., VerifyReport]]:
+    """The suite ``name`` from its generator, with the generator's bounds and docstring.
 
-    @wraps(suite)
-    def checked(**bounds: int) -> VerifyReport:
-        for bound, value in bounds.items():
-            require_int(bound, value, 0)
-        return suite(**bounds)
+    A bound that is not a non-negative int is refused before the generator starts.
+    """
 
-    checked.__kwdefaults__ = suite.__kwdefaults__  # the bounds run_suite reads
-    return checked
+    def wrap(generator: Callable[..., Cases]) -> Callable[..., VerifyReport]:
+        @wraps(generator)
+        def suite(**bounds: int) -> VerifyReport:
+            for bound, value in bounds.items():
+                require_int(bound, value, 0)
+            return _drive(name, generator(**bounds))
+
+        suite.__kwdefaults__ = generator.__kwdefaults__  # the bounds run_suite reads
+        # signature() reads the generator's annotations, through __wrapped__
+        generator.__annotations__["return"] = "VerifyReport"
+        return suite
+
+    return wrap
 
 
 def _mismatch(template: str, *legs: object) -> str | None:
@@ -140,6 +152,7 @@ def _window_cells(
     ratio's listings, from the empty one at n = 0 up, are made frozensets
     once, so the cells compare their images with them without rebuilding.
     """
+    refuse_above(n_max, ORACLE_LIMIT, "oracle")
     grid = list(_ratios(p_max, q_max))
     ratios = [ratio for _, ratio in grid]
     by_n = [_listings(m, ratios) for m in range(n_max + 1)]
@@ -149,48 +162,42 @@ def _window_cells(
             yield f"{label}, n={n}", ratio, n, listings
 
 
-@_bounded
-def recurrence_suite(*, p_max: int = 4, q_max: int = 4, n_max: int = 20) -> VerifyReport:
+@_suite("recurrence")
+def recurrence_suite(*, p_max: int = 4, q_max: int = 4, n_max: int = 20) -> Cases:
     """Recurrence and single-count engine against the brute-force oracle, cell by cell.
 
     The oracle scans every subset at n once, on the first cell that
     needs n, and tallies the subsets by (size, smallest element); each
     ratio's count is read off that tally.  The tallies live only for
-    this call, so every run of the suite scans afresh.  Where the
-    forward pass meets the oracle, the engine must meet the pass.
+    this call, so every run of the suite scans afresh, and an n_max past
+    the oracle's guard is refused before the first.  Where the forward
+    pass meets the oracle, the engine must meet the pass.
     """
+    refuse_above(n_max, ORACLE_LIMIT, "oracle")
+    yield f"1<=p<={p_max}, 1<=q<={q_max}, 1<=n<={n_max}"
     tally = cache(_subset_tally)
-
-    def cases() -> Iterator[Case]:
-        for label, ratio, n, fast in _sequence_cells(p_max, q_max, n_max):
-            oracle = _tally_count(tally(n), ratio)
-            engine = count_schreier_recurrence(n, ratio)
-            problem = _mismatch("recurrence {} != oracle {}", fast, oracle)
-            yield label, problem or _mismatch("engine {} != recurrence {}", engine, fast)
-
-    return _drive("recurrence", f"1<=p<={p_max}, 1<=q<={q_max}, 1<=n<={n_max}", cases())
+    for label, ratio, n, fast in _sequence_cells(p_max, q_max, n_max):
+        oracle = _tally_count(tally(n), ratio)
+        engine = count_schreier_recurrence(n, ratio)
+        problem = _mismatch("recurrence {} != oracle {}", fast, oracle)
+        yield label, problem or _mismatch("engine {} != recurrence {}", engine, fast)
 
 
-@_bounded
-def formula_suite(*, p_max: int = 6, q_max: int = 6, n_max: int = 300) -> VerifyReport:
+@_suite("formula")
+def formula_suite(*, p_max: int = 6, q_max: int = 6, n_max: int = 300) -> Cases:
     """Recurrence against the independent direct formula."""
-
-    def cases() -> Iterator[Case]:
-        for label, ratio, n, fast in _sequence_cells(p_max, q_max, n_max):
-            direct = count_schreier_direct(n, ratio)
-            yield label, _mismatch("recurrence {} != direct {}", fast, direct)
-
-    return _drive("formula", f"1<=p<={p_max}, 1<=q<={q_max}, 1<=n<={n_max}", cases())
+    yield f"1<=p<={p_max}, 1<=q<={q_max}, 1<=n<={n_max}"
+    for label, ratio, n, fast in _sequence_cells(p_max, q_max, n_max):
+        direct = count_schreier_direct(n, ratio)
+        yield label, _mismatch("recurrence {} != direct {}", fast, direct)
 
 
 SCALE_FACTORS = (2, 3, 5)
 """The factors k by which scale_invariance_suite scales each ratio."""
 
 
-@_bounded
-def scale_invariance_suite(
-    *, p_max: int = 3, q_max: int = 3, n_max: int = 200
-) -> VerifyReport:
+@_suite("scale-invariance")
+def scale_invariance_suite(*, p_max: int = 3, q_max: int = 3, n_max: int = 200) -> Cases:
     """(p, q) and (kp, kq) must produce identical sequences, k in SCALE_FACTORS.
 
     Both sides are forward passes, which keep the ratio as given: the
@@ -199,23 +206,17 @@ def scale_invariance_suite(
     single-count engine reduces a ratio first, so it would run both
     sides at the same depth.)
     """
-
-    def cases() -> Iterator[Case]:
-        for label, ratio in _ratios(p_max, q_max):
-            base = schreier_sequence(ratio, n_max)
-            for k in SCALE_FACTORS:
-                scaled = schreier_sequence(ratio.scaled(k), n_max)
-                for n in range(n_max + 1):
-                    yield f"{label}, k={k}, n={n}", _mismatch(
-                        "{} != {}", base[n], scaled[n]
-                    )
-
-    grid = f"1<=p<={p_max}, 1<=q<={q_max}, 0<=n<={n_max}, k in {SCALE_FACTORS}"
-    return _drive("scale-invariance", grid, cases())
+    yield f"1<=p<={p_max}, 1<=q<={q_max}, 0<=n<={n_max}, k in {SCALE_FACTORS}"
+    for label, ratio in _ratios(p_max, q_max):
+        base = schreier_sequence(ratio, n_max)
+        for k in SCALE_FACTORS:
+            scaled = schreier_sequence(ratio.scaled(k), n_max)
+            for n in range(n_max + 1):
+                yield f"{label}, k={k}, n={n}", _mismatch("{} != {}", base[n], scaled[n])
 
 
-@_bounded
-def gap_bijection_suite(*, p_max: int = 3, q_max: int = 3, n_max: int = 14) -> VerifyReport:
+@_suite("gap-bijections")
+def gap_bijection_suite(*, p_max: int = 3, q_max: int = 3, n_max: int = 14) -> Cases:
     """Gap-collapsing maps checked as actual bijections.
 
     For every grid cell and every nonempty gap choice: the map on the
@@ -239,20 +240,15 @@ def gap_bijection_suite(*, p_max: int = 3, q_max: int = 3, n_max: int = 14) -> V
             return "inverse does not round-trip"
         return None
 
-    def cases() -> Iterator[Case]:
-        for label, ratio, n, listings in _window_cells(p_max, q_max, n_max):
-            for size in range(1, ratio.q + 1):
-                for chosen in combinations(gap_window(n, ratio), size):
-                    yield f"{label}, gaps={chosen}", check(ratio, n, chosen, listings)
-
-    grid = f"1<=p<={p_max}, 1<=q<={q_max}, p+q<=n<={n_max}, all gap choices"
-    return _drive("gap-bijections", grid, cases())
+    yield f"1<=p<={p_max}, 1<=q<={q_max}, p+q<=n<={n_max}, all gap choices"
+    for label, ratio, n, listings in _window_cells(p_max, q_max, n_max):
+        for size in range(1, ratio.q + 1):
+            for chosen in combinations(gap_window(n, ratio), size):
+                yield f"{label}, gaps={chosen}", check(ratio, n, chosen, listings)
 
 
-@_bounded
-def window_bijection_suite(
-    *, p_max: int = 3, q_max: int = 3, n_max: int = 14
-) -> VerifyReport:
+@_suite("window-bijections")
+def window_bijection_suite(*, p_max: int = 3, q_max: int = 3, n_max: int = 14) -> Cases:
     """Window strip/attach maps and the layer recount, same grid.
 
     Two cases per cell.  The strip map must biject the full-window
@@ -292,65 +288,55 @@ def window_bijection_suite(
                 return f"layer {i} is {layer}, expected {expected}"
         return None
 
-    def cases() -> Iterator[Case]:
-        for label, ratio, n, listings in _window_cells(p_max, q_max, n_max):
-            yield label, strip(ratio, n, listings)
-            yield label, recount(ratio, n, listings)
-
-    grid = f"1<=p<={p_max}, 1<=q<={q_max}, p+q<=n<={n_max}"
-    return _drive("window-bijections", grid, cases())
+    yield f"1<=p<={p_max}, 1<=q<={q_max}, p+q<=n<={n_max}"
+    for label, ratio, n, listings in _window_cells(p_max, q_max, n_max):
+        yield label, strip(ratio, n, listings)
+        yield label, recount(ratio, n, listings)
 
 
-@_bounded
-def interval_agreement_suite(*, p_max: int = 10, n_max: int = 200) -> VerifyReport:
+@_suite("interval-agreement")
+def interval_agreement_suite(*, p_max: int = 10, n_max: int = 200) -> Cases:
     """Interval counts three ways: summed, closed form, brute force."""
-
-    def cases() -> Iterator[Case]:
-        for p in range(1, p_max + 1):
-            tally = interval_counts_bruteforce(n_max, p)
-            for n in range(1, n_max + 1):
-                summed, closed = interval_count_sum(n, p), interval_count_closed(n, p)
-                yield f"n={n}, p={p}", _mismatch(
-                    "sum {}, closed {}, brute {}", summed, closed, tally[n]
-                )
-
-    return _drive("interval-agreement", f"1<=p<={p_max}, 1<=n<={n_max}", cases())
+    yield f"1<=p<={p_max}, 1<=n<={n_max}"
+    for p in range(1, p_max + 1):
+        tally = interval_counts_bruteforce(n_max, p)
+        for n in range(1, n_max + 1):
+            summed, closed = interval_count_sum(n, p), interval_count_closed(n, p)
+            yield f"n={n}, p={p}", _mismatch(
+                "sum {}, closed {}, brute {}", summed, closed, tally[n]
+            )
 
 
-@_bounded
+@_suite("turan-cross")
 def turan_cross_suite(
     *, p_max: int = 20, n_max: int = 300, quarter_n_max: int = 100
-) -> VerifyReport:
+) -> Cases:
     """Edge formula against the from-parts count, plus quarter squares.
 
     The second leg pins the two-part column to floor(n^2 / 4).  It runs
     only when the first leg has a cell, so a grid without one yields no
     cases and is refused, not passed on quarter squares alone.
     """
-
-    def cases() -> Iterator[Case]:
-        for p in range(1, p_max + 1):
-            for n in range(p, n_max + 1):
-                yield f"n={n}, p={p}", _mismatch(
-                    "formula {} != construction {}",
-                    turan_edges_formula(n, p),
-                    turan_edges_construction(n, p),
-                )
-        if min(p_max, n_max) < 1:  # the first leg had no cell
-            return
-        for n in range(1, quarter_n_max + 1):
-            yield f"n={n}, p=2", _mismatch(
-                "{} != floor(n^2/4) = {}", turan_edges_formula(n, 2), n * n // 4
+    yield f"1<=p<={p_max}, p<=n<={n_max}; two parts up to n={quarter_n_max}"
+    for p in range(1, p_max + 1):
+        for n in range(p, n_max + 1):
+            yield f"n={n}, p={p}", _mismatch(
+                "formula {} != construction {}",
+                turan_edges_formula(n, p),
+                turan_edges_construction(n, p),
             )
+    if min(p_max, n_max) < 1:  # the first leg had no cell
+        return
+    for n in range(1, quarter_n_max + 1):
+        yield f"n={n}, p=2", _mismatch(
+            "{} != floor(n^2/4) = {}", turan_edges_formula(n, 2), n * n // 4
+        )
 
-    grid = f"1<=p<={p_max}, p<=n<={n_max}; two parts up to n={quarter_n_max}"
-    return _drive("turan-cross", grid, cases())
 
-
-@_bounded
+@_suite("turan-identity")
 def turan_identity_suite(
     *, p_max: int = 50, n_max: int = 500, enum_limit: int = 500
-) -> VerifyReport:
+) -> Cases:
     """Interval count vs Turán edges over the full claimed range.
 
     Each cell (n, p) compares the interval closed form, sum and brute
@@ -362,24 +348,20 @@ def turan_identity_suite(
     """
     refuse_above(n_max, INTERVAL_SUM_LIMIT, "the interval sum")
     enum_max = max(0, min(enum_limit, n_max))
+    yield f"1<=p<={p_max}, p<=n<={n_max}, enumeration leg up to n={enum_max}"
     ran = "intervals closed {} / sum {} / enum {}, edges formula {} / construction {}"
     skipped = ran.replace("enum {}", "enum None")
-
-    def cases() -> Iterator[Case]:
-        for p in range(1, p_max + 1):
-            tally = interval_counts_bruteforce(enum_max, p)
-            for n in range(p, n_max + 1):
-                closed, summed = interval_count_closed(n, p), interval_count_sum(n, p)
-                formula = turan_edges_formula(n + 1, p + 1)
-                parts = turan_edges_construction(n + 1, p + 1)
-                yield f"n={n}, p={p}", (
-                    _mismatch(ran, closed, summed, tally[n], formula, parts)
-                    if n <= enum_max
-                    else _mismatch(skipped, closed, summed, formula, parts)
-                )
-
-    grid = f"1<=p<={p_max}, p<=n<={n_max}, enumeration leg up to n={enum_max}"
-    return _drive("turan-identity", grid, cases())
+    for p in range(1, p_max + 1):
+        tally = interval_counts_bruteforce(enum_max, p)
+        for n in range(p, n_max + 1):
+            closed, summed = interval_count_closed(n, p), interval_count_sum(n, p)
+            formula = turan_edges_formula(n + 1, p + 1)
+            parts = turan_edges_construction(n + 1, p + 1)
+            yield f"n={n}, p={p}", (
+                _mismatch(ran, closed, summed, tally[n], formula, parts)
+                if n <= enum_max
+                else _mismatch(skipped, closed, summed, formula, parts)
+            )
 
 
 SUITES: dict[str, tuple[Callable[..., VerifyReport], ...]] = {

@@ -19,6 +19,7 @@ import schreier.verify
 from schreier import (
     INTERVAL_LIMIT,
     INTERVAL_SUM_LIMIT,
+    ORACLE_LIMIT,
     Ratio,
     count_schreier_direct,
     enumerate_schreier,
@@ -330,6 +331,23 @@ def test_verify_turan_identity_refuses_an_nmax_past_the_interval_sum_guard(
     assert err == (
         "error: instance too large for the interval sum: "
         f"n={n} exceeds the n <= {INTERVAL_SUM_LIMIT} guard\n"
+    )
+
+
+@pytest.mark.parametrize("suite", ["recurrence", "bijections"])
+def test_verify_oracle_suites_refuse_an_nmax_past_the_oracle_guard(
+    capsys, monkeypatch, suite
+):
+    def scanned(*args):
+        raise AssertionError("the oracle scanned")
+
+    monkeypatch.setattr(schreier.verify, "_subset_tally", scanned)
+    monkeypatch.setattr(schreier.verify, "_listings", scanned)
+    n = ORACLE_LIMIT + 1
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--nmax", str(n))
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: instance too large for oracle: n={n} exceeds the n <= {ORACLE_LIMIT} guard\n"
     )
 
 

@@ -1,5 +1,8 @@
 """Fast counting: recurrence and direct formula, against each other and the oracle."""
 
+from itertools import accumulate
+from operator import add
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,9 +112,14 @@ def test_engine_matches_the_direct_sum_at_the_cli_digit_limit(p, q):
 
 
 def test_engine_matches_the_direct_sum_at_a_deep_ratio():
-    # (50, 50) reduces to (1, 1); the coprime (50, 51) powers at depth 101
-    for ratio in (Ratio(50, 50), Ratio(50, 51)):
-        assert count_schreier_recurrence(20000, ratio) == count_schreier_direct(20000, ratio)
+    # (50, 50) reduces to (1, 1); the coprime (50, 51) powers at depth 101,
+    # and (1000, 1) at depth 1001, where the count has 681 digits
+    for ratio, n in [
+        (Ratio(50, 50), 20000),
+        (Ratio(50, 51), 20000),
+        (Ratio(1000, 1), 300000),
+    ]:
+        assert count_schreier_recurrence(n, ratio) == count_schreier_direct(n, ratio)
 
 
 def test_engine_powers_at_the_reduced_depth(monkeypatch):
@@ -226,15 +234,36 @@ def test_direct_sum_matches_the_quadratic_reference():
             assert count_schreier_direct(n, ratio) == quadratic_direct_sum(n, ratio)
 
 
+def pascal_prefix_sums(t_max):
+    """prefix[t][c] = C(t, 0) + ... + C(t, c) for 0 <= c <= t <= t_max, row from row."""
+    prefix, row = [], [1]
+    for _ in range(t_max + 1):
+        prefix.append(list(accumulate(row)))
+        row = [1, *map(add, row, row[1:]), 1]
+    return prefix
+
+
+def table_direct_sum(n, ratio, prefix):
+    """Reference: quadratic_direct_sum's row sums, each read off one prefix-sum table."""
+    p, q = ratio.p, ratio.q
+    total = 1 if q * n >= p else 0
+    for m in range(1, n):
+        cap, t = q * m // p - 2, n - m - 1
+        if cap >= 0:
+            total += prefix[t][min(cap, t)]
+    return total
+
+
 def test_saturated_rows_summed_in_one_term_match_the_quadratic_reference():
     # rows t <= T = min((q(n-1) - 2p) // (p+q), n - 2) hold every subset of
     # their gap and are added as 2^(T+1) - 1; n <= 150 takes in n = 0, 1, 2
     # (no row at all) and every n where T moves, at every ratio
+    prefix = pascal_prefix_sums(150)
     for p in range(1, 13):
         for q in range(1, 13):
             ratio = Ratio(p, q)
             for n in range(151):
-                assert count_schreier_direct(n, ratio) == quadratic_direct_sum(n, ratio)
+                assert count_schreier_direct(n, ratio) == table_direct_sum(n, ratio, prefix)
     # q far above p: almost every row is saturated, the walk starts late
     for p, q in [(1, 40), (1, 200), (3, 500)]:
         ratio = Ratio(p, q)

@@ -1,5 +1,6 @@
 """Verification suites: green on honest code, red under fault injection."""
 
+import inspect
 import re
 
 import pytest
@@ -7,7 +8,9 @@ import pytest
 import schreier.counting
 import schreier.verify
 from schreier import (
+    ORACLE_LIMIT,
     FiniteSet,
+    OracleLimitError,
     Ratio,
     formula_suite,
     gap_bijection_suite,
@@ -395,6 +398,53 @@ def test_an_identity_leg_that_reads_none_fails_its_cells(monkeypatch, name, stub
 def test_suite_bounds_are_keyword_only(suite):
     with pytest.raises(TypeError, match="takes 0 positional arguments"):
         suite(2)
+
+
+SIGNATURES = {
+    "recurrence_suite": "(*, p_max: 'int' = 4, q_max: 'int' = 4, n_max: 'int' = 20)",
+    "formula_suite": "(*, p_max: 'int' = 6, q_max: 'int' = 6, n_max: 'int' = 300)",
+    "scale_invariance_suite": "(*, p_max: 'int' = 3, q_max: 'int' = 3, n_max: 'int' = 200)",
+    "gap_bijection_suite": "(*, p_max: 'int' = 3, q_max: 'int' = 3, n_max: 'int' = 14)",
+    "window_bijection_suite": "(*, p_max: 'int' = 3, q_max: 'int' = 3, n_max: 'int' = 14)",
+    "interval_agreement_suite": "(*, p_max: 'int' = 10, n_max: 'int' = 200)",
+    "turan_cross_suite": (
+        "(*, p_max: 'int' = 20, n_max: 'int' = 300, quarter_n_max: 'int' = 100)"
+    ),
+    "turan_identity_suite": (
+        "(*, p_max: 'int' = 50, n_max: 'int' = 500, enum_limit: 'int' = 500)"
+    ),
+}
+
+
+def test_suite_signatures_are_pinned():
+    # keyword-only bounds, their defaults, and a report as the return value
+    suites = [suite for group in schreier.verify.SUITES.values() for suite in group]
+    assert {suite.__name__: str(inspect.signature(suite)) for suite in suites} == {
+        name: f"{bounds} -> 'VerifyReport'" for name, bounds in SIGNATURES.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "suite,layer",
+    [
+        (recurrence_suite, "_subset_tally"),
+        (gap_bijection_suite, "_listings"),
+        (window_bijection_suite, "_listings"),
+    ],
+    ids=lambda arg: getattr(arg, "__name__", arg),
+)
+def test_oracle_suites_refuse_an_nmax_past_the_guard_before_any_scan(
+    monkeypatch, suite, layer
+):
+    def scanned(*args):
+        raise AssertionError("the oracle scanned")
+
+    monkeypatch.setattr(schreier.verify, layer, scanned)
+    n = ORACLE_LIMIT + 1
+    message = f"instance too large for oracle: n={n} exceeds the n <= {ORACLE_LIMIT} guard"
+    for p_max in (1, 0):  # with cells and without
+        with pytest.raises(OracleLimitError, match=f"^{re.escape(message)}$"):
+            suite(p_max=p_max, q_max=1, n_max=n)
 
 
 def test_turan_identity_grid_names_the_enumeration_leg_it_ran():
