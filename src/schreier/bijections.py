@@ -11,10 +11,13 @@ values just below n:
 
 Both correspondences are implemented in both directions, with explicit
 domain checks (``DomainError``) and postcondition re-checks (plain
-``RuntimeError`` -- a failure there is a bug, not bad input).
+``RuntimeError`` -- a failure there is a bug, not bad input).  Each map
+is one core on a set's strictly increasing tuple of elements, which
+makes every check; the public map wraps it, ``FiniteSet`` in and out.
 :func:`schreier.verify.gap_bijection_suite` and
-:func:`schreier.verify.window_bijection_suite` check them as bijections
-on enumerated families; the window suite also counts each
+:func:`schreier.verify.window_bijection_suite` check the cores as
+bijections on enumerated families, held as element tuples, so no
+FiniteSet is built on their path; the window suite also counts each
 inclusion-exclusion layer by window occupancy and compares it with
 C(q, i) times the count i steps down, so the claimed class sizes are
 tested, not assumed.
@@ -25,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 
-from .sets import FiniteSet, Frozen, Ratio, in_schreier_family, require_int
+from .sets import Elements, FiniteSet, Frozen, Ratio, _in_family, _shown, require_int
 
 
 class DomainError(ValueError):
@@ -66,14 +69,78 @@ class GapSet(Frozen):
         return len(self.members)
 
 
-def _require_domain(fs: FiniteSet, ratio: Ratio, n: int, source_n: int) -> None:
-    """Refuse n < p + q (no claimed map) and an fs outside the family at source_n."""
+def _require_domain(elements: Elements, ratio: Ratio, n: int, source_n: int) -> None:
+    """Refuse n < p + q (no claimed map) and a set outside the family at source_n."""
     if n < ratio.p + ratio.q:
         raise DomainError(f"map needs n >= p + q = {ratio.p + ratio.q}, got n={n}")
-    if not in_schreier_family(fs, ratio, source_n):
+    if not _in_family(elements, ratio, source_n):
         raise DomainError(
-            f"{fs} is not a member of the family at n={source_n} for {ratio}"
+            f"{_shown(elements)} is not a member of the family"
+            f" at n={source_n} for {ratio}"
         )
+
+
+def _collapse(elements: Elements, gaps: GapSet) -> Elements:
+    """:func:`collapse_gaps` on element tuples, with every check it makes."""
+    n, ratio, members = gaps.n, gaps.ratio, gaps.members
+    _require_domain(elements, ratio, n, n)
+    if not set(members).isdisjoint(elements):
+        collision = sorted(set(elements) & set(members))
+        raise DomainError(f"{_shown(elements)} meets the gaps at {collision}")
+    # members is sorted, so bisect_left counts the gap values below x
+    image = tuple([x - bisect_left(members, x) for x in elements])
+    if not _in_family(image, ratio, n - len(members)):
+        raise RuntimeError(
+            f"relabeling broke membership: {_shown(elements)} -> {_shown(image)}"
+            f" at n={n - len(members)}"
+        )
+    return image
+
+
+def _expand(elements: Elements, gaps: GapSet) -> Elements:
+    """:func:`expand_gaps` on element tuples, with every check it makes."""
+    n, ratio, members = gaps.n, gaps.ratio, gaps.members
+    _require_domain(elements, ratio, n, n - len(members))
+    lifted = [g - i for i, g in enumerate(members)]
+    image = tuple([y + bisect_right(lifted, y) for y in elements])
+    reopened = set(members).isdisjoint(image)
+    if not (_in_family(image, ratio, n) and reopened):
+        raise RuntimeError(
+            "re-opening gaps produced a non-member: "
+            f"{_shown(elements)} -> {_shown(image)}"
+        )
+    return image
+
+
+def _strip(elements: Elements, ratio: Ratio, n: int) -> Elements:
+    """:func:`strip_window` on element tuples, with every check it makes."""
+    p, q = ratio.p, ratio.q
+    _require_domain(elements, ratio, n, n)
+    missing = [w for w in gap_window(n, ratio) if w not in elements]
+    if missing:
+        raise DomainError(f"{_shown(elements)} misses window values {missing}")
+    image = tuple([x - p for x in elements if x <= n - q])
+    if not _in_family(image, ratio, n - p - q):
+        raise RuntimeError(
+            f"window strip broke membership: {_shown(elements)} -> {_shown(image)}"
+            f" at n={n - p - q}"
+        )
+    return image
+
+
+def _attach(elements: Elements, ratio: Ratio, n: int) -> Elements:
+    """:func:`attach_window` on element tuples, with every check it makes."""
+    p, q = ratio.p, ratio.q
+    _require_domain(elements, ratio, n, n - p - q)
+    # every element is at most n - p - q, so the shifted ones stay below the top
+    image = tuple([x + p for x in elements]) + tuple(range(n - q + 1, n + 1))
+    window = gap_window(n, ratio)
+    if not _in_family(image, ratio, n) or any(w not in image for w in window):
+        raise RuntimeError(
+            "window attach produced a non-member: "
+            f"{_shown(elements)} -> {_shown(image)}"
+        )
+    return image
 
 
 def collapse_gaps(fs: FiniteSet, gaps: GapSet) -> FiniteSet:
@@ -85,18 +152,7 @@ def collapse_gaps(fs: FiniteSet, gaps: GapSet) -> FiniteSet:
     to the family at n = gaps.n, miss every gap value, and n must be at
     least p + q (below that the correspondence is not claimed).
     """
-    n, ratio = gaps.n, gaps.ratio
-    _require_domain(fs, ratio, n, n)
-    if not set(gaps.members).isdisjoint(fs.elements):
-        collision = sorted(set(fs) & set(gaps.members))
-        raise DomainError(f"{fs} meets the gaps at {collision}")
-    # gaps.members is sorted, so bisect_left counts the gap values below x
-    image = FiniteSet([x - bisect_left(gaps.members, x) for x in fs.elements])
-    if not in_schreier_family(image, ratio, n - len(gaps)):
-        raise RuntimeError(
-            f"relabeling broke membership: {fs} -> {image} at n={n - len(gaps)}"
-        )
-    return image
+    return FiniteSet(_collapse(fs.elements, gaps))
 
 
 def expand_gaps(fs: FiniteSet, gaps: GapSet) -> FiniteSet:
@@ -108,14 +164,7 @@ def expand_gaps(fs: FiniteSet, gaps: GapSet) -> FiniteSet:
     so it lies below that value exactly when g - i <= y, and those g - i
     never decrease.
     """
-    n, ratio = gaps.n, gaps.ratio
-    _require_domain(fs, ratio, n, n - len(gaps))
-    lifted = [g - i for i, g in enumerate(gaps.members)]
-    image = FiniteSet([y + bisect_right(lifted, y) for y in fs.elements])
-    reopened = set(gaps.members).isdisjoint(image.elements)
-    if not (in_schreier_family(image, ratio, n) and reopened):
-        raise RuntimeError(f"re-opening gaps produced a non-member: {fs} -> {image}")
-    return image
+    return FiniteSet(_expand(fs.elements, gaps))
 
 
 def strip_window(fs: FiniteSet, ratio: Ratio, n: int) -> FiniteSet:
@@ -125,17 +174,7 @@ def strip_window(fs: FiniteSet, ratio: Ratio, n: int) -> FiniteSet:
     down by p.  The new maximum is the old window floor n - q, moved to
     n - p - q; the size bound transfers exactly, in both directions.
     """
-    p, q = ratio.p, ratio.q
-    _require_domain(fs, ratio, n, n)
-    missing = [w for w in gap_window(n, ratio) if w not in fs]
-    if missing:
-        raise DomainError(f"{fs} misses window values {missing}")
-    image = FiniteSet(x - p for x in fs if x <= n - q)
-    if not in_schreier_family(image, ratio, n - p - q):
-        raise RuntimeError(
-            f"window strip broke membership: {fs} -> {image} at n={n - p - q}"
-        )
-    return image
+    return FiniteSet(_strip(fs.elements, ratio, n))
 
 
 def attach_window(fs: FiniteSet, ratio: Ratio, n: int) -> FiniteSet:
@@ -144,10 +183,4 @@ def attach_window(fs: FiniteSet, ratio: Ratio, n: int) -> FiniteSet:
     ``fs`` must belong to the family at n - p - q; the result belongs
     to the family at n and contains all of {n-q, ..., n}.
     """
-    p, q = ratio.p, ratio.q
-    _require_domain(fs, ratio, n, n - p - q)
-    image = FiniteSet([x + p for x in fs] + list(range(n - q + 1, n + 1)))
-    window = gap_window(n, ratio)
-    if not in_schreier_family(image, ratio, n) or any(w not in image for w in window):
-        raise RuntimeError(f"window attach produced a non-member: {fs} -> {image}")
-    return image
+    return FiniteSet(_attach(fs.elements, ratio, n))

@@ -11,7 +11,7 @@ its bit count.  The predicate q*min F >= p*|F| then reads as a size
 cap, |F| <= q*s // p.  The listings apply it mask by mask, and every
 count applies it class by class to the scan's (size, smallest) tally.
 One listing pass serves a whole grid of ratios at one n and builds one
-FiniteSet per admitted mask, shared by every ratio that admits it.
+element tuple per admitted mask, shared by every ratio that admits it.
 The scan is exponential in n; ``ORACLE_LIMIT`` keeps instances
 desk-sized.  The interval tally is quadratic in n and has its own
 guard, ``INTERVAL_LIMIT``.
@@ -23,7 +23,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from itertools import accumulate, chain, compress
 
-from .sets import FiniteSet, Ratio, require_int
+from .sets import Elements, FiniteSet, Ratio, require_int
 
 ORACLE_LIMIT = 30
 """Largest n the subset-scanning oracles accept (2**(n-1) candidates)."""
@@ -120,18 +120,19 @@ def _members(n: int, ratio: Ratio) -> Iterator[FiniteSet]:
     return (FiniteSet(_elements(mask)) for mask in merge(*admitted))
 
 
-def _listings(n: int, ratios: Iterable[Ratio]) -> list[tuple[FiniteSet, ...]]:
+def _listings(n: int, ratios: Iterable[Ratio]) -> list[tuple[Elements, ...]]:
     """The family at n for each ratio in turn, each in ascending-bitmask order.
 
-    One scan serves every ratio, and one FiniteSet is built per mask that
-    any ratio admits: the ratios that admit a mask share its object.
+    Each member is its tuple of elements, in increasing order.  One scan
+    serves every ratio, and one tuple is built per mask that any ratio
+    admits: the ratios that admit a mask share its object.
     """
     strides = _scan(n)
     admitted = [
         sorted(chain.from_iterable(_within_cap(m, _cap(s, r)) for s, m in strides))
         for r in ratios
     ]
-    built = {mask: FiniteSet(_elements(mask)) for mask in set().union(*admitted)}
+    built = {mask: tuple(_elements(mask)) for mask in set().union(*admitted)}
     return [tuple(map(built.__getitem__, masks)) for masks in admitted]
 
 
@@ -142,7 +143,7 @@ def enumerate_schreier(n: int, ratio: Ratio) -> tuple[FiniteSet, ...]:
     i), so listings are deterministic and diffable; a FiniteSet is
     built for members only.
     """
-    return _listings(n, [ratio])[0]
+    return tuple(map(FiniteSet, _listings(n, [ratio])[0]))
 
 
 def count_schreier_bruteforce(n: int, ratio: Ratio) -> int:

@@ -120,7 +120,7 @@ class FiniteSet(Frozen):
         return x in self.elements
 
     def __str__(self) -> str:
-        return "{%s}" % ",".join(str(x) for x in self.elements)
+        return _shown(self.elements)
 
 
 class Ratio(Frozen):
@@ -149,7 +149,19 @@ class Ratio(Frozen):
         return f"{self.p}/{self.q}"
 
 
+Elements = tuple[int, ...]  # a set as its strictly increasing elements
+
+
+def _shown(elements: Elements) -> str:
+    """A set, given as its increasing elements, printed as ``{2,4}``."""
+    return "{%s}" % ",".join(map(str, elements))
+
+
+def _in_family(elements: Elements, ratio: Ratio, n: int) -> bool:
+    """The family predicate on a set given as its strictly increasing elements."""
+    return elements[-1] == n and ratio.q * elements[0] >= ratio.p * len(elements)
+
+
 def in_schreier_family(fs: FiniteSet, ratio: Ratio, n: int) -> bool:
     """True iff max(fs) == n and q*min(fs) >= p*|fs|."""
-    elements = fs.elements
-    return elements[-1] == n and ratio.q * elements[0] >= ratio.p * len(elements)
+    return _in_family(fs.elements, ratio, n)

@@ -20,14 +20,7 @@ from functools import cache, wraps
 from itertools import combinations, product
 from math import comb
 
-from .bijections import (
-    GapSet,
-    attach_window,
-    collapse_gaps,
-    expand_gaps,
-    gap_window,
-    strip_window,
-)
+from .bijections import GapSet, _attach, _collapse, _expand, _strip, gap_window
 from .counting import (
     count_schreier_direct,
     count_schreier_recurrence,
@@ -41,7 +34,7 @@ from .enumeration import (
     interval_counts_bruteforce,
     refuse_above,
 )
-from .sets import FiniteSet, Frozen, Ratio, require_int
+from .sets import Elements, Frozen, Ratio, require_int
 from .turan import (
     INTERVAL_SUM_LIMIT,
     interval_count_closed,
@@ -80,7 +73,7 @@ class VerifyReport(Frozen):
 
 
 Cases = Iterator["str | tuple[str, str | None]"]  # the grid, then (label, problem)s
-Listings = list[frozenset[FiniteSet]]  # family members, indexed by n from 0
+Listings = list[frozenset[Elements]]  # family members, indexed by n from 0
 
 
 def _drive(suite: str, cases: Cases) -> VerifyReport:
@@ -127,6 +120,20 @@ def _mismatch(template: str, *legs: object) -> str | None:
     return None if legs.count(legs[0]) == len(legs) else template.format(*legs)
 
 
+def _mapped(
+    name: str, core: Callable[..., Elements], sources: list[Elements], *args: object
+) -> tuple[list[Elements], str | None]:
+    """(core(t, *args) for each source t, None), or ([], the problem) when one raises.
+
+    A map that refuses a member or fails its own postcondition is a
+    failure at its cell, worded ``"{name} raised {error type}: {error}"``.
+    """
+    try:
+        return [core(t, *args) for t in sources], None
+    except (ValueError, RuntimeError) as error:
+        return [], f"{name} raised {type(error).__name__}: {error}"
+
+
 def _ratios(p_max: int, q_max: int) -> Iterator[tuple[str, Ratio]]:
     for p, q in product(range(1, p_max + 1), range(1, q_max + 1)):
         yield f"(p,q)=({p},{q})", Ratio(p, q)
@@ -148,7 +155,7 @@ def _window_cells(
     """(label, ratio, n, listings by n) for every cell with p + q <= n <= n_max.
 
     The listings at each n come from one pass for the whole grid, which
-    shares one member object among the ratios that admit it.  Each
+    shares one element tuple among the ratios that admit it.  Each
     ratio's listings, from the empty one at n = 0 up, are made frozensets
     once, so the cells compare their images with them without rebuilding.
     """
@@ -222,6 +229,8 @@ def gap_bijection_suite(*, p_max: int = 3, q_max: int = 3, n_max: int = 14) -> C
     For every grid cell and every nonempty gap choice: the map on the
     gap-avoiding members must be injective, land exactly on the
     enumerated family at n - k, and round-trip through its inverse.
+    The maps run on element tuples, through the cores behind
+    ``collapse_gaps`` and ``expand_gaps``.
     """
 
     def check(
@@ -229,16 +238,19 @@ def gap_bijection_suite(*, p_max: int = 3, q_max: int = 3, n_max: int = 14) -> C
     ) -> str | None:
         gaps = GapSet(n, ratio, chosen)
         avoids = set(chosen).isdisjoint
-        avoiders = [fs for fs in listings[n] if avoids(fs.elements)]
-        images = [collapse_gaps(fs, gaps) for fs in avoiders]
+        avoiders = [t for t in listings[n] if avoids(t)]
+        images, problem = _mapped("collapse", _collapse, avoiders, gaps)
+        if problem:
+            return problem
         image_set = set(images)
         if len(image_set) != len(images):
             return "map is not injective"
         if image_set != listings[n - len(chosen)]:
             return f"image differs from the family at n={n - len(chosen)}"
-        if any(expand_gaps(image, gaps) != fs for fs, image in zip(avoiders, images)):
-            return "inverse does not round-trip"
-        return None
+        back, problem = _mapped("expand", _expand, images, gaps)
+        if problem:
+            return problem
+        return None if back == avoiders else "inverse does not round-trip"
 
     yield f"1<=p<={p_max}, 1<=q<={q_max}, p+q<=n<={n_max}, all gap choices"
     for label, ratio, n, listings in _window_cells(p_max, q_max, n_max):
@@ -260,26 +272,31 @@ def window_bijection_suite(*, p_max: int = 3, q_max: int = 3, n_max: int = 14) -
     a member missing k window values avoids C(k, i) such choices.  The
     alternating sum of the layers on top of the full-window members
     equals the family size for any listing whatever, so it is not
-    checked; the layers are where a fault shows.
+    checked; the layers are where a fault shows.  The maps run on
+    element tuples, through the cores behind ``strip_window`` and
+    ``attach_window``.
     """
 
     def strip(ratio: Ratio, n: int, listings: Listings) -> str | None:
         holds = set(gap_window(n, ratio)).issubset
-        holders = [fs for fs in listings[n] if holds(fs.elements)]
+        holders = [t for t in listings[n] if holds(t)]
         m = n - ratio.p - ratio.q
-        images = [strip_window(fs, ratio, n) for fs in holders]
+        images, problem = _mapped("strip", _strip, holders, ratio, n)
+        if problem:
+            return problem
         image_set = set(images)
         if len(image_set) != len(images):
             return "strip map is not injective"
         if image_set != listings[m]:
             return f"strip image differs from the family at n={m}"
-        if any(attach_window(im, ratio, n) != fs for fs, im in zip(holders, images)):
-            return "attach does not invert strip"
-        return None
+        back, problem = _mapped("attach", _attach, images, ratio, n)
+        if problem:
+            return problem
+        return None if back == holders else "attach does not invert strip"
 
     def recount(ratio: Ratio, n: int, listings: Listings) -> str | None:
         misses = set(gap_window(n, ratio)).difference
-        missed = [len(misses(fs.elements)) for fs in listings[n]]
+        missed = [len(misses(t)) for t in listings[n]]
         for i in range(1, ratio.q + 1):
             # a member missing k window values avoids C(k, i) of the i-choices
             layer = sum(comb(k, i) for k in missed)

@@ -1,10 +1,14 @@
 """The structure-preserving maps, exercised as maps and as bijections."""
 
 import re
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import schreier.bijections
+from schreier.bijections import _attach, _collapse, _expand, _strip
 
 from schreier import (
     DomainError,
@@ -149,6 +153,113 @@ def test_attach_rejects_non_members():
         attach_window(FiniteSet([1, 2]), Ratio(1, 1), 4)  # {1,2} not in family at 2
     with pytest.raises(DomainError):
         attach_window(FiniteSet([1]), Ratio(1, 1), 2)  # no room below n = p + q
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: collapse_gaps(FiniteSet([1, 2, 4]), GapSet(4, Ratio(1, 2), [3])),
+            "{1,2,4} is not a member of the family at n=4 for 1/2",
+        ),
+        (
+            lambda: collapse_gaps(FiniteSet([3]), GapSet(3, Ratio(2, 2), [2])),
+            "map needs n >= p + q = 4, got n=3",
+        ),
+        (
+            lambda: expand_gaps(FiniteSet([1, 2, 3]), GapSet(4, Ratio(1, 2), [3])),
+            "{1,2,3} is not a member of the family at n=3 for 1/2",
+        ),
+        (
+            lambda: strip_window(FiniteSet([2, 4, 5]), Ratio(1, 2), 5),
+            "{2,4,5} misses window values [3]",
+        ),
+        (
+            lambda: strip_window(FiniteSet([1]), Ratio(1, 1), 1),
+            "map needs n >= p + q = 2, got n=1",
+        ),
+        (
+            lambda: attach_window(FiniteSet([1]), Ratio(1, 1), 2),
+            "{1} is not a member of the family at n=0 for 1/1",
+        ),
+    ],
+    ids=["collapse", "collapse-low-n", "expand", "strip", "strip-low-n", "attach"],
+)
+def test_domain_errors_print_the_set_as_finiteset_does(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "name, broken, call, message",
+    [
+        (
+            "bisect_left",
+            lambda a, x: 0,
+            lambda: collapse_gaps(FiniteSet([2, 4]), GapSet(4, Ratio(1, 2), [3])),
+            "relabeling broke membership: {2,4} -> {2,4} at n=3",
+        ),
+        (
+            "bisect_right",
+            lambda a, x: 0,
+            lambda: expand_gaps(FiniteSet([2, 3]), GapSet(4, Ratio(1, 2), [3])),
+            "re-opening gaps produced a non-member: {2,3} -> {2,3}",
+        ),
+        (
+            "gap_window",
+            lambda n, ratio: (),
+            lambda: strip_window(FiniteSet([2, 4, 5]), Ratio(1, 2), 5),
+            "window strip broke membership: {2,4,5} -> {1} at n=2",
+        ),
+        (
+            "gap_window",
+            lambda n, ratio: (0,),
+            lambda: attach_window(FiniteSet([1]), Ratio(1, 1), 3),
+            "window attach produced a non-member: {1} -> {2,3}",
+        ),
+    ],
+    ids=["collapse", "expand", "strip", "attach"],
+)
+def test_a_broken_postcondition_raises_runtime_error(
+    monkeypatch, name, broken, call, message
+):
+    # a failed postcondition is a bug in the map, not bad input
+    monkeypatch.setattr(schreier.bijections, name, broken)
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$") as excinfo:
+        call()
+    assert type(excinfo.value) is RuntimeError
+
+
+def outcome(call):
+    """What ``call`` returns, or the type and text of the map error it raises."""
+    try:
+        return call()
+    except (DomainError, RuntimeError) as error:
+        return type(error), str(error)
+
+
+def agree(public, core, elements, *args):
+    """The public map on FiniteSet(elements) and its core on the tuple end alike."""
+    return outcome(lambda: public(FiniteSet(elements), *args).elements) == outcome(
+        lambda: core(elements, *args)
+    )
+
+
+def test_public_maps_are_their_cores_on_finitesets():
+    # every member of the grid, every gap choice: accepted or refused alike
+    for p, q in [(p, q) for p in range(1, 4) for q in range(1, 4)]:
+        ratio = Ratio(p, q)
+        by_n = [[fs.elements for fs in enumerate_schreier(n, ratio)] for n in range(15)]
+        for n in range(p + q, 15):
+            assert all(agree(strip_window, _strip, t, ratio, n) for t in by_n[n])
+            below = by_n[n - p - q]
+            assert all(agree(attach_window, _attach, t, ratio, n) for t in below)
+            for size in range(1, q + 1):
+                for chosen in combinations(gap_window(n, ratio), size):
+                    gaps = GapSet(n, ratio, chosen)
+                    above, below = by_n[n], by_n[n - size]
+                    assert all(agree(collapse_gaps, _collapse, t, gaps) for t in above)
+                    assert all(agree(expand_gaps, _expand, t, gaps) for t in below)
 
 
 # Random-grid roundtrip: any family member avoiding the gaps must survive

@@ -18,6 +18,7 @@ import schreier.counting
 import schreier.verify
 from schreier import (
     INTERVAL_LIMIT,
+    DomainError,
     INTERVAL_SUM_LIMIT,
     ORACLE_LIMIT,
     Ratio,
@@ -431,6 +432,35 @@ def test_verify_failure_exit_code_under_fault_injection(capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out
     assert "first counterexample" in out
+
+
+@pytest.mark.parametrize(
+    "error", [DomainError("boom domain"), RuntimeError("boom postcondition")]
+)
+def test_verify_reports_a_map_that_raises_at_its_cell(capsys, monkeypatch, error):
+    # neither a usage error (exit 2) nor a traceback: a failing case, exit 1
+    honest = schreier.verify._collapse
+
+    def raising(elements, gaps):
+        if gaps.n == 9:
+            raise error
+        return honest(elements, gaps)
+
+    monkeypatch.setattr(schreier.verify, "_collapse", raising)
+    code, out, err = run_cli(
+        capsys,
+        "verify", "--suite", "bijections", "--pmax", "2", "--qmax", "2", "--nmax", "10",
+    )
+    name = type(error).__name__
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "gap-bijections: FAIL (62 cases over 1<=p<=2, 1<=q<=2, p+q<=n<=10, "
+        "all gap choices, 8 failures)",  # every gap choice at n = 9
+        "first counterexample: (p,q)=(1,1), n=9, gaps=(8,): "
+        f"collapse raised {name}: {error}",
+        "window-bijections: pass "
+        "(64 cases over 1<=p<=2, 1<=q<=2, p+q<=n<=10, 0 failures)",
+    ]
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Brute-force enumerators: cross-checked against a second, even dumber oracle."""
 
-from itertools import combinations
+import hashlib
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -94,7 +95,8 @@ def test_listing_agrees_with_combinations_oracle(p, q):
 
 def test_grid_listing_is_the_stream_and_the_predicate_filter():
     # one pass lists every ratio of the grid: each listing is the streamed
-    # one, in order, and the filter of every subset of {1..n} by the predicate
+    # one, in order, and the filter of every subset of {1..n} by the
+    # predicate; a grid listing holds each member as its element tuple
     ratios = [Ratio(p, q) for p in range(1, 5) for q in range(1, 5)]
     subsets = []  # every nonempty subset of {1..n}, in ascending-bitmask order
     for n in range(17):
@@ -102,19 +104,37 @@ def test_grid_listing_is_the_stream_and_the_predicate_filter():
             subsets += [FiniteSet([n])]
             subsets += [FiniteSet(fs.elements + (n,)) for fs in subsets[:-1]]
         for ratio, listing in zip(ratios, _listings(n, ratios), strict=True):
-            assert list(listing) == list(_members(n, ratio))
+            assert all(type(t) is tuple for t in listing)
+            assert list(listing) == [fs.elements for fs in _members(n, ratio)]
             assert list(listing) == [
-                fs for fs in subsets if in_schreier_family(fs, ratio, n)
+                fs.elements for fs in subsets if in_schreier_family(fs, ratio, n)
             ]
 
 
 def test_ratios_that_admit_a_mask_share_its_member():
     wide, narrow = _listings(12, [Ratio(1, 3), Ratio(2, 3)])
-    by_elements = {fs.elements: fs for fs in wide}
+    by_elements = {t: t for t in wide}
     assert 0 < len(narrow) < len(wide)
-    assert all(by_elements[fs.elements] is fs for fs in narrow)
+    assert all(by_elements[t] is t for t in narrow)
     same, scaled = _listings(10, [Ratio(1, 2), Ratio(2, 4)])
     assert same and all(a is b for a, b in zip(same, scaled, strict=True))
+
+
+# sha256 of the members' element tuples, one line per (p, q, n) with p and q
+# up to 6 and n up to 18, in that nesting order: the listings' content and
+# order, whatever the grid listing holds inside
+LISTINGS_DIGEST = "21f612727cf33f877827233256207afec647115b35a23683ebc6955214296d28"
+
+
+def test_enumerate_schreier_output_is_pinned():
+    digest = hashlib.sha256()
+    for p, q in product(range(1, 7), repeat=2):
+        for n in range(19):
+            listing = enumerate_schreier(n, Ratio(p, q))
+            assert type(listing) is tuple
+            assert all(type(fs) is FiniteSet for fs in listing)
+            digest.update(repr([fs.elements for fs in listing]).encode() + b"\n")
+    assert digest.hexdigest() == LISTINGS_DIGEST
 
 
 def test_every_member_satisfies_the_family_predicate():

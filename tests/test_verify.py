@@ -9,7 +9,7 @@ import schreier.counting
 import schreier.verify
 from schreier import (
     ORACLE_LIMIT,
-    FiniteSet,
+    DomainError,
     OracleLimitError,
     Ratio,
     formula_suite,
@@ -209,7 +209,10 @@ def test_skewed_count_is_caught_by_the_window_recount(monkeypatch):
 
 
 def per_cell(fault):
-    """The grid listing at n, with ``fault`` applied to each ratio's listing."""
+    """The grid listing at n, with ``fault`` applied to each ratio's listing.
+
+    A listing holds each member as its tuple of elements.
+    """
     honest = schreier.verify._listings
 
     def faulty(n, ratios):
@@ -220,12 +223,12 @@ def per_cell(fault):
 
 
 def test_missing_member_is_caught_by_the_window_recount(monkeypatch):
-    lost = FiniteSet([2, 8])
+    lost = (2, 8)
 
     @per_cell
     def lossy(n, ratio, listing):
         if (n, ratio) == (8, Ratio(1, 2)):
-            return tuple(fs for fs in listing if fs != lost)
+            return tuple(t for t in listing if t != lost)
         return listing
 
     # {2, 8} misses both window values 6 and 7, so layer 1 at n = 8 loses
@@ -239,7 +242,7 @@ def test_missing_member_is_caught_by_the_window_recount(monkeypatch):
 
 
 def test_stray_member_is_caught_by_the_gap_image_check(monkeypatch):
-    stray = FiniteSet([1, 6, 7, 8])  # 2*1 < 1*4: not a member at n = 8
+    stray = (1, 6, 7, 8)  # 2*1 < 1*4: not a member at n = 8
 
     @per_cell
     def padded(n, ratio, listing):
@@ -257,7 +260,7 @@ def test_stray_member_is_caught_by_the_gap_image_check(monkeypatch):
 
 
 def test_stray_member_is_caught_by_the_strip_image_check(monkeypatch):
-    stray = FiniteSet([1, 2, 8])  # 2*1 < 1*3: not a member at n = 8
+    stray = (1, 2, 8)  # 2*1 < 1*3: not a member at n = 8
 
     @per_cell
     def padded(n, ratio, listing):
@@ -275,29 +278,29 @@ def test_stray_member_is_caught_by_the_strip_image_check(monkeypatch):
 
 
 def test_broken_gap_map_is_caught_at_its_cell(monkeypatch):
-    honest = schreier.verify.collapse_gaps
+    honest = schreier.verify._collapse
 
-    def broken(fs, gaps):
+    def broken(elements, gaps):
         if (gaps.n, gaps.ratio, gaps.members) == (9, Ratio(1, 2), (7,)):
-            return FiniteSet([gaps.n - 1])  # every avoider lands on {8}
-        return honest(fs, gaps)
+            return (gaps.n - 1,)  # every avoider lands on {8}
+        return honest(elements, gaps)
 
-    monkeypatch.setattr(schreier.verify, "collapse_gaps", broken)
+    monkeypatch.setattr(schreier.verify, "_collapse", broken)
     report = gap_bijection_suite(p_max=2, q_max=2, n_max=10)
     assert report.failures == ("(p,q)=(1,2), n=9, gaps=(7,): map is not injective",)
 
 
 def test_broken_gap_inverse_is_caught_at_its_cell(monkeypatch):
-    honest = schreier.verify.expand_gaps
+    honest = schreier.verify._expand
 
-    def broken(fs, gaps):
+    def broken(elements, gaps):
         if (gaps.n, gaps.ratio, gaps.members) == (9, Ratio(1, 2), (7,)):
-            return FiniteSet([gaps.n])  # every image re-opens to {9}
-        return honest(fs, gaps)
+            return (gaps.n,)  # every image re-opens to {9}
+        return honest(elements, gaps)
 
     # the collapse still bijects onto the family at n = 8; only the way
     # back is wrong, and only at this one choice
-    monkeypatch.setattr(schreier.verify, "expand_gaps", broken)
+    monkeypatch.setattr(schreier.verify, "_expand", broken)
     report = gap_bijection_suite(p_max=2, q_max=2, n_max=10)
     assert report.failures == (
         "(p,q)=(1,2), n=9, gaps=(7,): inverse does not round-trip",
@@ -305,31 +308,129 @@ def test_broken_gap_inverse_is_caught_at_its_cell(monkeypatch):
 
 
 def test_broken_strip_map_is_caught_at_its_cell(monkeypatch):
-    honest = schreier.verify.strip_window
+    honest = schreier.verify._strip
 
-    def broken(fs, ratio, n):
+    def broken(elements, ratio, n):
         if (ratio, n) == (Ratio(1, 2), 11):
-            return FiniteSet([n - 3])  # every full-window member lands on {8}
-        return honest(fs, ratio, n)
+            return (n - 3,)  # every full-window member lands on {8}
+        return honest(elements, ratio, n)
 
-    monkeypatch.setattr(schreier.verify, "strip_window", broken)
+    monkeypatch.setattr(schreier.verify, "_strip", broken)
     report = window_bijection_suite(p_max=2, q_max=2, n_max=12)
     assert report.failures == ("(p,q)=(1,2), n=11: strip map is not injective",)
 
 
 def test_broken_attach_map_is_caught_at_its_cell(monkeypatch):
-    honest = schreier.verify.attach_window
+    honest = schreier.verify._attach
 
-    def broken(fs, ratio, n):
+    def broken(elements, ratio, n):
         if (ratio, n) == (Ratio(1, 2), 11):
-            return FiniteSet([n])  # {11} holds no window value 9 or 10
-        return honest(fs, ratio, n)
+            return (n,)  # {11} holds no window value 9 or 10
+        return honest(elements, ratio, n)
 
     # the strip still bijects onto the family at n = 8; only the way back
     # is wrong, and only at this one cell
-    monkeypatch.setattr(schreier.verify, "attach_window", broken)
+    monkeypatch.setattr(schreier.verify, "_attach", broken)
     report = window_bijection_suite(p_max=2, q_max=2, n_max=12)
     assert report.failures == ("(p,q)=(1,2), n=11: attach does not invert strip",)
+
+
+def cell_of(args):
+    """The cell of a core's call, from its arguments after the elements.
+
+    A gap map's cell is its GapSet's (n, ratio, members); a window map's
+    is its (ratio, n).
+    """
+    if len(args) == 1:
+        (gaps,) = args
+        return gaps.n, gaps.ratio, gaps.members
+    return args
+
+
+@pytest.mark.parametrize(
+    "core, cell, error, failure",
+    [
+        (
+            "_collapse",
+            (9, Ratio(1, 2), (7,)),
+            DomainError("boom domain"),
+            "(p,q)=(1,2), n=9, gaps=(7,): collapse raised DomainError: boom domain",
+        ),
+        (
+            "_expand",
+            (9, Ratio(1, 2), (7,)),
+            RuntimeError("boom check"),
+            "(p,q)=(1,2), n=9, gaps=(7,): expand raised RuntimeError: boom check",
+        ),
+        (
+            "_strip",
+            (Ratio(1, 2), 9),
+            DomainError("boom domain"),
+            "(p,q)=(1,2), n=9: strip raised DomainError: boom domain",
+        ),
+        (
+            "_attach",
+            (Ratio(1, 2), 9),
+            ValueError("duplicate element 9"),
+            "(p,q)=(1,2), n=9: attach raised ValueError: duplicate element 9",
+        ),
+    ],
+    ids=["collapse", "expand", "strip", "attach"],
+)
+def test_a_map_that_raises_is_a_failure_at_its_cell(
+    monkeypatch, core, cell, error, failure
+):
+    honest = getattr(schreier.verify, core)
+
+    def raising(elements, *args):
+        if cell_of(args) == cell:
+            raise error
+        return honest(elements, *args)
+
+    # the other cells still run: the report counts every case, one failing
+    monkeypatch.setattr(schreier.verify, core, raising)
+    if core in ("_collapse", "_expand"):
+        report, cases = gap_bijection_suite(p_max=2, q_max=2, n_max=10), 62
+    else:
+        report, cases = window_bijection_suite(p_max=2, q_max=2, n_max=10), 64
+    assert (report.cases, report.failures) == (cases, (failure,))
+
+
+@pytest.mark.parametrize(
+    "core, cell, source, failure",
+    [
+        (
+            "_collapse",
+            (9, Ratio(1, 2), (7,)),
+            (3, 4, 9),  # -> (3, 4, 8), merged to (3, 3, 8)
+            "(p,q)=(1,2), n=9, gaps=(7,): image differs from the family at n=8",
+        ),
+        (
+            "_strip",
+            (Ratio(1, 2), 11),
+            (3, 4, 9, 10, 11),  # -> (2, 3, 8), merged to (2, 2, 8)
+            "(p,q)=(1,2), n=11: strip image differs from the family at n=8",
+        ),
+    ],
+    ids=["collapse", "strip"],
+)
+def test_a_core_that_merges_two_elements_is_caught_at_its_cell(
+    monkeypatch, core, cell, source, failure
+):
+    honest = getattr(schreier.verify, core)
+
+    def merging(elements, *args):
+        image = honest(elements, *args)
+        if cell_of(args) == cell and elements == source:
+            return image[:1] * 2 + image[2:]  # the second element lands on the first
+        return image
+
+    # FiniteSet would refuse the repeated element; on the tuple path the
+    # comparison with the listing at the target n is what catches it
+    monkeypatch.setattr(schreier.verify, core, merging)
+    suite = gap_bijection_suite if core == "_collapse" else window_bijection_suite
+    report = suite(p_max=2, q_max=2, n_max=12)
+    assert report.failures == (failure,)
 
 
 def test_corrupted_edge_formula_is_caught(monkeypatch):
