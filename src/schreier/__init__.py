@@ -41,7 +41,7 @@ _EXPORTS = {
         "count_schreier_bruteforce",
         "enumerate_schreier",
     ),
-    "sets": ("FiniteSet", "Ratio", "in_schreier_family"),
+    "sets": ("FiniteSet", "Ratio"),
     "turan": (
         "INTERVAL_SUM_LIMIT",
         "interval_count_closed",

@@ -16,8 +16,8 @@ is one core on a set's strictly increasing tuple of elements, which
 makes every check; the public map wraps it, ``FiniteSet`` in and out.
 :func:`schreier.verify.gap_bijection_suite` and
 :func:`schreier.verify.window_bijection_suite` check the cores as
-bijections on enumerated families, held as element tuples, so no
-FiniteSet is built on their path; the window suite also counts each
+bijections, through one shared check, on enumerated families held as
+sets of element tuples; the window suite also counts each
 inclusion-exclusion layer by window occupancy and compares it with
 C(q, i) times the count i steps down, so the claimed class sizes are
 tested, not assumed.

@@ -33,7 +33,7 @@ from .enumeration import (
     count_interval_bruteforce,
     count_schreier_bruteforce,
 )
-from .sets import Ratio, require_int
+from .sets import Ratio, _shown, require_int
 from .turan import (
     INTERVAL_SUM_LIMIT,
     interval_count_closed,
@@ -144,7 +144,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     # each member is printed as the scan finds it; the guard runs before the first
     for member in _members(args.n, Ratio(args.p, args.q)):
-        print(member)
+        print(_shown(member))
     return 0
 
 

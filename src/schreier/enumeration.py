@@ -10,11 +10,13 @@ with maximum n, split by smallest element s into strides that a
 its bit count.  The predicate q*min F >= p*|F| then reads as a size
 cap, |F| <= q*s // p.  The listings apply it mask by mask, and every
 count applies it class by class to the scan's (size, smallest) tally.
-One listing pass serves a whole grid of ratios at one n and builds one
-element tuple per admitted mask, shared by every ratio that admits it.
-The scan is exponential in n; ``ORACLE_LIMIT`` keeps instances
-desk-sized.  The interval tally is quadratic in n and has its own
-guard, ``INTERVAL_LIMIT``.
+A member is its strictly increasing tuple of elements.  One ordered
+stream lists a family; one pass lists a whole grid of ratios at one n,
+as a set of members per ratio, with one tuple per admitted mask shared
+by every ratio that admits it.  FiniteSet is built only for the public
+listing.  The scan is exponential in n; ``ORACLE_LIMIT`` keeps
+instances desk-sized.  The interval tally is quadratic in n and has its
+own guard, ``INTERVAL_LIMIT``.
 """
 
 from __future__ import annotations
@@ -93,14 +95,14 @@ def _tally_count(tally: Tally, ratio: Ratio) -> int:
     return sum(count for count, size, s in tally if size <= _cap(s, ratio))
 
 
-def _elements(mask: int) -> list[int]:
+def _elements(mask: int) -> Elements:
     """The set a mask holds, one set bit at a time from the lowest."""
     elements = []
     while mask:
         low = mask & -mask
         elements.append(low.bit_length())
         mask ^= low
-    return elements
+    return tuple(elements)
 
 
 def _within_cap(masks: range, cap: int) -> Iterator[int]:
@@ -108,42 +110,43 @@ def _within_cap(masks: range, cap: int) -> Iterator[int]:
     return compress(masks, map(cap.__ge__, map(int.bit_count, masks)))
 
 
-def _members(n: int, ratio: Ratio) -> Iterator[FiniteSet]:
-    """Every family member at n, one at a time, in ascending-bitmask order.
+def _members(n: int, ratio: Ratio) -> Iterator[Elements]:
+    """Every family member at n as its element tuple, in ascending-bitmask order.
 
-    Each stride is filtered by its size cap on its own and ``heapq.merge``
-    interleaves the strides, so members stream in order without a sort.
+    The one ordered listing.  Each stride is filtered by its size cap on
+    its own and ``heapq.merge`` interleaves the strides, so members stream
+    in order without a sort.  The scan's guard runs at the call, before
+    the first member.
     """
     from heapq import merge  # here, not at the top: only a listing needs it
 
     admitted = [_within_cap(masks, _cap(s, ratio)) for s, masks in _scan(n)]
-    return (FiniteSet(_elements(mask)) for mask in merge(*admitted))
+    return map(_elements, merge(*admitted))
 
 
-def _listings(n: int, ratios: Iterable[Ratio]) -> list[tuple[Elements, ...]]:
-    """The family at n for each ratio in turn, each in ascending-bitmask order.
+def _listings(n: int, ratios: Iterable[Ratio]) -> list[frozenset[Elements]]:
+    """The family at n for each ratio in turn, each as a set of element tuples.
 
-    Each member is its tuple of elements, in increasing order.  One scan
-    serves every ratio, and one tuple is built per mask that any ratio
-    admits: the ratios that admit a mask share its object.
+    One scan serves every ratio, and one tuple is built per mask that any
+    ratio admits: the ratios that admit a mask share its object.  A grid
+    only scans and compares its families, so they come unordered.
     """
     strides = _scan(n)
     admitted = [
-        sorted(chain.from_iterable(_within_cap(m, _cap(s, r)) for s, m in strides))
+        list(chain.from_iterable(_within_cap(m, _cap(s, r)) for s, m in strides))
         for r in ratios
     ]
-    built = {mask: tuple(_elements(mask)) for mask in set().union(*admitted)}
-    return [tuple(map(built.__getitem__, masks)) for masks in admitted]
+    built = {mask: _elements(mask) for mask in set().union(*admitted)}
+    return [frozenset(map(built.__getitem__, masks)) for masks in admitted]
 
 
 def enumerate_schreier(n: int, ratio: Ratio) -> tuple[FiniteSet, ...]:
     """List every F within {1..n} with max F = n and q*min F >= p*|F|.
 
     Members come out in ascending-bitmask order (bit i-1 holds element
-    i), so listings are deterministic and diffable; a FiniteSet is
-    built for members only.
+    i), so listings are deterministic and diffable.
     """
-    return tuple(map(FiniteSet, _listings(n, [ratio])[0]))
+    return tuple(map(FiniteSet, _members(n, ratio)))
 
 
 def count_schreier_bruteforce(n: int, ratio: Ratio) -> int:

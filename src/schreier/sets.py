@@ -4,9 +4,11 @@ A finite set F of positive integers is *generalized Schreier* for a
 ratio p/q when q*min(F) >= p*|F|: the minimum must be large relative to
 the cardinality.  The classical Schreier condition min(F) >= |F| is the
 ratio 1/1.  The family at n holds the generalized Schreier sets with
-max F = n; :func:`in_schreier_family` tests membership.  The interval
-families of the Turán identity apply the same inequality to intervals
-of consecutive integers.
+max F = n.  Inside the package a member is its strictly increasing
+tuple of elements, which ``_in_family`` tests; FiniteSet is the form
+the public functions take and return.  The interval families of the
+Turán identity apply the same inequality to intervals of consecutive
+integers.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class Frozen:
     The record rules read it too, in the order ``__init__`` sets the
     fields: an instance equals only one of its own class with equal
     fields, hashes as its field tuple and prints as ``Name(field=value,
-    ...)``.  FiniteSet restates ``__eq__`` and ``__hash__``, for speed.
+    ...)``.
     """
 
     def __init__(self, **fields: object) -> None:
@@ -85,17 +87,7 @@ class FiniteSet(Frozen):
         for a, b in zip(elems, elems[1:]):
             if a == b:
                 raise ValueError(f"duplicate element {a}")
-        # not Frozen.__init__: that call adds ~15 % to this hot construction
-        object.__setattr__(self, "elements", elems)
-
-    # Frozen's results without the __dict__ walk: bijection suites call these in bulk
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.elements == other.elements
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.elements,))
+        super().__init__(elements=elems)
 
     def __lt__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -160,8 +152,3 @@ def _shown(elements: Elements) -> str:
 def _in_family(elements: Elements, ratio: Ratio, n: int) -> bool:
     """The family predicate on a set given as its strictly increasing elements."""
     return elements[-1] == n and ratio.q * elements[0] >= ratio.p * len(elements)
-
-
-def in_schreier_family(fs: FiniteSet, ratio: Ratio, n: int) -> bool:
-    """True iff max(fs) == n and q*min(fs) >= p*|fs|."""
-    return _in_family(fs.elements, ratio, n)

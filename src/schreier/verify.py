@@ -73,7 +73,7 @@ class VerifyReport(Frozen):
 
 
 Cases = Iterator["str | tuple[str, str | None]"]  # the grid, then (label, problem)s
-Listings = list[frozenset[Elements]]  # family members, indexed by n from 0
+Listings = tuple[frozenset[Elements], ...]  # family members, indexed by n from 0
 
 
 def _drive(suite: str, cases: Cases) -> VerifyReport:
@@ -120,18 +120,36 @@ def _mismatch(template: str, *legs: object) -> str | None:
     return None if legs.count(legs[0]) == len(legs) else template.format(*legs)
 
 
-def _mapped(
-    name: str, core: Callable[..., Elements], sources: list[Elements], *args: object
-) -> tuple[list[Elements], str | None]:
-    """(core(t, *args) for each source t, None), or ([], the problem) when one raises.
+def _bijection(
+    forward: tuple[str, Callable[..., Elements]],
+    inverse: tuple[str, Callable[..., Elements]],
+    sources: list[Elements],
+    target: frozenset[Elements],
+    m: int,
+    *args: object,
+) -> str | None:
+    """None when ``forward`` bijects ``sources`` onto ``target``, else the problem.
 
-    A map that refuses a member or fails its own postcondition is a
-    failure at its cell, worded ``"{name} raised {error type}: {error}"``.
+    Each map is a (name, core) pair, and each core runs as core(t, *args).
+    The images must be distinct and make up ``target``, the family at
+    n = m, and ``inverse`` must map them back to ``sources`` in order.  A
+    failure names the map at fault; a core that refuses a member or fails
+    its own postcondition reads ``"{name} raised {error type}: {error}"``.
     """
+    (name, core), (inverse_name, inverse_core) = forward, inverse
+    running = name
     try:
-        return [core(t, *args) for t in sources], None
+        images = [core(t, *args) for t in sources]
+        image_set = set(images)
+        if len(image_set) != len(images):
+            return f"{name} is not injective"
+        if image_set != target:
+            return f"{name} image differs from the family at n={m}"
+        running = inverse_name
+        back = [inverse_core(t, *args) for t in images]
     except (ValueError, RuntimeError) as error:
-        return [], f"{name} raised {type(error).__name__}: {error}"
+        return f"{running} raised {type(error).__name__}: {error}"
+    return None if back == sources else f"{inverse_name} does not invert {name}"
 
 
 def _ratios(p_max: int, q_max: int) -> Iterator[tuple[str, Ratio]]:
@@ -154,17 +172,16 @@ def _window_cells(
 ) -> Iterator[tuple[str, Ratio, int, Listings]]:
     """(label, ratio, n, listings by n) for every cell with p + q <= n <= n_max.
 
-    The listings at each n come from one pass for the whole grid, which
-    shares one element tuple among the ratios that admit it.  Each
-    ratio's listings, from the empty one at n = 0 up, are made frozensets
-    once, so the cells compare their images with them without rebuilding.
+    The listings at each n come from one pass for the whole grid: each
+    ratio's family there is a frozenset of element tuples, and the ratios
+    that admit a member share its tuple.  A ratio's listings run from the
+    empty one at n = 0 up; the cells scan them and compare images with them.
     """
     refuse_above(n_max, ORACLE_LIMIT, "oracle")
     grid = list(_ratios(p_max, q_max))
     ratios = [ratio for _, ratio in grid]
     by_n = [_listings(m, ratios) for m in range(n_max + 1)]
-    for (label, ratio), rows in zip(grid, zip(*by_n)):
-        listings = list(map(frozenset, rows))
+    for (label, ratio), listings in zip(grid, zip(*by_n)):
         for n in range(ratio.p + ratio.q, n_max + 1):
             yield f"{label}, n={n}", ratio, n, listings
 
@@ -232,31 +249,20 @@ def gap_bijection_suite(*, p_max: int = 3, q_max: int = 3, n_max: int = 14) -> C
     The maps run on element tuples, through the cores behind
     ``collapse_gaps`` and ``expand_gaps``.
     """
-
-    def check(
-        ratio: Ratio, n: int, chosen: tuple[int, ...], listings: Listings
-    ) -> str | None:
-        gaps = GapSet(n, ratio, chosen)
-        avoids = set(chosen).isdisjoint
-        avoiders = [t for t in listings[n] if avoids(t)]
-        images, problem = _mapped("collapse", _collapse, avoiders, gaps)
-        if problem:
-            return problem
-        image_set = set(images)
-        if len(image_set) != len(images):
-            return "map is not injective"
-        if image_set != listings[n - len(chosen)]:
-            return f"image differs from the family at n={n - len(chosen)}"
-        back, problem = _mapped("expand", _expand, images, gaps)
-        if problem:
-            return problem
-        return None if back == avoiders else "inverse does not round-trip"
-
     yield f"1<=p<={p_max}, 1<=q<={q_max}, p+q<=n<={n_max}, all gap choices"
     for label, ratio, n, listings in _window_cells(p_max, q_max, n_max):
         for size in range(1, ratio.q + 1):
             for chosen in combinations(gap_window(n, ratio), size):
-                yield f"{label}, gaps={chosen}", check(ratio, n, chosen, listings)
+                avoids = set(chosen).isdisjoint
+                avoiders = [t for t in listings[n] if avoids(t)]
+                yield f"{label}, gaps={chosen}", _bijection(
+                    ("collapse", _collapse),
+                    ("expand", _expand),
+                    avoiders,
+                    listings[n - size],
+                    n - size,
+                    GapSet(n, ratio, chosen),
+                )
 
 
 @_suite("window-bijections")
@@ -277,23 +283,6 @@ def window_bijection_suite(*, p_max: int = 3, q_max: int = 3, n_max: int = 14) -
     ``attach_window``.
     """
 
-    def strip(ratio: Ratio, n: int, listings: Listings) -> str | None:
-        holds = set(gap_window(n, ratio)).issubset
-        holders = [t for t in listings[n] if holds(t)]
-        m = n - ratio.p - ratio.q
-        images, problem = _mapped("strip", _strip, holders, ratio, n)
-        if problem:
-            return problem
-        image_set = set(images)
-        if len(image_set) != len(images):
-            return "strip map is not injective"
-        if image_set != listings[m]:
-            return f"strip image differs from the family at n={m}"
-        back, problem = _mapped("attach", _attach, images, ratio, n)
-        if problem:
-            return problem
-        return None if back == holders else "attach does not invert strip"
-
     def recount(ratio: Ratio, n: int, listings: Listings) -> str | None:
         misses = set(gap_window(n, ratio)).difference
         missed = [len(misses(t)) for t in listings[n]]
@@ -307,7 +296,12 @@ def window_bijection_suite(*, p_max: int = 3, q_max: int = 3, n_max: int = 14) -
 
     yield f"1<=p<={p_max}, 1<=q<={q_max}, p+q<=n<={n_max}"
     for label, ratio, n, listings in _window_cells(p_max, q_max, n_max):
-        yield label, strip(ratio, n, listings)
+        holds = set(gap_window(n, ratio)).issubset
+        holders = [t for t in listings[n] if holds(t)]
+        m = n - ratio.p - ratio.q
+        yield label, _bijection(
+            ("strip", _strip), ("attach", _attach), holders, listings[m], m, ratio, n
+        )
         yield label, recount(ratio, n, listings)
 
 

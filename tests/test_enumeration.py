@@ -13,6 +13,7 @@ from schreier.enumeration import (
     _subset_tally,
     interval_counts_bruteforce,
 )
+from schreier.sets import _in_family
 
 from schreier import (
     INTERVAL_LIMIT,
@@ -24,7 +25,6 @@ from schreier import (
     count_schreier_bruteforce,
     count_schreier_direct,
     enumerate_schreier,
-    in_schreier_family,
     interval_count_closed,
 )
 
@@ -71,7 +71,7 @@ def combinations_oracle(n, ratio):
     for size in range(0, n):
         for rest in combinations(pool, size):
             fs = FiniteSet(rest + (n,))
-            if in_schreier_family(fs, ratio, n):
+            if _in_family(fs.elements, ratio, n):
                 found.add(fs)
     return found
 
@@ -94,21 +94,23 @@ def test_listing_agrees_with_combinations_oracle(p, q):
 
 
 def test_grid_listing_is_the_stream_and_the_predicate_filter():
-    # one pass lists every ratio of the grid: each listing is the streamed
-    # one, in order, and the filter of every subset of {1..n} by the
-    # predicate; a grid listing holds each member as its element tuple
+    # one pass lists every ratio of the grid: each listing is the set of the
+    # streamed members, and the stream is the filter of every subset of
+    # {1..n} by the predicate, in order, as plain element tuples
     ratios = [Ratio(p, q) for p in range(1, 5) for q in range(1, 5)]
     subsets = []  # every nonempty subset of {1..n}, in ascending-bitmask order
     for n in range(17):
         if n:  # the masks with bit n-1 set follow, in the same order
-            subsets += [FiniteSet([n])]
-            subsets += [FiniteSet(fs.elements + (n,)) for fs in subsets[:-1]]
+            subsets += [(n,)]
+            subsets += [t + (n,) for t in subsets[:-1]]
         for ratio, listing in zip(ratios, _listings(n, ratios), strict=True):
-            assert all(type(t) is tuple for t in listing)
-            assert list(listing) == [fs.elements for fs in _members(n, ratio)]
-            assert list(listing) == [
-                fs.elements for fs in subsets if in_schreier_family(fs, ratio, n)
-            ]
+            members = list(_members(n, ratio))
+            assert all(type(t) is tuple for t in members)
+            masks = list(map(bitmask, members))
+            assert masks == sorted(set(masks))  # ascending, each member once
+            assert members == [t for t in subsets if _in_family(t, ratio, n)]
+            assert type(listing) is frozenset
+            assert listing == frozenset(members)
 
 
 def test_ratios_that_admit_a_mask_share_its_member():
@@ -117,7 +119,8 @@ def test_ratios_that_admit_a_mask_share_its_member():
     assert 0 < len(narrow) < len(wide)
     assert all(by_elements[t] is t for t in narrow)
     same, scaled = _listings(10, [Ratio(1, 2), Ratio(2, 4)])
-    assert same and all(a is b for a, b in zip(same, scaled, strict=True))
+    by_elements = {t: t for t in same}
+    assert same and same == scaled and all(by_elements[t] is t for t in scaled)
 
 
 # sha256 of the members' element tuples, one line per (p, q, n) with p and q
@@ -140,7 +143,7 @@ def test_enumerate_schreier_output_is_pinned():
 def test_every_member_satisfies_the_family_predicate():
     for n in range(1, 12):
         for fs in enumerate_schreier(n, Ratio(1, 2)):
-            assert in_schreier_family(fs, Ratio(1, 2), n)
+            assert _in_family(fs.elements, Ratio(1, 2), n)
 
 
 def test_fibonacci_prefix_for_the_classical_ratio():

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from schreier.sets import _in_family
+
 from schreier import (
     BFile,
     FiniteSet,
@@ -18,7 +20,6 @@ from schreier import (
     count_schreier_direct,
     count_schreier_recurrence,
     enumerate_schreier,
-    in_schreier_family,
     interval_count_closed,
     schreier_sequence,
     turan_edges_formula,
@@ -178,15 +179,15 @@ def test_bool_and_out_of_range_arguments_are_rejected(fn, args, error):
 
 
 def test_schreier_predicate_examples():
-    assert in_schreier_family(FiniteSet([2, 3]), Ratio(1, 1), 3)
-    assert not in_schreier_family(FiniteSet([1, 2, 3]), Ratio(1, 1), 3)
-    assert in_schreier_family(FiniteSet([1, 2]), Ratio(1, 2), 2)
+    assert _in_family(FiniteSet([2, 3]).elements, Ratio(1, 1), 3)
+    assert not _in_family(FiniteSet([1, 2, 3]).elements, Ratio(1, 1), 3)
+    assert _in_family(FiniteSet([1, 2]).elements, Ratio(1, 2), 2)
 
 
 def test_family_membership_examples():
-    assert in_schreier_family(FiniteSet([2, 3]), Ratio(1, 1), 3)
-    assert not in_schreier_family(FiniteSet([2, 3]), Ratio(1, 1), 4)
-    assert in_schreier_family(FiniteSet([2, 3, 4]), Ratio(1, 2), 4)
+    assert _in_family(FiniteSet([2, 3]).elements, Ratio(1, 1), 3)
+    assert not _in_family(FiniteSet([2, 3]).elements, Ratio(1, 1), 4)
+    assert _in_family(FiniteSet([2, 3, 4]).elements, Ratio(1, 2), 4)
 
 
 finite_sets = st.builds(
@@ -199,13 +200,13 @@ ratios = st.builds(
 
 @given(finite_sets, ratios, st.integers(min_value=1, max_value=5))
 def test_predicate_is_scale_invariant(fs, ratio, k):
-    assert in_schreier_family(fs, ratio, fs.max) == in_schreier_family(
-        fs, ratio.scaled(k), fs.max
+    assert _in_family(fs.elements, ratio, fs.max) == _in_family(
+        fs.elements, ratio.scaled(k), fs.max
     )
 
 
 @given(finite_sets, ratios)
 def test_membership_at_own_max_reduces_to_the_predicate(fs, ratio):
-    assert in_schreier_family(fs, ratio, fs.max) == (
+    assert _in_family(fs.elements, ratio, fs.max) == (
         ratio.q * fs.min >= ratio.p * len(fs)
     )

@@ -211,7 +211,7 @@ def test_skewed_count_is_caught_by_the_window_recount(monkeypatch):
 def per_cell(fault):
     """The grid listing at n, with ``fault`` applied to each ratio's listing.
 
-    A listing holds each member as its tuple of elements.
+    A listing is the frozenset of its members' element tuples.
     """
     honest = schreier.verify._listings
 
@@ -228,7 +228,7 @@ def test_missing_member_is_caught_by_the_window_recount(monkeypatch):
     @per_cell
     def lossy(n, ratio, listing):
         if (n, ratio) == (8, Ratio(1, 2)):
-            return tuple(t for t in listing if t != lost)
+            return listing - {lost}
         return listing
 
     # {2, 8} misses both window values 6 and 7, so layer 1 at n = 8 loses
@@ -246,7 +246,7 @@ def test_stray_member_is_caught_by_the_gap_image_check(monkeypatch):
 
     @per_cell
     def padded(n, ratio, listing):
-        return listing + (stray,) if (n, ratio) == (8, Ratio(1, 2)) else listing
+        return listing | {stray} if (n, ratio) == (8, Ratio(1, 2)) else listing
 
     # The stray holds the whole window {6, 7} at n = 8, so no gap choice
     # there lets it through; every cell whose image is the family at
@@ -254,7 +254,7 @@ def test_stray_member_is_caught_by_the_gap_image_check(monkeypatch):
     monkeypatch.setattr(schreier.verify, "_listings", padded)
     report = gap_bijection_suite(p_max=2, q_max=2, n_max=10)
     assert report.failures == tuple(
-        f"(p,q)=(1,2), {cell}: image differs from the family at n=8"
+        f"(p,q)=(1,2), {cell}: collapse image differs from the family at n=8"
         for cell in ["n=9, gaps=(7,)", "n=9, gaps=(8,)", "n=10, gaps=(8, 9)"]
     )
 
@@ -264,7 +264,7 @@ def test_stray_member_is_caught_by_the_strip_image_check(monkeypatch):
 
     @per_cell
     def padded(n, ratio, listing):
-        return listing + (stray,) if (n, ratio) == (8, Ratio(1, 2)) else listing
+        return listing | {stray} if (n, ratio) == (8, Ratio(1, 2)) else listing
 
     # The stray misses both window values 6 and 7 at n = 8, so layer 1
     # gains C(2, 1) = 2; stripping the window at n = 11 lands on the
@@ -287,7 +287,7 @@ def test_broken_gap_map_is_caught_at_its_cell(monkeypatch):
 
     monkeypatch.setattr(schreier.verify, "_collapse", broken)
     report = gap_bijection_suite(p_max=2, q_max=2, n_max=10)
-    assert report.failures == ("(p,q)=(1,2), n=9, gaps=(7,): map is not injective",)
+    assert report.failures == ("(p,q)=(1,2), n=9, gaps=(7,): collapse is not injective",)
 
 
 def test_broken_gap_inverse_is_caught_at_its_cell(monkeypatch):
@@ -303,7 +303,7 @@ def test_broken_gap_inverse_is_caught_at_its_cell(monkeypatch):
     monkeypatch.setattr(schreier.verify, "_expand", broken)
     report = gap_bijection_suite(p_max=2, q_max=2, n_max=10)
     assert report.failures == (
-        "(p,q)=(1,2), n=9, gaps=(7,): inverse does not round-trip",
+        "(p,q)=(1,2), n=9, gaps=(7,): expand does not invert collapse",
     )
 
 
@@ -317,7 +317,7 @@ def test_broken_strip_map_is_caught_at_its_cell(monkeypatch):
 
     monkeypatch.setattr(schreier.verify, "_strip", broken)
     report = window_bijection_suite(p_max=2, q_max=2, n_max=12)
-    assert report.failures == ("(p,q)=(1,2), n=11: strip map is not injective",)
+    assert report.failures == ("(p,q)=(1,2), n=11: strip is not injective",)
 
 
 def test_broken_attach_map_is_caught_at_its_cell(monkeypatch):
@@ -403,7 +403,7 @@ def test_a_map_that_raises_is_a_failure_at_its_cell(
             "_collapse",
             (9, Ratio(1, 2), (7,)),
             (3, 4, 9),  # -> (3, 4, 8), merged to (3, 3, 8)
-            "(p,q)=(1,2), n=9, gaps=(7,): image differs from the family at n=8",
+            "(p,q)=(1,2), n=9, gaps=(7,): collapse image differs from the family at n=8",
         ),
         (
             "_strip",
