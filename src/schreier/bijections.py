@@ -12,21 +12,27 @@ values just below n:
 Both correspondences are implemented in both directions, with explicit
 domain checks (``DomainError``) and postcondition re-checks (plain
 ``RuntimeError`` -- a failure there is a bug, not bad input).  Each map
-is one core on a set's strictly increasing tuple of elements, which
-makes every check; the public map wraps it, ``FiniteSet`` in and out.
+is one core on a batch of sets, each given as its strictly increasing
+tuple of elements.  It checks the members in order, each as a lone call
+would, and returns their images; the first member refused raises the
+error that a lone call on it raises.  What every member shares (the
+refusal of n < p + q, the gap set or window, and a relabel table over
+the at most q + 1 values from the lowest gap up) is set up once per
+call, and an empty batch checks nothing.  The public map runs its core
+on a one-member batch, ``FiniteSet`` in and out.
 :func:`schreier.verify.gap_bijection_suite` and
 :func:`schreier.verify.window_bijection_suite` check the cores as
-bijections, through one shared check, on enumerated families held as
-sets of element tuples; the window suite also counts each
-inclusion-exclusion layer by window occupancy and compares it with
-C(q, i) times the count i steps down, so the claimed class sizes are
-tested, not assumed.
+bijections, through one shared check that calls each core once per
+cell, on enumerated families held as sets of element tuples; the
+window suite also counts each inclusion-exclusion layer by window
+occupancy and compares it with C(q, i) times the count i steps down, so
+the claimed class sizes are tested, not assumed.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from .sets import Elements, FiniteSet, Frozen, Ratio, _in_family, _shown, require_int
 
@@ -69,78 +75,117 @@ class GapSet(Frozen):
         return len(self.members)
 
 
-def _require_domain(elements: Elements, ratio: Ratio, n: int, source_n: int) -> None:
-    """Refuse n < p + q (no claimed map) and a set outside the family at source_n."""
+def _refuse_below_p_plus_q(ratio: Ratio, n: int) -> None:
+    """Refuse n < p + q: below it no correspondence is claimed."""
     if n < ratio.p + ratio.q:
         raise DomainError(f"map needs n >= p + q = {ratio.p + ratio.q}, got n={n}")
-    if not _in_family(elements, ratio, source_n):
-        raise DomainError(
-            f"{_shown(elements)} is not a member of the family"
-            f" at n={source_n} for {ratio}"
-        )
 
 
-def _collapse(elements: Elements, gaps: GapSet) -> Elements:
-    """:func:`collapse_gaps` on element tuples, with every check it makes."""
+def _outsider(elements: Elements, ratio: Ratio, n: int) -> DomainError:
+    """The refusal of a set that is not a member of the family at n."""
+    return DomainError(
+        f"{_shown(elements)} is not a member of the family at n={n} for {ratio}"
+    )
+
+
+def _collapse(batch: Sequence[Elements], gaps: GapSet) -> list[Elements]:
+    """:func:`collapse_gaps` on each tuple of ``batch``, with every check it makes."""
+    if not batch:
+        return []
     n, ratio, members = gaps.n, gaps.ratio, gaps.members
-    _require_domain(elements, ratio, n, n)
-    if not set(members).isdisjoint(elements):
-        collision = sorted(set(elements) & set(members))
-        raise DomainError(f"{_shown(elements)} meets the gaps at {collision}")
-    # members is sorted, so bisect_left counts the gap values below x
-    image = tuple([x - bisect_left(members, x) for x in elements])
-    if not _in_family(image, ratio, n - len(members)):
-        raise RuntimeError(
-            f"relabeling broke membership: {_shown(elements)} -> {_shown(image)}"
-            f" at n={n - len(members)}"
-        )
-    return image
+    _refuse_below_p_plus_q(ratio, n)
+    m, vacated = n - len(members), set(members)
+    # members is sorted, so bisect_left counts the gap values below x; the
+    # values below the lowest gap keep their labels
+    relabel = {x: x - bisect_left(members, x) for x in range(members[0], n + 1)}
+    images = []
+    for t in batch:
+        if not _in_family(t, ratio, n):
+            raise _outsider(t, ratio, n)
+        if not vacated.isdisjoint(t):
+            collision = sorted(vacated.intersection(t))
+            raise DomainError(f"{_shown(t)} meets the gaps at {collision}")
+        # built at its final size: a tuple that tuple(map(...)) shrinks goes
+        # back to a free list that no later image draws from, and RSS grows
+        image = tuple([*map(relabel.get, t, t)])
+        if not _in_family(image, ratio, m):
+            raise RuntimeError(
+                f"relabeling broke membership: {_shown(t)} -> {_shown(image)} at n={m}"
+            )
+        images.append(image)
+    return images
 
 
-def _expand(elements: Elements, gaps: GapSet) -> Elements:
-    """:func:`expand_gaps` on element tuples, with every check it makes."""
+def _expand(batch: Sequence[Elements], gaps: GapSet) -> list[Elements]:
+    """:func:`expand_gaps` on each tuple of ``batch``, with every check it makes."""
+    if not batch:
+        return []
     n, ratio, members = gaps.n, gaps.ratio, gaps.members
-    _require_domain(elements, ratio, n, n - len(members))
+    _refuse_below_p_plus_q(ratio, n)
+    m, vacated = n - len(members), set(members)
     lifted = [g - i for i, g in enumerate(members)]
-    image = tuple([y + bisect_right(lifted, y) for y in elements])
-    reopened = set(members).isdisjoint(image)
-    if not (_in_family(image, ratio, n) and reopened):
-        raise RuntimeError(
-            "re-opening gaps produced a non-member: "
-            f"{_shown(elements)} -> {_shown(image)}"
-        )
-    return image
+    # lifted[0] is the lowest gap: the values below it keep their labels
+    relabel = {y: y + bisect_right(lifted, y) for y in range(lifted[0], m + 1)}
+    images = []
+    for t in batch:
+        if not _in_family(t, ratio, m):
+            raise _outsider(t, ratio, m)
+        image = tuple([*map(relabel.get, t, t)])  # at its final size, as in _collapse
+        if not (_in_family(image, ratio, n) and vacated.isdisjoint(image)):
+            raise RuntimeError(
+                "re-opening gaps produced a non-member: "
+                f"{_shown(t)} -> {_shown(image)}"
+            )
+        images.append(image)
+    return images
 
 
-def _strip(elements: Elements, ratio: Ratio, n: int) -> Elements:
-    """:func:`strip_window` on element tuples, with every check it makes."""
+def _strip(batch: Sequence[Elements], ratio: Ratio, n: int) -> list[Elements]:
+    """:func:`strip_window` on each tuple of ``batch``, with every check it makes."""
+    if not batch:
+        return []
     p, q = ratio.p, ratio.q
-    _require_domain(elements, ratio, n, n)
-    missing = [w for w in gap_window(n, ratio) if w not in elements]
-    if missing:
-        raise DomainError(f"{_shown(elements)} misses window values {missing}")
-    image = tuple([x - p for x in elements if x <= n - q])
-    if not _in_family(image, ratio, n - p - q):
-        raise RuntimeError(
-            f"window strip broke membership: {_shown(elements)} -> {_shown(image)}"
-            f" at n={n - p - q}"
-        )
-    return image
+    _refuse_below_p_plus_q(ratio, n)
+    m, floor, window = n - p - q, n - q, gap_window(n, ratio)
+    held = set(window).issubset
+    images = []
+    for t in batch:
+        if not _in_family(t, ratio, n):
+            raise _outsider(t, ratio, n)
+        if not held(t):
+            missing = [w for w in window if w not in t]
+            raise DomainError(f"{_shown(t)} misses window values {missing}")
+        image = tuple([x - p for x in t if x <= floor])
+        if not _in_family(image, ratio, m):
+            raise RuntimeError(
+                f"window strip broke membership: {_shown(t)} -> {_shown(image)}"
+                f" at n={m}"
+            )
+        images.append(image)
+    return images
 
 
-def _attach(elements: Elements, ratio: Ratio, n: int) -> Elements:
-    """:func:`attach_window` on element tuples, with every check it makes."""
+def _attach(batch: Sequence[Elements], ratio: Ratio, n: int) -> list[Elements]:
+    """:func:`attach_window` on each tuple of ``batch``, with every check it makes."""
+    if not batch:
+        return []
     p, q = ratio.p, ratio.q
-    _require_domain(elements, ratio, n, n - p - q)
-    # every element is at most n - p - q, so the shifted ones stay below the top
-    image = tuple([x + p for x in elements]) + tuple(range(n - q + 1, n + 1))
-    window = gap_window(n, ratio)
-    if not _in_family(image, ratio, n) or any(w not in image for w in window):
-        raise RuntimeError(
-            "window attach produced a non-member: "
-            f"{_shown(elements)} -> {_shown(image)}"
-        )
-    return image
+    _refuse_below_p_plus_q(ratio, n)
+    m, top = n - p - q, tuple(range(n - q + 1, n + 1))
+    held = set(gap_window(n, ratio)).issubset
+    images = []
+    for t in batch:
+        if not _in_family(t, ratio, m):
+            raise _outsider(t, ratio, m)
+        # every element is at most n - p - q, so the shifted ones stay below the top
+        image = tuple([x + p for x in t]) + top
+        if not (_in_family(image, ratio, n) and held(image)):
+            raise RuntimeError(
+                "window attach produced a non-member: "
+                f"{_shown(t)} -> {_shown(image)}"
+            )
+        images.append(image)
+    return images
 
 
 def collapse_gaps(fs: FiniteSet, gaps: GapSet) -> FiniteSet:
@@ -152,7 +197,7 @@ def collapse_gaps(fs: FiniteSet, gaps: GapSet) -> FiniteSet:
     to the family at n = gaps.n, miss every gap value, and n must be at
     least p + q (below that the correspondence is not claimed).
     """
-    return FiniteSet(_collapse(fs.elements, gaps))
+    return FiniteSet(_collapse([fs.elements], gaps)[0])
 
 
 def expand_gaps(fs: FiniteSet, gaps: GapSet) -> FiniteSet:
@@ -164,7 +209,7 @@ def expand_gaps(fs: FiniteSet, gaps: GapSet) -> FiniteSet:
     so it lies below that value exactly when g - i <= y, and those g - i
     never decrease.
     """
-    return FiniteSet(_expand(fs.elements, gaps))
+    return FiniteSet(_expand([fs.elements], gaps)[0])
 
 
 def strip_window(fs: FiniteSet, ratio: Ratio, n: int) -> FiniteSet:
@@ -174,7 +219,7 @@ def strip_window(fs: FiniteSet, ratio: Ratio, n: int) -> FiniteSet:
     down by p.  The new maximum is the old window floor n - q, moved to
     n - p - q; the size bound transfers exactly, in both directions.
     """
-    return FiniteSet(_strip(fs.elements, ratio, n))
+    return FiniteSet(_strip([fs.elements], ratio, n)[0])
 
 
 def attach_window(fs: FiniteSet, ratio: Ratio, n: int) -> FiniteSet:
@@ -183,4 +228,4 @@ def attach_window(fs: FiniteSet, ratio: Ratio, n: int) -> FiniteSet:
     ``fs`` must belong to the family at n - p - q; the result belongs
     to the family at n and contains all of {n-q, ..., n}.
     """
-    return FiniteSet(_attach(fs.elements, ratio, n))
+    return FiniteSet(_attach([fs.elements], ratio, n)[0])

@@ -12,18 +12,21 @@ cap, |F| <= q*s // p.  The listings apply it mask by mask, and every
 count applies it class by class to the scan's (size, smallest) tally.
 A member is its strictly increasing tuple of elements.  One ordered
 stream lists a family; one pass lists a whole grid of ratios at one n,
-as a set of members per ratio, with one tuple per admitted mask shared
-by every ratio that admits it.  FiniteSet is built only for the public
-listing.  The scan is exponential in n; ``ORACLE_LIMIT`` keeps
-instances desk-sized.  The interval tally is quadratic in n and has its
-own guard, ``INTERVAL_LIMIT``.
+as a set of members per ratio.  It sizes each stride once, keeping the
+masks within the grid's loosest cap sorted by size, so that every
+ratio's members there are a prefix, and it builds one tuple per
+admitted mask, shared by every ratio that admits it.  FiniteSet is
+built only for the public listing.  The scan is exponential in n;
+``ORACLE_LIMIT`` keeps instances desk-sized.  The interval tally is
+quadratic in n and has its own guard, ``INTERVAL_LIMIT``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from itertools import accumulate, chain, compress
+from itertools import accumulate, compress
 
 from .sets import Elements, FiniteSet, Ratio, require_int
 
@@ -127,17 +130,24 @@ def _members(n: int, ratio: Ratio) -> Iterator[Elements]:
 def _listings(n: int, ratios: Iterable[Ratio]) -> list[frozenset[Elements]]:
     """The family at n for each ratio in turn, each as a set of element tuples.
 
-    One scan serves every ratio, and one tuple is built per mask that any
-    ratio admits: the ratios that admit a mask share its object.  A grid
+    One scan serves every ratio, with one size pass per stride: the masks
+    within the grid's loosest cap there, sorted by size, so each ratio
+    takes a prefix of them.  One tuple is built per mask that any ratio
+    admits, and the ratios that admit a mask share its object.  A grid
     only scans and compares its families, so they come unordered.
     """
-    strides = _scan(n)
-    admitted = [
-        list(chain.from_iterable(_within_cap(m, _cap(s, r)) for s, m in strides))
-        for r in ratios
-    ]
-    built = {mask: _elements(mask) for mask in set().union(*admitted)}
-    return [frozenset(map(built.__getitem__, masks)) for masks in admitted]
+    strides, ratios = _scan(n), list(ratios)
+    if not ratios:  # no cap to size a stride against
+        return []
+    families: list[list[Elements]] = [[] for _ in ratios]
+    for s, masks in strides:
+        caps = [_cap(s, ratio) for ratio in ratios]
+        loosest = sorted(_within_cap(masks, max(caps)), key=int.bit_count)
+        sizes = list(map(int.bit_count, loosest))
+        members = list(map(_elements, loosest))
+        for family, cap in zip(families, caps):
+            family += members[: bisect_right(sizes, cap)]
+    return list(map(frozenset, families))
 
 
 def enumerate_schreier(n: int, ratio: Ratio) -> tuple[FiniteSet, ...]:

@@ -121,8 +121,8 @@ def _mismatch(template: str, *legs: object) -> str | None:
 
 
 def _bijection(
-    forward: tuple[str, Callable[..., Elements]],
-    inverse: tuple[str, Callable[..., Elements]],
+    forward: tuple[str, Callable[..., list[Elements]]],
+    inverse: tuple[str, Callable[..., list[Elements]]],
     sources: list[Elements],
     target: frozenset[Elements],
     m: int,
@@ -130,7 +130,8 @@ def _bijection(
 ) -> str | None:
     """None when ``forward`` bijects ``sources`` onto ``target``, else the problem.
 
-    Each map is a (name, core) pair, and each core runs as core(t, *args).
+    Each map is a (name, core) pair, and each core runs once on the whole
+    cell, as core(sources, *args) and then inverse_core(images, *args).
     The images must be distinct and make up ``target``, the family at
     n = m, and ``inverse`` must map them back to ``sources`` in order.  A
     failure names the map at fault; a core that refuses a member or fails
@@ -139,14 +140,14 @@ def _bijection(
     (name, core), (inverse_name, inverse_core) = forward, inverse
     running = name
     try:
-        images = [core(t, *args) for t in sources]
+        images = core(sources, *args)
         image_set = set(images)
         if len(image_set) != len(images):
             return f"{name} is not injective"
         if image_set != target:
             return f"{name} image differs from the family at n={m}"
         running = inverse_name
-        back = [inverse_core(t, *args) for t in images]
+        back = inverse_core(images, *args)
     except (ValueError, RuntimeError) as error:
         return f"{running} raised {type(error).__name__}: {error}"
     return None if back == sources else f"{inverse_name} does not invert {name}"

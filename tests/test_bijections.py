@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import schreier.bijections
 from schreier.bijections import _attach, _collapse, _expand, _strip
+from schreier.enumeration import _members
 
 from schreier import (
     DomainError,
@@ -209,9 +210,9 @@ def outcome(call):
 
 
 def agree(public, core, elements, *args):
-    """The public map on FiniteSet(elements) and its core on the tuple end alike."""
+    """The public map on FiniteSet(elements) and its core on [elements] end alike."""
     return outcome(lambda: public(FiniteSet(elements), *args).elements) == outcome(
-        lambda: core(elements, *args)
+        lambda: core([elements], *args)[0]
     )
 
 
@@ -230,6 +231,78 @@ def test_public_maps_are_their_cores_on_finitesets():
                     above, below = by_n[n], by_n[n - size]
                     assert all(agree(collapse_gaps, _collapse, t, gaps) for t in above)
                     assert all(agree(expand_gaps, _expand, t, gaps) for t in below)
+
+
+def one_by_one(core, batch, *args):
+    """What ``core`` must give on ``batch``: each member's lone image, in order,
+    or, from the first member that a lone call refuses, that refusal."""
+    images = []
+    for t in batch:
+        result = outcome(lambda: core([t], *args))
+        if type(result) is not list:
+            return result
+        images += result
+    return images
+
+
+def batches(n, ratio, by_n):
+    """(core, batch, args) for each core at n: every batch that its grid holds.
+
+    Each core gets a batch that it maps whole and one whose first refused
+    member comes after some accepted ones, or, below n = p + q, the
+    listing that the refusal of n meets first.
+    """
+    p, q = ratio.p, ratio.q
+    here, below = by_n[n], by_n[max(n - p - q, 0)]
+    window = gap_window(n, ratio) if n > q else ()
+    holders = [t for t in here if set(window) <= set(t)]
+    yield _strip, holders, (ratio, n)
+    yield _strip, holders + here, (ratio, n)
+    yield _attach, below, (ratio, n)
+    yield _attach, below + here, (ratio, n)
+    for size in range(1, len(window) + 1):
+        for chosen in combinations(window, size):
+            gaps = GapSet(n, ratio, chosen)
+            avoiders = [t for t in here if set(chosen).isdisjoint(t)]
+            yield _collapse, avoiders, (gaps,)
+            yield _collapse, avoiders + here, (gaps,)
+            yield _expand, by_n[n - size], (gaps,)
+            yield _expand, by_n[n - size] + here, (gaps,)
+
+
+def test_a_batch_maps_as_its_members_do_one_by_one():
+    # the images of the members in order; or, where one is refused, the
+    # type and text that a lone call on that member raises
+    for p, q in [(p, q) for p in range(1, 4) for q in range(1, 4)]:
+        ratio = Ratio(p, q)
+        by_n = [list(_members(n, ratio)) for n in range(13)]
+        for n in range(1, 13):
+            for core, batch, args in batches(n, ratio, by_n):
+                assert outcome(lambda: core(batch, *args)) == one_by_one(
+                    core, batch, *args
+                ), (core.__name__, n, ratio, args)
+
+
+def test_a_batch_fails_as_its_first_refused_member_does():
+    gaps = GapSet(9, Ratio(1, 3), [8, 6])
+    batch = [(3, 9), (1, 8, 9), (4, 7, 9), (6, 8, 9)]  # the second meets gap 8
+    message = "{1,8,9} meets the gaps at [8]"
+    assert outcome(lambda: _collapse(batch, gaps)) == (DomainError, message)
+    assert outcome(lambda: _collapse(batch[1:2], gaps)) == (DomainError, message)
+    batch = [(3,), (2, 3), (1, 3)]  # the third is no member at n = 3
+    message = "{1,3} is not a member of the family at n=3 for 1/1"
+    assert outcome(lambda: _attach(batch, Ratio(1, 1), 5)) == (DomainError, message)
+    assert outcome(lambda: _attach(batch[2:], Ratio(1, 1), 5)) == (DomainError, message)
+
+
+def test_an_empty_batch_maps_to_nothing_and_checks_nothing():
+    # below n = p + q, and below the window at n = q + 1, a lone call refuses
+    assert _strip([], Ratio(3, 3), 1) == _attach([], Ratio(3, 3), 1) == []
+    assert _strip([], Ratio(1, 3), 2) == _attach([], Ratio(1, 3), 0) == []
+    gaps = GapSet(3, Ratio(2, 2), [1])  # p + q = 4 > 3
+    assert _collapse([], gaps) == _expand([], gaps) == []
+    with refused("map needs n >= p + q = 4, got n=3"):
+        _collapse([(3,)], gaps)
 
 
 # Random-grid roundtrip: any family member avoiding the gaps must survive

@@ -441,10 +441,10 @@ def test_verify_reports_a_map_that_raises_at_its_cell(capsys, monkeypatch, error
     # neither a usage error (exit 2) nor a traceback: a failing case, exit 1
     honest = schreier.verify._collapse
 
-    def raising(elements, gaps):
+    def raising(batch, gaps):
         if gaps.n == 9:
             raise error
-        return honest(elements, gaps)
+        return honest(batch, gaps)
 
     monkeypatch.setattr(schreier.verify, "_collapse", raising)
     code, out, err = run_cli(

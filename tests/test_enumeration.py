@@ -1,11 +1,13 @@
 """Brute-force enumerators: cross-checked against a second, even dumber oracle."""
 
 import hashlib
+import tracemalloc
 from itertools import combinations, product
 from math import comb
 
 import pytest
 
+import schreier.enumeration
 from schreier.enumeration import (
     _listings,
     _members,
@@ -121,6 +123,28 @@ def test_ratios_that_admit_a_mask_share_its_member():
     same, scaled = _listings(10, [Ratio(1, 2), Ratio(2, 4)])
     by_elements = {t: t for t in same}
     assert same and same == scaled and all(by_elements[t] is t for t in scaled)
+
+
+def test_a_grid_listing_holds_only_what_it_admits():
+    # at (50, 1) no mask at n = 18 is admitted: the 2**17 masks stream
+    # through the size pass, and none of them is held, nor a whole stride
+    tracemalloc.start()
+    try:
+        (listing,) = _listings(18, [Ratio(50, 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert listing == frozenset()
+    assert peak < 1_000_000
+
+
+def test_an_empty_grid_sizes_no_stride(monkeypatch):
+    # an empty grid at the oracle's limit is listed at once, not after 2**29 masks
+    def sized(masks, cap):
+        raise AssertionError("a stride was sized for an empty grid")
+
+    monkeypatch.setattr(schreier.enumeration, "_within_cap", sized)
+    assert _listings(ORACLE_LIMIT, []) == []
 
 
 # sha256 of the members' element tuples, one line per (p, q, n) with p and q

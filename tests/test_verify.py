@@ -280,10 +280,10 @@ def test_stray_member_is_caught_by_the_strip_image_check(monkeypatch):
 def test_broken_gap_map_is_caught_at_its_cell(monkeypatch):
     honest = schreier.verify._collapse
 
-    def broken(elements, gaps):
+    def broken(batch, gaps):
         if (gaps.n, gaps.ratio, gaps.members) == (9, Ratio(1, 2), (7,)):
-            return (gaps.n - 1,)  # every avoider lands on {8}
-        return honest(elements, gaps)
+            return [(gaps.n - 1,)] * len(batch)  # every avoider lands on {8}
+        return honest(batch, gaps)
 
     monkeypatch.setattr(schreier.verify, "_collapse", broken)
     report = gap_bijection_suite(p_max=2, q_max=2, n_max=10)
@@ -293,10 +293,10 @@ def test_broken_gap_map_is_caught_at_its_cell(monkeypatch):
 def test_broken_gap_inverse_is_caught_at_its_cell(monkeypatch):
     honest = schreier.verify._expand
 
-    def broken(elements, gaps):
+    def broken(batch, gaps):
         if (gaps.n, gaps.ratio, gaps.members) == (9, Ratio(1, 2), (7,)):
-            return (gaps.n,)  # every image re-opens to {9}
-        return honest(elements, gaps)
+            return [(gaps.n,)] * len(batch)  # every image re-opens to {9}
+        return honest(batch, gaps)
 
     # the collapse still bijects onto the family at n = 8; only the way
     # back is wrong, and only at this one choice
@@ -310,10 +310,10 @@ def test_broken_gap_inverse_is_caught_at_its_cell(monkeypatch):
 def test_broken_strip_map_is_caught_at_its_cell(monkeypatch):
     honest = schreier.verify._strip
 
-    def broken(elements, ratio, n):
+    def broken(batch, ratio, n):
         if (ratio, n) == (Ratio(1, 2), 11):
-            return (n - 3,)  # every full-window member lands on {8}
-        return honest(elements, ratio, n)
+            return [(n - 3,)] * len(batch)  # every full-window member lands on {8}
+        return honest(batch, ratio, n)
 
     monkeypatch.setattr(schreier.verify, "_strip", broken)
     report = window_bijection_suite(p_max=2, q_max=2, n_max=12)
@@ -323,10 +323,10 @@ def test_broken_strip_map_is_caught_at_its_cell(monkeypatch):
 def test_broken_attach_map_is_caught_at_its_cell(monkeypatch):
     honest = schreier.verify._attach
 
-    def broken(elements, ratio, n):
+    def broken(batch, ratio, n):
         if (ratio, n) == (Ratio(1, 2), 11):
-            return (n,)  # {11} holds no window value 9 or 10
-        return honest(elements, ratio, n)
+            return [(n,)] * len(batch)  # {11} holds no window value 9 or 10
+        return honest(batch, ratio, n)
 
     # the strip still bijects onto the family at n = 8; only the way back
     # is wrong, and only at this one cell
@@ -336,7 +336,7 @@ def test_broken_attach_map_is_caught_at_its_cell(monkeypatch):
 
 
 def cell_of(args):
-    """The cell of a core's call, from its arguments after the elements.
+    """The cell of a core's call, from its arguments after the batch.
 
     A gap map's cell is its GapSet's (n, ratio, members); a window map's
     is its (ratio, n).
@@ -382,10 +382,10 @@ def test_a_map_that_raises_is_a_failure_at_its_cell(
 ):
     honest = getattr(schreier.verify, core)
 
-    def raising(elements, *args):
+    def raising(batch, *args):
         if cell_of(args) == cell:
             raise error
-        return honest(elements, *args)
+        return honest(batch, *args)
 
     # the other cells still run: the report counts every case, one failing
     monkeypatch.setattr(schreier.verify, core, raising)
@@ -419,11 +419,12 @@ def test_a_core_that_merges_two_elements_is_caught_at_its_cell(
 ):
     honest = getattr(schreier.verify, core)
 
-    def merging(elements, *args):
-        image = honest(elements, *args)
-        if cell_of(args) == cell and elements == source:
-            return image[:1] * 2 + image[2:]  # the second element lands on the first
-        return image
+    def merging(batch, *args):
+        images = honest(batch, *args)
+        if cell_of(args) != cell:
+            return images
+        # the second element of the source's image lands on the first
+        return [i[:1] * 2 + i[2:] if t == source else i for t, i in zip(batch, images)]
 
     # FiniteSet would refuse the repeated element; on the tuple path the
     # comparison with the listing at the target n is what catches it
