@@ -234,8 +234,7 @@ def test_public_maps_are_their_cores_on_finitesets():
 
 
 def one_by_one(core, batch, *args):
-    """What ``core`` must give on ``batch``: each member's lone image, in order,
-    or, from the first member that a lone call refuses, that refusal."""
+    """What ``core`` must give on ``batch``: the lone images, or the first lone refusal."""
     images = []
     for t in batch:
         result = outcome(lambda: core([t], *args))
@@ -246,11 +245,11 @@ def one_by_one(core, batch, *args):
 
 
 def batches(n, ratio, by_n):
-    """(core, batch, args) for each core at n: every batch that its grid holds.
+    """(core, batch, args) for every core at n, on listed members.
 
-    Each core gets a batch that it maps whole and one whose first refused
-    member comes after some accepted ones, or, below n = p + q, the
-    listing that the refusal of n meets first.
+    Each core gets a batch of members it maps, and the same batch followed
+    by the family at n, whose first non-holder, gap hitter or member (for
+    attach and expand) it refuses; below n = p + q it refuses any batch.
     """
     p, q = ratio.p, ratio.q
     here, below = by_n[n], by_n[max(n - p - q, 0)]
