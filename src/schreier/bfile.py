@@ -45,9 +45,9 @@ def parse_bfile(text: str) -> BFile:
     Leading '#' lines are skipped; one after the data is refused.
     """
     entries: list[tuple[int, int]] = []
-    # int() also takes '_' separators and non-ASCII digits; plain b-file text
-    # has neither, so only text that holds one checks its data tokens
-    strict = not text.isascii() or "_" in text
+    # int() also takes '_' separators, a '+' sign and non-ASCII digits; b-file
+    # text has none, so only text that holds one checks its tokens' characters
+    strict = not text.isascii() or "_" in text or "+" in text
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -59,7 +59,7 @@ def parse_bfile(text: str) -> BFile:
         tokens = line.split()
         if len(tokens) != 2:
             raise ValueError(f"line {lineno}: expected 'index value', got {raw!r}")
-        if strict and not all(t.isascii() and "_" not in t for t in tokens):
+        if strict and not all(set("-0123456789").issuperset(t) for t in tokens):
             raise ValueError(f"line {lineno}: non-integer token in {raw!r}")
         try:
             index, value = int(tokens[0]), int(tokens[1])

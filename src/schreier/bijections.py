@@ -13,13 +13,14 @@ Both correspondences are implemented in both directions, with explicit
 domain checks (``DomainError``) and postcondition re-checks (plain
 ``RuntimeError`` -- a failure there is a bug, not bad input).  Each map
 is one core on a batch of sets, each given as its strictly increasing
-tuple of elements.  It checks the members in order, each as a lone call
-would, and returns their images; the first member refused raises the
-error that a lone call on it raises.  What every member shares (the
-refusal of n < p + q, the gap set or window, and a relabel table over
-the at most q + 1 values from the lowest gap up) is set up once per
-call, and an empty batch checks nothing.  The public map runs its core
-on a one-member batch, ``FiniteSet`` in and out.
+tuple of elements.  It first refuses the map at n (n not a non-negative
+int, or n < p + q), whatever the batch size, empty included.  Then it
+checks the members in order, each as a lone call would, and returns
+their images; the first member refused raises the error that a lone
+call on it raises.  What every member shares (the gap set or window,
+and a relabel table over the at most q + 1 values from the lowest gap
+up) is set up once per call.  The public map runs its core on a
+one-member batch, ``FiniteSet`` in and out.
 :func:`schreier.verify.gap_bijection_suite` and
 :func:`schreier.verify.window_bijection_suite` check the cores as
 bijections, through one shared check that calls each core once per
@@ -76,7 +77,8 @@ class GapSet(Frozen):
 
 
 def _refuse_below_p_plus_q(ratio: Ratio, n: int) -> None:
-    """Refuse n < p + q: below it no correspondence is claimed."""
+    """Refuse a bad n, then n < p + q (no correspondence is claimed below it)."""
+    require_int("n", n, 0)
     if n < ratio.p + ratio.q:
         raise DomainError(f"map needs n >= p + q = {ratio.p + ratio.q}, got n={n}")
 
@@ -90,8 +92,6 @@ def _outsider(elements: Elements, ratio: Ratio, n: int) -> DomainError:
 
 def _collapse(batch: Sequence[Elements], gaps: GapSet) -> list[Elements]:
     """:func:`collapse_gaps` on each tuple of ``batch``, with every check it makes."""
-    if not batch:
-        return []
     n, ratio, members = gaps.n, gaps.ratio, gaps.members
     _refuse_below_p_plus_q(ratio, n)
     m, vacated = n - len(members), set(members)
@@ -118,8 +118,6 @@ def _collapse(batch: Sequence[Elements], gaps: GapSet) -> list[Elements]:
 
 def _expand(batch: Sequence[Elements], gaps: GapSet) -> list[Elements]:
     """:func:`expand_gaps` on each tuple of ``batch``, with every check it makes."""
-    if not batch:
-        return []
     n, ratio, members = gaps.n, gaps.ratio, gaps.members
     _refuse_below_p_plus_q(ratio, n)
     m, vacated = n - len(members), set(members)
@@ -142,10 +140,8 @@ def _expand(batch: Sequence[Elements], gaps: GapSet) -> list[Elements]:
 
 def _strip(batch: Sequence[Elements], ratio: Ratio, n: int) -> list[Elements]:
     """:func:`strip_window` on each tuple of ``batch``, with every check it makes."""
-    if not batch:
-        return []
-    p, q = ratio.p, ratio.q
     _refuse_below_p_plus_q(ratio, n)
+    p, q = ratio.p, ratio.q
     m, floor, window = n - p - q, n - q, gap_window(n, ratio)
     held = set(window).issubset
     images = []
@@ -167,10 +163,8 @@ def _strip(batch: Sequence[Elements], ratio: Ratio, n: int) -> list[Elements]:
 
 def _attach(batch: Sequence[Elements], ratio: Ratio, n: int) -> list[Elements]:
     """:func:`attach_window` on each tuple of ``batch``, with every check it makes."""
-    if not batch:
-        return []
-    p, q = ratio.p, ratio.q
     _refuse_below_p_plus_q(ratio, n)
+    p, q = ratio.p, ratio.q
     m, top = n - p - q, tuple(range(n - q + 1, n + 1))
     held = set(gap_window(n, ratio)).issubset
     images = []

@@ -149,6 +149,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_turan(args: argparse.Namespace) -> int:
+    require_int("--parts", args.parts)  # the methods would name it p
     print(_within_limit(_TURAN_METHODS[args.method](args.n, args.parts)))
     return 0
 

@@ -54,20 +54,19 @@ def _scan(n: int) -> list[tuple[int, range]]:
     """The one subset scan: (s, the masks of every F with min F = s) for s = 1..n.
 
     F runs over the subsets of {1..n} with max F = n; bit i-1 of a mask
-    holds element i, so bit n-1 is always set.  Stride s < n holds the
-    masks whose lowest set bit is bit s-1: top | 1<<(s-1) stepped by
-    1<<s up to 2*top, with top = 1<<(n-1).  Stride n holds {n} alone.
-    The strides partition all 2**(n-1) masks, each in ascending order,
-    and no mask is skipped.  Refuses n outside 0..ORACLE_LIMIT at the
-    call, before any work.
+    holds element i, so bit n-1 is always set.  Stride s holds the masks
+    whose lowest set bit is bit s-1: top | 1<<(s-1) stepped by 1<<s up
+    to 2*top, with top = 1<<(n-1); at s = n that is top alone, the set
+    {n}.  The strides partition all 2**(n-1) masks, each in ascending
+    order, and no mask is skipped.  Refuses n outside 0..ORACLE_LIMIT at
+    the call, before any work.
     """
     require_int("n", n, 0)
     refuse_above(n, ORACLE_LIMIT, "oracle")
     if not n:  # no set of positive integers has maximum 0
         return []
     top = 1 << (n - 1)
-    strides = [(s, range(top | 1 << (s - 1), 2 * top, 1 << s)) for s in range(1, n)]
-    return strides + [(n, range(top, top + 1))]
+    return [(s, range(top | 1 << (s - 1), 2 * top, 1 << s)) for s in range(1, n + 1)]
 
 
 def _cap(smallest: int, ratio: Ratio) -> int:

@@ -359,7 +359,7 @@ def turan_identity_suite(
     n_max past the interval sum's guard is refused before the first cell.
     """
     refuse_above(n_max, INTERVAL_SUM_LIMIT, "the interval sum")
-    enum_max = max(0, min(enum_limit, n_max))
+    enum_max = min(enum_limit, n_max)
     yield f"1<=p<={p_max}, p<=n<={n_max}, enumeration leg up to n={enum_max}"
     ran = "intervals closed {} / sum {} / enum {}, edges formula {} / construction {}"
     skipped = ran.replace("enum {}", "enum None")

@@ -142,10 +142,11 @@ def test_sequence_bfile_roundtrip_preserves_big_values():
         ("٧ 5\n", "'٧ 5'"),  # Arabic-Indic seven: int() reads 7
         ("1 5\n2 1_000\n", "'2 1_000'"),
         ("# café data_set\n1 ５\n", "'1 ５'"),  # fullwidth five
+        ("+1 5\n", "'+1 5'"),  # int() reads it as 1
     ],
 )
 def test_parse_refuses_what_int_reads_but_a_bfile_never_holds(text, line):
-    with pytest.raises(ValueError, match=f"non-integer token in {line}"):
+    with pytest.raises(ValueError, match=f"non-integer token in {re.escape(line)}"):
         parse_bfile(text)
 
 

@@ -1,6 +1,7 @@
 """The structure-preserving maps, exercised as maps and as bijections."""
 
 import re
+from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
@@ -113,6 +114,15 @@ def refused(message):
     return pytest.raises(DomainError, match=f"^{re.escape(message)}$")
 
 
+@contextmanager
+def not_an_n(n):
+    """pytest.raises for the plain ValueError that refuses ``n`` as a map's n."""
+    message = f"n must be a non-negative integer, got {n!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as excinfo:
+        yield
+    assert type(excinfo.value) is ValueError
+
+
 def test_collapse_rejects_sets_outside_the_domain():
     gaps = GapSet(4, Ratio(1, 2), [3])
     with pytest.raises(DomainError, match=r"^\{3,4\} meets the gaps at \[3\]$"):
@@ -152,6 +162,9 @@ def test_strip_rejects_non_members_and_window_misses():
         strip_window(FiniteSet([2, 4, 5]), Ratio(1, 2), 5)
     with refused("map needs n >= p + q = 2, got n=1"):
         strip_window(FiniteSet([1]), Ratio(1, 1), 1)
+    for n in (3.0, True):
+        with not_an_n(n):
+            strip_window(FiniteSet([2, 3]), Ratio(1, 1), n)
 
 
 def test_attach_rejects_non_members():
@@ -159,6 +172,9 @@ def test_attach_rejects_non_members():
         attach_window(FiniteSet([1, 2]), Ratio(1, 1), 4)
     with refused("{1} is not a member of the family at n=0 for 1/1"):
         attach_window(FiniteSet([1]), Ratio(1, 1), 2)  # no room below n = p + q
+    for n in (3.0, True):
+        with not_an_n(n):
+            attach_window(FiniteSet([1]), Ratio(1, 1), n)
 
 
 @pytest.mark.parametrize(
@@ -234,7 +250,13 @@ def test_public_maps_are_their_cores_on_finitesets():
 
 
 def one_by_one(core, batch, *args):
-    """What ``core`` must give on ``batch``: the lone images, or the first lone refusal."""
+    """What ``core`` must give on ``batch``: the lone images, or the first lone refusal.
+
+    An empty batch makes no lone call: below n = p + q it gets the map's refusal.
+    """
+    ratio, n = (args[0].ratio, args[0].n) if core in (_collapse, _expand) else args
+    if not batch and n < ratio.p + ratio.q:
+        return DomainError, f"map needs n >= p + q = {ratio.p + ratio.q}, got n={n}"
     images = []
     for t in batch:
         result = outcome(lambda: core([t], *args))
@@ -294,14 +316,29 @@ def test_a_batch_fails_as_its_first_refused_member_does():
     assert outcome(lambda: _attach(batch[2:], Ratio(1, 1), 5)) == (DomainError, message)
 
 
-def test_an_empty_batch_maps_to_nothing_and_checks_nothing():
-    # below n = p + q, and below the window at n = q + 1, a lone call refuses
-    assert _strip([], Ratio(3, 3), 1) == _attach([], Ratio(3, 3), 1) == []
-    assert _strip([], Ratio(1, 3), 2) == _attach([], Ratio(1, 3), 0) == []
-    gaps = GapSet(3, Ratio(2, 2), [1])  # p + q = 4 > 3
-    assert _collapse([], gaps) == _expand([], gaps) == []
-    with refused("map needs n >= p + q = 4, got n=3"):
-        _collapse([(3,)], gaps)
+def test_an_empty_batch_maps_to_nothing_but_is_refused_below_p_plus_q():
+    # a core refuses the map at n before it reads any member, so an empty
+    # batch is refused exactly where a lone call is, with the same text
+    lone = FiniteSet([1])  # below p + q the map refuses before it looks
+    for p, q in [(p, q) for p in range(1, 4) for q in range(1, 4)]:
+        ratio = Ratio(p, q)
+        for n in range(13):
+            maps = [
+                (strip_window, _strip, (ratio, n)),
+                (attach_window, _attach, (ratio, n)),
+            ]
+            for size in range(1, q + 1) if n > q else ():
+                for chosen in combinations(gap_window(n, ratio), size):
+                    gaps = (GapSet(n, ratio, chosen),)
+                    maps += [(collapse_gaps, _collapse, gaps), (expand_gaps, _expand, gaps)]
+            for public, core, args in maps:
+                empty = outcome(lambda: core([], *args))
+                if n >= p + q:
+                    assert empty == [], (core.__name__, n, ratio, args)
+                else:
+                    message = f"map needs n >= p + q = {p + q}, got n={n}"
+                    assert empty == outcome(lambda: public(lone, *args)), (core, n, ratio)
+                    assert empty == (DomainError, message)
 
 
 # Random-grid roundtrip: any family member avoiding the gaps must survive

@@ -312,10 +312,19 @@ def test_bad_values_exit_code(capsys):
     assert "--nmax must be a non-negative integer, got -1" in err
 
 
-def test_sequence_refuses_a_zero_max_in_the_validator_wording(capsys):
-    code, out, err = run_cli(capsys, "sequence", "--p", "1", "--q", "1", "--max", "0")
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["sequence", "--p", "1", "--q", "1", "--max", "0"], "--max"),
+        (["turan", "--n", "5", "--parts", "0"], "--parts"),
+    ],
+    ids=["sequence", "turan"],
+)
+def test_sequence_refuses_a_zero_max_in_the_validator_wording(capsys, argv, flag):
+    # the refusal names the command's own flag, not the library parameter
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == "error: --max must be a positive integer, got 0\n"
+    assert err == f"error: {flag} must be a positive integer, got 0\n"
 
 
 def test_verify_turan_identity_refuses_an_nmax_past_the_interval_sum_guard(

@@ -1,7 +1,8 @@
 """Fast counting: recurrence and direct formula, against each other and the oracle."""
 
 from itertools import accumulate
-from operator import add
+from math import comb, gcd
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -154,6 +155,47 @@ def test_engine_matches_the_unreduced_pass():
                 seq = schreier_sequence(ratio, 4 * k * (p + q))
                 engine = [count_schreier_recurrence(n, ratio) for n in range(len(seq))]
                 assert engine == list(seq), ratio
+
+
+PRIME = 2**61 - 1
+
+
+def berlekamp_massey(terms):
+    """Taps c_1..c_L of the shortest recurrence s(n) = sum_k c_k s(n - k) mod PRIME."""
+    current, previous = [1], [1]  # connection polynomials, lowest degree first
+    length, shift, last = 0, 1, 1
+    for i in range(len(terms)):
+        discrepancy = sum(map(mul, current, reversed(terms[: i + 1]))) % PRIME
+        if not discrepancy:
+            shift += 1
+            continue
+        scale = discrepancy * pow(last, -1, PRIME) % PRIME
+        update = current + [0] * (len(previous) + shift - len(current))
+        for j, c in enumerate(previous):
+            update[j + shift] = (update[j + shift] - scale * c) % PRIME
+        if 2 * length <= i:
+            previous, length, last, shift = current, i + 1 - length, discrepancy, 1
+        else:
+            shift += 1
+        current = update
+    current += [0] * (length + 1 - len(current))
+    return [-c % PRIME for c in current[1 : length + 1]]
+
+
+def test_the_reduced_recurrence_is_the_minimal_one():
+    # the shortest recurrence that the direct sum's counts obey, fitted over
+    # 4d + 8 terms (twice what pins a length up to 2d + 4), has the reduced
+    # depth d = (p + q)/g and the reduced ratio's taps; a shorter one over
+    # the integers would reduce to a shorter one mod PRIME
+    for p in range(1, 13):
+        for q in range(1, 13):
+            g = gcd(p, q)
+            depth, q_g = (p + q) // g, q // g
+            counts = [count_schreier_direct(n, Ratio(p, q)) for n in range(4 * depth + 8)]
+            taps = [(-1) ** (k + 1) * comb(q_g, k) for k in range(1, q_g + 1)]
+            taps += [0] * (depth - q_g - 1) + [1]
+            fitted = berlekamp_massey([c % PRIME for c in counts])
+            assert fitted == [c % PRIME for c in taps], (p, q)
 
 
 def test_recurrence_routes_never_call_the_direct_sum(monkeypatch):
