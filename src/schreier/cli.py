@@ -6,6 +6,8 @@ exactness is the point.  Exit codes are a stable contract: 0 success,
 1 verification failure, 2 usage error, 3 size guard exceeded,
 4 count too long for the interpreter's int-to-decimal digit limit,
 141 output pipe closed by its reader (128 + SIGPIPE, as a shell reports).
+Each command declares its integer flags with their minimums in one
+table, and ``main`` checks every given value there, under its flag's name.
 
 A command imports only the layers it runs: the b-file writer loads
 inside ``sequence --format bfile`` and the verification suites inside
@@ -123,7 +125,6 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
-    require_int("--max", args.max)
     ratio = Ratio(args.p, args.q)
     start = args.offset
     if not 0 <= start <= args.max:
@@ -149,7 +150,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_turan(args: argparse.Namespace) -> int:
-    require_int("--parts", args.parts)  # the methods would name it p
     print(_within_limit(_TURAN_METHODS[args.method](args.n, args.parts)))
     return 0
 
@@ -162,19 +162,19 @@ def cmd_interval_count(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from .verify import run_suite
 
-    bounds = {"--pmax": args.pmax, "--qmax": args.qmax, "--nmax": args.nmax}
-    for flag, bound in bounds.items():
-        if bound is not None:
-            require_int(flag, bound, 0)
     reports = run_suite(args.suite, args.pmax, args.qmax, args.nmax)
     for report in reports:
         print(report.summary())
     return 0 if all(report.passed for report in reports) else 1
 
 
-def _required_ints(parser: argparse.ArgumentParser, *names: str) -> None:
-    for name in names:
-        parser.add_argument(name, type=int, required=True)
+def _ints(
+    parser: argparse.ArgumentParser, minimums: dict[str, int], required: bool = True
+) -> None:
+    """Add each integer flag of ``minimums``; main checks it against its minimum."""
+    for flag in minimums:
+        parser.add_argument(flag, type=int, required=required)
+    parser.set_defaults(minimums=minimums)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     count = sub.add_parser("count", help="one family size |S(n)| for a ratio p/q")
-    _required_ints(count, "--p", "--q", "--n")
+    _ints(count, {"--p": 1, "--q": 1, "--n": 0})
     count.add_argument(
         "--method",
         choices=("direct", "oracle", "recurrence"),
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     count.set_defaults(func=cmd_count)
 
     sequence = sub.add_parser("sequence", help="family sizes for n = 1..max")
-    _required_ints(sequence, "--p", "--q", "--max")
+    _ints(sequence, {"--p": 1, "--q": 1, "--max": 1})
     sequence.add_argument("--format", choices=("csv", "bfile"), default="csv")
     sequence.add_argument(
         "--offset", type=int, default=1, help="first n emitted (default 1)"
@@ -204,18 +204,18 @@ def build_parser() -> argparse.ArgumentParser:
     sequence.set_defaults(func=cmd_sequence)
 
     enumerate_ = sub.add_parser("enumerate", help="list every family member at n")
-    _required_ints(enumerate_, "--p", "--q", "--n")
+    _ints(enumerate_, {"--p": 1, "--q": 1, "--n": 0})
     enumerate_.set_defaults(func=cmd_enumerate)
 
     turan = sub.add_parser("turan", help="edge count of the Turán graph T(n, parts)")
-    _required_ints(turan, "--n", "--parts")
+    _ints(turan, {"--n": 1, "--parts": 1})
     turan.add_argument("--method", choices=list(_TURAN_METHODS), default="formula")
     turan.set_defaults(func=cmd_turan)
 
     interval = sub.add_parser(
         "interval-count", help="qualifying intervals within {1..n}"
     )
-    _required_ints(interval, "--n", "--p")
+    _ints(interval, {"--n": 1, "--p": 1})
     interval.add_argument(
         "--method",
         choices=sorted(_INTERVAL_METHODS),
@@ -235,9 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SUITE",
         help="one of %(choices)s",
     )
-    verify.add_argument("--pmax", type=int, default=None)
-    verify.add_argument("--qmax", type=int, default=None)
-    verify.add_argument("--nmax", type=int, default=None)
+    _ints(verify, {"--pmax": 0, "--qmax": 0, "--nmax": 0}, required=False)
     verify.set_defaults(func=cmd_verify)
 
     return parser
@@ -246,6 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag, minimum in args.minimums.items():
+            if (value := getattr(args, flag[2:])) is not None:  # None: not given
+                require_int(flag, value, minimum)
         code = args.func(args)
         sys.stdout.flush()  # a reader gone before the last write shows here
         return code

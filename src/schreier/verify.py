@@ -396,11 +396,11 @@ def run_suite(
 ) -> list[VerifyReport]:
     """Run one registered suite (or 'all' of them), with optional bound overrides.
 
-    A bound must be a non-negative int.  It reaches only the suites whose
-    keyword bounds name it, and one that none of them names is refused
-    rather than dropped, before any suite runs; bounds left as None fall
-    back to each suite's own defaults, which match the verification grids
-    the package is shipped against.
+    A bound reaches only the suites whose keyword bounds name it; one that
+    none of them names is refused, not dropped, before any suite runs.  The
+    first suite takes every bound of its selection, and its own check refuses
+    a value that is not a non-negative int before any case.  A bound left as
+    None falls back to each suite's default, a grid the package ships with.
     """
     if name == "all":
         suites = [suite for group in SUITES.values() for suite in group]
@@ -411,10 +411,8 @@ def run_suite(
     bounds = {"p_max": p_max, "q_max": q_max, "n_max": n_max}
     accepted = [suite.__kwdefaults__ for suite in suites]
     for bound, value in bounds.items():
-        if value is not None:
-            require_int(bound, value, 0)
-            if not any(bound in params for params in accepted):
-                raise ValueError(f"suite {name!r} takes no {bound} bound")
+        if value is not None and not any(bound in params for params in accepted):
+            raise ValueError(f"suite {name!r} takes no {bound} bound")
     return [
         suite(**{k: v for k, v in bounds.items() if v is not None and k in params})
         for suite, params in zip(suites, accepted)

@@ -300,7 +300,7 @@ def test_interval_sum_guard_exit_code(capsys):
 def test_bad_values_exit_code(capsys):
     code, _, err = run_cli(capsys, "count", "--p", "0", "--q", "1", "--n", "3")
     assert code == 2
-    assert "error" in err
+    assert err == "error: --p must be a positive integer, got 0\n"
     code, _, _ = run_cli(capsys, "sequence", "--p", "1", "--q", "1", "--max", "0")
     assert code == 2
     code, _, _ = run_cli(
@@ -312,19 +312,39 @@ def test_bad_values_exit_code(capsys):
     assert "--nmax must be a non-negative integer, got -1" in err
 
 
+BELOW_MINIMUM = [  # every integer flag of every command, one below its minimum
+    ("count --p 0 --q 1 --n 3", "--p", 1),
+    ("count --p 1 --q 0 --n 3", "--q", 1),
+    ("count --p 1 --q 1 --n -1", "--n", 0),
+    ("sequence --p 0 --q 1 --max 3", "--p", 1),
+    ("sequence --p 1 --q 0 --max 3", "--q", 1),
+    ("sequence --p 1 --q 1 --max 0", "--max", 1),
+    ("enumerate --p 0 --q 1 --n 3", "--p", 1),
+    ("enumerate --p 1 --q 0 --n 3", "--q", 1),
+    ("enumerate --p 1 --q 1 --n -1", "--n", 0),
+    ("turan --n 0 --parts 2", "--n", 1),
+    ("turan --n 5 --parts 0", "--parts", 1),
+    ("interval-count --n 0 --p 1", "--n", 1),
+    ("interval-count --n 3 --p 0", "--p", 1),
+    ("verify --pmax -1", "--pmax", 0),
+    ("verify --suite formula --qmax -1", "--qmax", 0),
+    ("verify --suite turan-cross --nmax -1", "--nmax", 0),
+]
+
+
 @pytest.mark.parametrize(
-    "argv, flag",
-    [
-        (["sequence", "--p", "1", "--q", "1", "--max", "0"], "--max"),
-        (["turan", "--n", "5", "--parts", "0"], "--parts"),
-    ],
-    ids=["sequence", "turan"],
+    "command, flag, minimum",
+    BELOW_MINIMUM,
+    ids=[command.split()[0] + flag for command, flag, _ in BELOW_MINIMUM],
 )
-def test_sequence_refuses_a_zero_max_in_the_validator_wording(capsys, argv, flag):
+def test_every_integer_flag_refuses_one_below_its_minimum_by_its_name(
+    capsys, command, flag, minimum
+):
     # the refusal names the command's own flag, not the library parameter
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *command.split())
     assert (code, out) == (2, "")
-    assert err == f"error: {flag} must be a positive integer, got 0\n"
+    rule = "a positive" if minimum else "a non-negative"
+    assert err == f"error: {flag} must be {rule} integer, got {minimum - 1}\n"
 
 
 def test_verify_turan_identity_refuses_an_nmax_past_the_interval_sum_guard(
