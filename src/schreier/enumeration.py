@@ -17,8 +17,11 @@ masks within the grid's loosest cap sorted by size, so that every
 ratio's members there are a prefix, and it builds one tuple per
 admitted mask, shared by every ratio that admits it.  FiniteSet is
 built only for the public listing.  The scan is exponential in n;
-``ORACLE_LIMIT`` keeps instances desk-sized.  The interval tally is
-quadratic in n and has its own guard, ``INTERVAL_LIMIT``.
+``ORACLE_LIMIT`` keeps instances desk-sized.  The interval scan visits
+every interval of {1..n} once and tallies it by its maximum and the
+least p that admits it, so one scan serves every p, as the subset
+tally serves every ratio.  It is quadratic in n and has its own guard,
+``INTERVAL_LIMIT``.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from itertools import accumulate, compress
+from operator import floordiv
 
 from .sets import Elements, FiniteSet, Ratio, require_int
 
@@ -37,6 +41,7 @@ INTERVAL_LIMIT = 2000
 """Largest n the interval enumeration accepts (about n**2 / 2 candidates)."""
 
 Tally = tuple[tuple[int, int, int], ...]  # (count, size, smallest) per class
+IntervalTally = list[tuple[list[int], list[int]]]  # per maximum: (k's, counts)
 
 
 class OracleLimitError(RuntimeError):
@@ -163,27 +168,41 @@ def count_schreier_bruteforce(n: int, ratio: Ratio) -> int:
     return _tally_count(_subset_tally(n), ratio)
 
 
-def interval_counts_bruteforce(n_max: int, p: int) -> list[int]:
-    """Intervals F within {1..n} with p*min F >= |F|, for every n <= n_max at once.
+def _interval_tally(n_max: int) -> IntervalTally:
+    """Every interval [lo, hi] of {1..n_max}, counted by its maximum and its least p.
 
-    Visits every interval [lo, hi] of {1..n_max} once, applies the
-    predicate to each (no early break), and tallies it by its maximum
-    hi.  Entry n of the returned prefix sums counts the intervals
-    within {1..n}.  Refuses n_max > INTERVAL_LIMIT before any work.
+    [lo, hi] meets p*lo >= hi - lo + 1 exactly when p is at least
+    k = ceil((hi - lo + 1) / lo), so its class (hi, k) decides it for
+    every p, and one scan serves them all.  Row hi visits each lo = 1..hi
+    once, with no early break.  Entry hi holds the row's classes sorted
+    by k, as (the k's, the interval count of each); entry 0 is empty.  A
+    row has fewer than 2*sqrt(hi) + 1 classes (k is hi // lo), so the
+    tally grows as n_max**1.5, not as an n_max-square table.  Refuses
+    n_max > INTERVAL_LIMIT before any work.
     """
     require_int("n", n_max, 0)
-    require_int("p", p)
     refuse_above(n_max, INTERVAL_LIMIT, "interval enumeration")
-    by_max = [0] * (n_max + 1)
-    for lo in range(1, n_max + 1):
-        lo_weight = p * lo
-        for hi in range(lo, n_max + 1):
-            if lo_weight >= hi - lo + 1:
-                by_max[hi] += 1
-    return list(accumulate(by_max))
+    tally: IntervalTally = []
+    for hi in range(n_max + 1):
+        # floor(-length / lo) is -k, at lo = 1..hi with length = hi + 1 - lo
+        negated = Counter(map(floordiv, range(-hi, 0), range(1, hi + 1)))
+        classes = sorted((-minus_k, count) for minus_k, count in negated.items())
+        tally.append(([k for k, _ in classes], [count for _, count in classes]))
+    return tally
+
+
+def _interval_counts(tally: IntervalTally, p: int) -> list[int]:
+    """Entry n: the intervals within {1..n} with p*min F >= |F|, off the tally.
+
+    Row hi contributes its classes with k <= p, a prefix of the row.
+    """
+    return list(
+        accumulate(sum(counts[: bisect_right(ks, p)]) for ks, counts in tally)
+    )
 
 
 def count_interval_bruteforce(n: int, p: int) -> int:
-    """Intervals F within {1..n} (any maximum) with p*min F >= |F|, one by one."""
+    """Intervals F within {1..n} (any maximum) with p*min F >= |F|, off the scan."""
     require_int("n", n)
-    return interval_counts_bruteforce(n, p)[n]
+    require_int("p", p)
+    return _interval_counts(_interval_tally(n), p)[n]

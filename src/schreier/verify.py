@@ -28,10 +28,11 @@ from .counting import (
 )
 from .enumeration import (
     ORACLE_LIMIT,
+    _interval_counts,
+    _interval_tally,
     _listings,
     _subset_tally,
     _tally_count,
-    interval_counts_bruteforce,
     refuse_above,
 )
 from .sets import Elements, Frozen, Ratio, require_int
@@ -308,14 +309,21 @@ def window_bijection_suite(*, p_max: int = 3, q_max: int = 3, n_max: int = 14) -
 
 @_suite("interval-agreement")
 def interval_agreement_suite(*, p_max: int = 10, n_max: int = 200) -> Cases:
-    """Interval counts three ways: summed, closed form, brute force."""
+    """Interval counts three ways: summed, closed form, brute force.
+
+    The brute force is one scan of every interval of {1..n_max}, read
+    for each p in turn.  A grid with no p has no cell and is not scanned.
+    """
     yield f"1<=p<={p_max}, 1<=n<={n_max}"
+    if not p_max:
+        return
+    tally = _interval_tally(n_max)
     for p in range(1, p_max + 1):
-        tally = interval_counts_bruteforce(n_max, p)
+        brute = _interval_counts(tally, p)
         for n in range(1, n_max + 1):
             summed, closed = interval_count_sum(n, p), interval_count_closed(n, p)
             yield f"n={n}, p={p}", _mismatch(
-                "sum {}, closed {}, brute {}", summed, closed, tally[n]
+                "sum {}, closed {}, brute {}", summed, closed, brute[n]
             )
 
 
@@ -353,24 +361,28 @@ def turan_identity_suite(
 
     Each cell (n, p) compares the interval closed form, sum and brute
     force with the edge formula and from-parts count of T(n+1, p+1).
-    The brute force is one tally per p of every interval of
-    {1..enum_max}, enum_max = min(enum_limit, n_max); above it the other
-    four legs decide the cell, and a failure reads "enum None".  An
-    n_max past the interval sum's guard is refused before the first cell.
+    The brute force is one scan of every interval of {1..enum_max},
+    enum_max = min(enum_limit, n_max), read for every p; above it the
+    other four legs decide the cell, and a failure reads "enum None".
+    An n_max past the interval sum's guard is refused before the first
+    cell.  A grid with no p has no cell and is not scanned.
     """
     refuse_above(n_max, INTERVAL_SUM_LIMIT, "the interval sum")
     enum_max = min(enum_limit, n_max)
     yield f"1<=p<={p_max}, p<=n<={n_max}, enumeration leg up to n={enum_max}"
+    if not p_max:
+        return
     ran = "intervals closed {} / sum {} / enum {}, edges formula {} / construction {}"
     skipped = ran.replace("enum {}", "enum None")
+    tally = _interval_tally(enum_max)
     for p in range(1, p_max + 1):
-        tally = interval_counts_bruteforce(enum_max, p)
+        brute = _interval_counts(tally, p)
         for n in range(p, n_max + 1):
             closed, summed = interval_count_closed(n, p), interval_count_sum(n, p)
             formula = turan_edges_formula(n + 1, p + 1)
             parts = turan_edges_construction(n + 1, p + 1)
             yield f"n={n}, p={p}", (
-                _mismatch(ran, closed, summed, tally[n], formula, parts)
+                _mismatch(ran, closed, summed, brute[n], formula, parts)
                 if n <= enum_max
                 else _mismatch(skipped, closed, summed, formula, parts)
             )

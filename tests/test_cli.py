@@ -405,6 +405,8 @@ def test_verify_empty_grid_is_a_usage_error(capsys):
         ["--pmax", "0"],
         ["--suite", "turan-cross", "--pmax", "0"],
         ["--suite", "turan-cross", "--nmax", "0"],
+        # no p, so no cell: the interval scan's guard is never reached
+        ["--suite", "interval-agreement", "--pmax", "0", "--nmax", "2001"],
     ):
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2

@@ -9,11 +9,12 @@ import pytest
 
 import schreier.enumeration
 from schreier.enumeration import (
+    _interval_counts,
+    _interval_tally,
     _listings,
     _members,
     _scan,
     _subset_tally,
-    interval_counts_bruteforce,
 )
 from schreier.sets import _in_family
 
@@ -292,13 +293,28 @@ def per_n_interval_count(n, p):
 
 
 def test_interval_tally_matches_the_per_n_double_loop():
-    for p in range(1, 13):
-        tally = interval_counts_bruteforce(200, p)
-        assert len(tally) == 201
-        assert tally == [per_n_interval_count(n, p) for n in range(201)]
-    assert interval_counts_bruteforce(0, 3) == [0]
+    # one scan serves every p; from p = 200 on every interval of {1..200} qualifies
+    tally = _interval_tally(200)
+    assert len(tally) == 201
+    for p in [*range(1, 13), 200, 201, 10**6]:
+        assert _interval_counts(tally, p) == [per_n_interval_count(n, p) for n in range(201)]
+    assert _interval_counts(_interval_tally(0), 3) == [0]
     with pytest.raises(ValueError):
-        interval_counts_bruteforce(-1, 3)
+        _interval_tally(-1)
+
+
+def test_interval_tally_holds_classes_not_a_square_table():
+    # a row holds under 2*sqrt(hi) + 1 classes: about 41,000 in all at
+    # n_max = 1000, where a table of one count per (n, p) would hold a
+    # million and take 8 MB in its list slots alone
+    tracemalloc.start()
+    try:
+        tally = _interval_tally(1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert _interval_counts(tally, 7)[1000] == interval_count_closed(1000, 7)
 
 
 def test_interval_guard_boundary():
@@ -306,9 +322,9 @@ def test_interval_guard_boundary():
         INTERVAL_LIMIT, 3
     )
     message = f"n={INTERVAL_LIMIT + 1} exceeds the n <= {INTERVAL_LIMIT} guard"
-    for call in (count_interval_bruteforce, interval_counts_bruteforce):
+    for call in (lambda n: count_interval_bruteforce(n, 3), _interval_tally):
         with pytest.raises(OracleLimitError, match="interval enumeration") as excinfo:
-            call(INTERVAL_LIMIT + 1, 3)
+            call(INTERVAL_LIMIT + 1)
         assert str(excinfo.value).endswith(message)
         prefix = "instance too large for interval enumeration: "
         assert str(excinfo.value) == prefix + message

@@ -75,6 +75,36 @@ def test_interval_sum_guard_boundary():
         interval_count_sum(10**100, 1)
 
 
+def compare_every_term(n, p):
+    """Reference: the interval sum with one comparison per term, to m = n."""
+    total = 0
+    for budget, room in zip(range(p, p * n + 1, p), range(n, 0, -1)):
+        total += budget if budget < room else room
+    return total
+
+
+def test_interval_sum_matches_the_compare_every_term_loop():
+    ns = range(1, 1001)
+    cells = {(n, p) for n in ns for p in range(1, 41)}
+    # (p + 1) | (n + 1): budget meets room exactly, at m = (n + 1) / (p + 1)
+    cells |= {(n, p) for n in ns for p in range(1, n + 1) if (n + 1) % (p + 1) == 0}
+    # p > n: the room is below the budget from m = 1 on
+    cells |= {(n, p) for n in ns for p in (n + 1, 2 * n + 1, 10**6)}
+    assert [
+        cell for cell in sorted(cells) if interval_count_sum(*cell) != compare_every_term(*cell)
+    ] == []
+
+
+def test_the_sum_and_the_scan_never_reach_the_closed_form(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a counted leg reached the closed form")
+
+    monkeypatch.setattr(schreier.turan, "interval_count_closed", forbidden)
+    for n, p, expected in [(3, 2, 5), (4, 2, 8), (17, 3, 121), (2, 9, 3), (1000, 7, 438_375)]:
+        assert interval_count_sum(n, p) == expected
+        assert count_interval_bruteforce(n, p) == expected
+
+
 def test_interval_closed_known_values():
     assert interval_count_closed(3, 2) == 5
     assert interval_count_closed(4, 2) == 8

@@ -485,8 +485,8 @@ def test_corrupted_identity_leg_is_caught_at_its_cell(monkeypatch, name, cell, l
         ("interval_count_sum", lambda n, p: None, 154),
         ("turan_edges_formula", lambda n, p: None, 154),
         ("turan_edges_construction", lambda n, p: None, 154),
-        # the tally is read only up to enum_max = 30: 30 + 29 + 28 + 27 cells
-        ("interval_counts_bruteforce", lambda n_max, p: [None] * (n_max + 1), 114),
+        # the scan is read only up to enum_max = 30: 30 + 29 + 28 + 27 cells
+        ("_interval_counts", lambda tally, p: [None] * len(tally), 114),
     ],
     ids=["closed", "sum", "edge-formula", "edge-construction", "enum-tally"],
 )
@@ -559,25 +559,58 @@ def test_turan_identity_grid_names_the_enumeration_leg_it_ran():
     assert report.grid.endswith("enumeration leg up to n=10")
 
 
-@pytest.mark.parametrize(
-    "suite",
-    [
-        lambda: interval_agreement_suite(p_max=4, n_max=30),
-        lambda: turan_identity_suite(p_max=4, n_max=40, enum_limit=30),
-    ],
-    ids=["interval-agreement", "turan-identity"],
-)
-def test_corrupted_interval_tally_is_caught_at_its_cell(monkeypatch, suite):
-    honest = schreier.verify.interval_counts_bruteforce
+def miscounted(honest):
+    """The reader counts one interval too many at the cell (n=17, p=3)."""
 
-    def skewed(n_max, p):
-        tally = honest(n_max, p)
+    def skewed(tally, p):
+        counts = honest(tally, p)
         if p == 3:
-            tally[17] += 1
+            counts[17] += 1
+        return counts
+
+    return skewed
+
+
+def misfiled(honest):
+    """The scan files one interval of maximum 17 at k = 4 instead of k = 3.
+
+    [5, 17] is one: its least p is ceil(13 / 5) = 3.  The count at p = 3
+    falls by one from n = 17 on, and no other p sees it.
+    """
+
+    def skewed(n_max):
+        tally = honest(n_max)
+        ks, counts = tally[17]
+        counts[ks.index(3)] -= 1
+        counts[ks.index(4)] += 1
         return tally
 
-    # Both suites take the brute-force leg from the one tally per p.
-    monkeypatch.setattr(schreier.verify, "interval_counts_bruteforce", skewed)
+    return skewed
+
+
+INTERVAL_SUITES = [
+    ("interval-agreement", lambda: interval_agreement_suite(p_max=4, n_max=30)),
+    ("turan-identity", lambda: turan_identity_suite(p_max=4, n_max=40, enum_limit=30)),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, name, fault, failing",
+    [
+        pytest.param(suite, "_interval_counts", miscounted, 1, id=label)
+        for label, suite in INTERVAL_SUITES
+    ]
+    + [
+        pytest.param(suite, "_interval_tally", misfiled, 14, id=f"{label}-scan")
+        for label, suite in INTERVAL_SUITES
+    ],
+)
+def test_corrupted_interval_tally_is_caught_at_its_cell(
+    monkeypatch, suite, name, fault, failing
+):
+    # Both suites take the brute-force leg from one scan, read for every p;
+    # a misfiled interval fails n = 17..30 at p = 3, the first cell first.
+    monkeypatch.setattr(schreier.verify, name, fault(getattr(schreier.verify, name)))
     report = suite()
-    assert len(report.failures) == 1
+    assert len(report.failures) == failing
     assert report.failures[0].startswith("n=17, p=3:")
