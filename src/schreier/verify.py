@@ -357,10 +357,13 @@ def turan_cross_suite(
 def turan_identity_suite(
     *, p_max: int = 50, n_max: int = 500, enum_limit: int = 500
 ) -> Cases:
-    """Interval count vs Turán edges over the full claimed range.
+    """Interval count vs Turán edges, for 1 <= p <= p_max and p <= n <= n_max.
 
-    Each cell (n, p) compares the interval closed form, sum and brute
-    force with the edge formula and from-parts count of T(n+1, p+1).
+    The identity holds from n = 1 (see :mod:`schreier.turan`), but the
+    grid starts at n = p: the cells n < p, where both sides are
+    n(n+1)/2, are not checked.  Each cell (n, p) compares the interval
+    closed form, sum and brute force with the edge formula and
+    from-parts count of T(n+1, p+1).
     The brute force is one scan of every interval of {1..enum_max},
     enum_max = min(enum_limit, n_max), read for every p; above it the
     other four legs decide the cell, and a failure reads "enum None".

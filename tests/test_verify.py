@@ -149,353 +149,6 @@ def test_run_suite_defaults_apply_when_bounds_are_missing():
     assert report.grid == "1<=p<=4, 1<=q<=4, 1<=n<=6"
 
 
-def test_corrupted_base_case_is_caught(monkeypatch):
-    # Sabotage one coefficient of the generating function's numerator; the
-    # whole recurrence inherits one bad seed and the oracle comparison must
-    # flag it with a counterexample.
-    honest = schreier.counting._numerator
-
-    def corrupted(ratio, length):
-        coeffs = honest(ratio, length)
-        if (ratio.p, ratio.q) == (1, 1) and length > 1:
-            coeffs[1] += 1
-        return coeffs
-
-    monkeypatch.setattr(schreier.counting, "_numerator", corrupted)
-    report = recurrence_suite(p_max=1, q_max=1, n_max=6)
-    assert not report.passed
-    assert report.failures
-    assert "(p,q)=(1,1)" in report.failures[0]
-    assert "FAIL" in report.summary()
-
-
-def test_engine_skewed_at_one_cell_is_caught_by_the_recurrence_suite(monkeypatch):
-    honest = schreier.verify.count_schreier_recurrence
-
-    def skewed(n, ratio):
-        return honest(n, ratio) + ((n, ratio.p, ratio.q) == (12, 2, 3))
-
-    monkeypatch.setattr(schreier.verify, "count_schreier_recurrence", skewed)
-    report = recurrence_suite(p_max=4, q_max=4, n_max=20)
-    assert report.cases == 320
-    (failure,) = report.failures
-    engine = honest(12, Ratio(2, 3))
-    assert failure == f"(p,q)=(2,3), n=12: engine {engine + 1} != recurrence {engine}"
-
-
-def test_tally_missing_a_class_is_caught_by_the_oracle_leg(monkeypatch):
-    honest = schreier.verify._subset_tally
-
-    def lossy(n):
-        # drop the class of {n} alone: size 1, smallest n
-        return tuple(row for row in honest(n) if row[1:] != (1, n))
-
-    monkeypatch.setattr(schreier.verify, "_subset_tally", lossy)
-    report = recurrence_suite(p_max=2, q_max=2, n_max=10)
-    assert not report.passed
-    # {n} is a member whenever q*n >= p; the oracle then reads one short
-    assert report.failures[0] == "(p,q)=(1,1), n=1: recurrence 1 != oracle 0"
-    assert len(report.failures) == 2 * 2 * 10 - 1  # (2,1) at n=1 has no members
-
-
-def test_skewed_count_is_caught_by_the_window_recount(monkeypatch):
-    honest = schreier.verify.count_schreier_recurrence
-
-    def skewed(n, ratio):
-        return honest(n, ratio) + ((n, ratio) == (7, Ratio(1, 2)))
-
-    # count(7) weighs layer 1 at n = 8 (times C(2, 1)) and layer 2 at n = 9.
-    monkeypatch.setattr(schreier.verify, "count_schreier_recurrence", skewed)
-    report = window_bijection_suite()
-    assert report.failures == (
-        "(p,q)=(1,2), n=8: layer 1 is 56, expected 58",
-        "(p,q)=(1,2), n=9: layer 2 is 28, expected 29",
-    )
-
-
-def per_cell(fault):
-    """The grid listing at n, with ``fault`` applied to each ratio's listing.
-
-    A listing is the frozenset of its members' element tuples.
-    """
-    honest = schreier.verify._listings
-
-    def faulty(n, ratios):
-        listings = honest(n, ratios)
-        return [fault(n, ratio, listing) for ratio, listing in zip(ratios, listings)]
-
-    return faulty
-
-
-def test_missing_member_is_caught_by_the_window_recount(monkeypatch):
-    lost = (2, 8)
-
-    @per_cell
-    def lossy(n, ratio, listing):
-        if (n, ratio) == (8, Ratio(1, 2)):
-            return listing - {lost}
-        return listing
-
-    # {2, 8} misses both window values 6 and 7, so layer 1 at n = 8 loses
-    # C(2, 1) = 2; stripping the window at n = 11 lands on the short listing.
-    monkeypatch.setattr(schreier.verify, "_listings", lossy)
-    report = window_bijection_suite(p_max=2, q_max=2, n_max=12)
-    assert report.failures == (
-        "(p,q)=(1,2), n=8: layer 1 is 54, expected 56",
-        "(p,q)=(1,2), n=11: strip image differs from the family at n=8",
-    )
-
-
-def test_stray_member_is_caught_by_the_gap_image_check(monkeypatch):
-    stray = (1, 6, 7, 8)  # 2*1 < 1*4: not a member at n = 8
-
-    @per_cell
-    def padded(n, ratio, listing):
-        return listing | {stray} if (n, ratio) == (8, Ratio(1, 2)) else listing
-
-    # The stray holds the whole window {6, 7} at n = 8, so no gap choice
-    # there lets it through; every cell whose image is the family at
-    # n = 8 compares with the padded listing.
-    monkeypatch.setattr(schreier.verify, "_listings", padded)
-    report = gap_bijection_suite(p_max=2, q_max=2, n_max=10)
-    assert report.failures == tuple(
-        f"(p,q)=(1,2), {cell}: collapse image differs from the family at n=8"
-        for cell in ["n=9, gaps=(7,)", "n=9, gaps=(8,)", "n=10, gaps=(8, 9)"]
-    )
-
-
-def test_stray_member_is_caught_by_the_strip_image_check(monkeypatch):
-    stray = (1, 2, 8)  # 2*1 < 1*3: not a member at n = 8
-
-    @per_cell
-    def padded(n, ratio, listing):
-        return listing | {stray} if (n, ratio) == (8, Ratio(1, 2)) else listing
-
-    # The stray misses both window values 6 and 7 at n = 8, so layer 1
-    # gains C(2, 1) = 2; stripping the window at n = 11 lands on the
-    # padded listing.
-    monkeypatch.setattr(schreier.verify, "_listings", padded)
-    report = window_bijection_suite(p_max=2, q_max=2, n_max=12)
-    assert report.failures == (
-        "(p,q)=(1,2), n=8: layer 1 is 58, expected 56",
-        "(p,q)=(1,2), n=11: strip image differs from the family at n=8",
-    )
-
-
-def test_broken_gap_map_is_caught_at_its_cell(monkeypatch):
-    honest = schreier.verify._collapse
-
-    def broken(batch, gaps):
-        if (gaps.n, gaps.ratio, gaps.members) == (9, Ratio(1, 2), (7,)):
-            return [(gaps.n - 1,)] * len(batch)  # every avoider lands on {8}
-        return honest(batch, gaps)
-
-    monkeypatch.setattr(schreier.verify, "_collapse", broken)
-    report = gap_bijection_suite(p_max=2, q_max=2, n_max=10)
-    assert report.failures == ("(p,q)=(1,2), n=9, gaps=(7,): collapse is not injective",)
-
-
-def test_broken_gap_inverse_is_caught_at_its_cell(monkeypatch):
-    honest = schreier.verify._expand
-
-    def broken(batch, gaps):
-        if (gaps.n, gaps.ratio, gaps.members) == (9, Ratio(1, 2), (7,)):
-            return [(gaps.n,)] * len(batch)  # every image re-opens to {9}
-        return honest(batch, gaps)
-
-    # the collapse still bijects onto the family at n = 8; only the way
-    # back is wrong, and only at this one choice
-    monkeypatch.setattr(schreier.verify, "_expand", broken)
-    report = gap_bijection_suite(p_max=2, q_max=2, n_max=10)
-    assert report.failures == (
-        "(p,q)=(1,2), n=9, gaps=(7,): expand does not invert collapse",
-    )
-
-
-def test_broken_strip_map_is_caught_at_its_cell(monkeypatch):
-    honest = schreier.verify._strip
-
-    def broken(batch, ratio, n):
-        if (ratio, n) == (Ratio(1, 2), 11):
-            return [(n - 3,)] * len(batch)  # every full-window member lands on {8}
-        return honest(batch, ratio, n)
-
-    monkeypatch.setattr(schreier.verify, "_strip", broken)
-    report = window_bijection_suite(p_max=2, q_max=2, n_max=12)
-    assert report.failures == ("(p,q)=(1,2), n=11: strip is not injective",)
-
-
-def test_broken_attach_map_is_caught_at_its_cell(monkeypatch):
-    honest = schreier.verify._attach
-
-    def broken(batch, ratio, n):
-        if (ratio, n) == (Ratio(1, 2), 11):
-            return [(n,)] * len(batch)  # {11} holds no window value 9 or 10
-        return honest(batch, ratio, n)
-
-    # the strip still bijects onto the family at n = 8; only the way back
-    # is wrong, and only at this one cell
-    monkeypatch.setattr(schreier.verify, "_attach", broken)
-    report = window_bijection_suite(p_max=2, q_max=2, n_max=12)
-    assert report.failures == ("(p,q)=(1,2), n=11: attach does not invert strip",)
-
-
-def cell_of(args):
-    """The cell of a core's call, from its arguments after the batch.
-
-    A gap map's cell is its GapSet's (n, ratio, members); a window map's
-    is its (ratio, n).
-    """
-    if len(args) == 1:
-        (gaps,) = args
-        return gaps.n, gaps.ratio, gaps.members
-    return args
-
-
-@pytest.mark.parametrize(
-    "core, cell, error, failure",
-    [
-        (
-            "_collapse",
-            (9, Ratio(1, 2), (7,)),
-            DomainError("boom domain"),
-            "(p,q)=(1,2), n=9, gaps=(7,): collapse raised DomainError: boom domain",
-        ),
-        (
-            "_expand",
-            (9, Ratio(1, 2), (7,)),
-            RuntimeError("boom check"),
-            "(p,q)=(1,2), n=9, gaps=(7,): expand raised RuntimeError: boom check",
-        ),
-        (
-            "_strip",
-            (Ratio(1, 2), 9),
-            DomainError("boom domain"),
-            "(p,q)=(1,2), n=9: strip raised DomainError: boom domain",
-        ),
-        (
-            "_attach",
-            (Ratio(1, 2), 9),
-            ValueError("duplicate element 9"),
-            "(p,q)=(1,2), n=9: attach raised ValueError: duplicate element 9",
-        ),
-    ],
-    ids=["collapse", "expand", "strip", "attach"],
-)
-def test_a_map_that_raises_is_a_failure_at_its_cell(
-    monkeypatch, core, cell, error, failure
-):
-    honest = getattr(schreier.verify, core)
-
-    def raising(batch, *args):
-        if cell_of(args) == cell:
-            raise error
-        return honest(batch, *args)
-
-    # the other cells still run: the report counts every case, one failing
-    monkeypatch.setattr(schreier.verify, core, raising)
-    if core in ("_collapse", "_expand"):
-        report, cases = gap_bijection_suite(p_max=2, q_max=2, n_max=10), 62
-    else:
-        report, cases = window_bijection_suite(p_max=2, q_max=2, n_max=10), 64
-    assert (report.cases, report.failures) == (cases, (failure,))
-
-
-@pytest.mark.parametrize(
-    "core, cell, source, failure",
-    [
-        (
-            "_collapse",
-            (9, Ratio(1, 2), (7,)),
-            (3, 4, 9),  # -> (3, 4, 8), merged to (3, 3, 8)
-            "(p,q)=(1,2), n=9, gaps=(7,): collapse image differs from the family at n=8",
-        ),
-        (
-            "_strip",
-            (Ratio(1, 2), 11),
-            (3, 4, 9, 10, 11),  # -> (2, 3, 8), merged to (2, 2, 8)
-            "(p,q)=(1,2), n=11: strip image differs from the family at n=8",
-        ),
-    ],
-    ids=["collapse", "strip"],
-)
-def test_a_core_that_merges_two_elements_is_caught_at_its_cell(
-    monkeypatch, core, cell, source, failure
-):
-    honest = getattr(schreier.verify, core)
-
-    def merging(batch, *args):
-        images = honest(batch, *args)
-        if cell_of(args) != cell:
-            return images
-        # the second element of the source's image lands on the first
-        return [i[:1] * 2 + i[2:] if t == source else i for t, i in zip(batch, images)]
-
-    # FiniteSet would refuse the repeated element; on the tuple path the
-    # comparison with the listing at the target n is what catches it
-    monkeypatch.setattr(schreier.verify, core, merging)
-    suite = gap_bijection_suite if core == "_collapse" else window_bijection_suite
-    report = suite(p_max=2, q_max=2, n_max=12)
-    assert report.failures == (failure,)
-
-
-def test_corrupted_edge_formula_is_caught(monkeypatch):
-    honest = schreier.verify.turan_edges_formula
-
-    def skewed(n, p):
-        value = honest(n, p)
-        return value + (1 if (n, p) == (40, 3) else 0)
-
-    # The suite resolves the formula through its own module namespace.
-    monkeypatch.setattr(schreier.verify, "turan_edges_formula", skewed)
-    report = turan_cross_suite(p_max=4, n_max=50, quarter_n_max=10)
-    assert not report.passed
-    assert "n=40, p=3" in report.failures[0]
-
-
-@pytest.mark.parametrize(
-    "name, cell, label",
-    [
-        # The edge legs are read at T(n+1, p+1), so (18, 4) is the cell n=17, p=3.
-        ("turan_edges_formula", (18, 4), "n=17, p=3"),
-        ("turan_edges_construction", (18, 4), "n=17, p=3"),
-        ("interval_count_sum", (17, 3), "n=17, p=3"),
-        # Above enum_limit the four other legs still decide the cell.
-        ("interval_count_closed", (35, 2), "n=35, p=2"),
-    ],
-    ids=["edge-formula", "edge-construction", "interval-sum", "closed-above-enum"],
-)
-def test_corrupted_identity_leg_is_caught_at_its_cell(monkeypatch, name, cell, label):
-    honest = getattr(schreier.verify, name)
-
-    def skewed(n, p):
-        return honest(n, p) + ((n, p) == cell)
-
-    monkeypatch.setattr(schreier.verify, name, skewed)
-    report = turan_identity_suite(p_max=4, n_max=40, enum_limit=30)
-    assert len(report.failures) == 1
-    assert report.failures[0].startswith(f"{label}:")
-    assert ("/ enum None," in report.failures[0]) == (cell == (35, 2))
-
-
-@pytest.mark.parametrize(
-    "name, stub, failing",
-    [
-        ("interval_count_closed", lambda n, p: None, 154),
-        ("interval_count_sum", lambda n, p: None, 154),
-        ("turan_edges_formula", lambda n, p: None, 154),
-        ("turan_edges_construction", lambda n, p: None, 154),
-        # the scan is read only up to enum_max = 30: 30 + 29 + 28 + 27 cells
-        ("_interval_counts", lambda tally, p: [None] * len(tally), 114),
-    ],
-    ids=["closed", "sum", "edge-formula", "edge-construction", "enum-tally"],
-)
-def test_an_identity_leg_that_reads_none_fails_its_cells(monkeypatch, name, stub, failing):
-    # None is a wrong count like any other: no leg is left out for its value
-    monkeypatch.setattr(schreier.verify, name, stub)
-    report = turan_identity_suite(p_max=4, n_max=40, enum_limit=30)
-    assert (report.cases, len(report.failures)) == (154, failing)
-
 
 @pytest.mark.parametrize(
     "suite",
@@ -559,28 +212,120 @@ def test_turan_identity_grid_names_the_enumeration_leg_it_ran():
     assert report.grid.endswith("enumeration leg up to n=10")
 
 
+# The fault catalogue: which suites catch each fault.  A fault takes the
+# honest function and returns the faulty one, which is patched in where the
+# suites read it: as schreier.verify imports it, or in schreier.counting for
+# what the recurrence calls there.
+
+
+def plus_one(*cell):
+    """The honest value, plus one where the arguments are ``cell``."""
+    return lambda honest: lambda *args: honest(*args) + (args == cell)
+
+
+def none(honest):
+    """None at every call: a wrong count like any other."""
+    return lambda *args: None
+
+
+def core(cell, images):
+    """A bijection core whose images at ``cell`` are images(batch, honest images).
+
+    A gap map's cell is its GapSet's (n, ratio, members); a window map's
+    is its (ratio, n), the arguments after the batch.
+    """
+
+    def fault(honest):
+        def faulty(batch, *args):
+            mapped = honest(batch, *args)
+            if len(args) == 1:
+                args = args[0].n, args[0].ratio, args[0].members
+            return images(batch, mapped) if args == cell else mapped
+
+        return faulty
+
+    return fault
+
+
+def raising(error):
+    def images(batch, mapped):
+        raise error
+
+    return images
+
+
+def merging(source):
+    """The second element of the source's image lands on the first."""
+    return lambda batch, mapped: [
+        i[:1] * 2 + i[2:] if t == source else i for t, i in zip(batch, mapped)
+    ]
+
+
+def listing(cell, change):
+    """The grid listing, with the family at ``cell`` = (n, ratio) changed."""
+
+    def fault(honest):
+        def faulty(n, ratios):
+            families = honest(n, ratios)
+            return [
+                change(family) if (n, ratio) == cell else family
+                for ratio, family in zip(ratios, families)
+            ]
+
+        return faulty
+
+    return fault
+
+
+def seeded(honest):
+    """P's coefficient of x at (1, 1) one too large: every count inherits it."""
+
+    def skewed(ratio, length):
+        coeffs = honest(ratio, length)
+        if ratio == Ratio(1, 1) and length > 1:
+            coeffs[1] += 1
+        return coeffs
+
+    return skewed
+
+
+def lossy(honest):
+    """The oracle tally without the class of {n} alone: size 1, smallest n."""
+    return lambda n: tuple(row for row in honest(n) if row[1:] != (1, n))
+
+
+def scaled(honest):
+    """The forward pass at the unreduced (2, 6) one too large at n = 9."""
+
+    def skewed(ratio, n_max):
+        counts = honest(ratio, n_max)
+        if ratio == Ratio(2, 6):
+            return counts[:9] + (counts[9] + 1,) + counts[10:]
+        return counts
+
+    return skewed
+
+
 def miscounted(honest):
-    """The reader counts one interval too many at the cell (n=17, p=3)."""
+    """The scan's reader counts one interval too many at (n=9, p=2)."""
 
     def skewed(tally, p):
         counts = honest(tally, p)
-        if p == 3:
-            counts[17] += 1
+        counts[9] += p == 2
         return counts
 
     return skewed
 
 
 def misfiled(honest):
-    """The scan files one interval of maximum 17 at k = 4 instead of k = 3.
+    """The scan files [3, 9] at k = 4 instead of k = 3 (3 = ceil(7 / 3)).
 
-    [5, 17] is one: its least p is ceil(13 / 5) = 3.  The count at p = 3
-    falls by one from n = 17 on, and no other p sees it.
+    The count at p = 3 falls by one from n = 9 on, and no other p sees it.
     """
 
     def skewed(n_max):
         tally = honest(n_max)
-        ks, counts = tally[17]
+        ks, counts = tally[9]
         counts[ks.index(3)] -= 1
         counts[ks.index(4)] += 1
         return tally
@@ -588,29 +333,243 @@ def misfiled(honest):
     return skewed
 
 
-INTERVAL_SUITES = [
-    ("interval-agreement", lambda: interval_agreement_suite(p_max=4, n_max=30)),
-    ("turan-identity", lambda: turan_identity_suite(p_max=4, n_max=40, enum_limit=30)),
+GRID = (3, 3, 12)
+"""run_suite("all") bounds for the catalogue: they hold every fault's cell."""
+
+HALF, GAP = Ratio(1, 2), (9, Ratio(1, 2), (7,))
+COLLAPSED = "collapse image differs from the family at n=8"
+STRIPPED = "(p,q)=(1,2), n=11: strip image differs from the family at n=8"
+
+# (fault id, names patched, fault, {each suite that fails: (failures, *texts)})
+# No other suite may fail.  The texts are all of a suite's failures, or
+# the first of them when there are more than three.
+CATALOGUE = [
+    ("seed", "counting._numerator", seeded, {
+        "recurrence": (36, "(p,q)=(1,1), n=1: recurrence 2 != oracle 1"),
+        "formula": (12, "(p,q)=(1,1), n=1: recurrence 2 != direct 1"),
+        "scale-invariance": (36, "(p,q)=(1,1), k=2, n=1: 2 != 1"),
+        "window-bijections": (27, "(p,q)=(1,1), n=2: layer 1 is 1, expected 2"),
+    }),
+    # the tap C(3, 1) of every engine past its head at q = 3
+    ("tap", "counting.comb", plus_one(3, 1), {
+        "recurrence": (8, "(p,q)=(1,3), n=8: engine 167 != recurrence 70"),
+        "window-bijections": (6, "(p,q)=(1,3), n=9: layer 1 is 210, expected 501"),
+    }),
+    # {n} is a member wherever q*n >= p, and the oracle then reads one short
+    ("oracle-tally", "verify._subset_tally", lossy, {
+        "recurrence": (104, "(p,q)=(1,1), n=1: recurrence 1 != oracle 0"),
+    }),
+    ("engine", "verify.count_schreier_recurrence", plus_one(12, Ratio(2, 3)), {
+        "recurrence": (1, "(p,q)=(2,3), n=12: engine 274 != recurrence 273"),
+    }),
+    # count(7) weighs layer 1 at n = 8 (times C(2, 1)) and layer 2 at n = 9
+    ("engine-in-the-recount", "verify.count_schreier_recurrence", plus_one(7, HALF), {
+        "recurrence": (1, "(p,q)=(1,2), n=7: engine 29 != recurrence 28"),
+        "window-bijections": (
+            2,
+            "(p,q)=(1,2), n=8: layer 1 is 56, expected 58",
+            "(p,q)=(1,2), n=9: layer 2 is 28, expected 29",
+        ),
+    }),
+    ("direct", "verify.count_schreier_direct", plus_one(9, HALF), {
+        "formula": (1, "(p,q)=(1,2), n=9: recurrence 86 != direct 87"),
+    }),
+    ("scaled-pass", "verify.schreier_sequence", scaled, {
+        "scale-invariance": (1, "(p,q)=(1,3), k=2, n=9: 129 != 130"),
+    }),
+    # {2, 8} misses both window values 6 and 7, so layer 1 at n = 8 loses
+    # C(2, 1) = 2, and the strip at n = 11 lands on the short family
+    ("listing-lost", "verify._listings", listing((8, HALF), lambda f: f - {(2, 8)}), {
+        "gap-bijections": (6, "(p,q)=(1,2), n=8, gaps=(6,): "
+                              "collapse image differs from the family at n=7"),
+        "window-bijections": (2, "(p,q)=(1,2), n=8: layer 1 is 54, expected 56", STRIPPED),
+    }),
+    # not a member (2*1 < 1*4); it holds the whole window {6, 7} at n = 8,
+    # so no gap choice there lets it through
+    ("listing-padded-full-window", "verify._listings",
+     listing((8, HALF), lambda f: f | {(1, 6, 7, 8)}), {
+        "gap-bijections": (
+            3,
+            f"(p,q)=(1,2), n=9, gaps=(7,): {COLLAPSED}",
+            f"(p,q)=(1,2), n=9, gaps=(8,): {COLLAPSED}",
+            f"(p,q)=(1,2), n=10, gaps=(8, 9): {COLLAPSED}",
+        ),
+        "window-bijections": (
+            2,
+            "(p,q)=(1,2), n=8: strip raised DomainError: "
+            "{1,6,7,8} is not a member of the family at n=8 for 1/2",
+            STRIPPED,
+        ),
+    }),
+    # not a member (2*1 < 1*3); it misses both window values at n = 8, so
+    # layer 1 gains C(2, 1) = 2
+    ("listing-padded-empty-window", "verify._listings",
+     listing((8, HALF), lambda f: f | {(1, 2, 8)}), {
+        "gap-bijections": (6, "(p,q)=(1,2), n=8, gaps=(6,): collapse raised DomainError: "
+                              "{1,2,8} is not a member of the family at n=8 for 1/2"),
+        "window-bijections": (2, "(p,q)=(1,2), n=8: layer 1 is 58, expected 56", STRIPPED),
+    }),
+    # every avoider lands on {8}
+    ("collapse-not-injective", "verify._collapse", core(GAP, lambda b, m: [(8,)] * len(b)), {
+        "gap-bijections": (1, "(p,q)=(1,2), n=9, gaps=(7,): collapse is not injective"),
+    }),
+    # every image re-opens to {9}: only the way back is wrong
+    ("expand-not-inverse", "verify._expand", core(GAP, lambda b, m: [(9,)] * len(b)), {
+        "gap-bijections": (1, "(p,q)=(1,2), n=9, gaps=(7,): expand does not invert collapse"),
+    }),
+    # every full-window member lands on {8}
+    ("strip-not-injective", "verify._strip", core((HALF, 11), lambda b, m: [(8,)] * len(b)), {
+        "window-bijections": (1, "(p,q)=(1,2), n=11: strip is not injective"),
+    }),
+    # {11} holds no window value 9 or 10: only the way back is wrong
+    ("attach-not-inverse", "verify._attach", core((HALF, 11), lambda b, m: [(11,)] * len(b)), {
+        "window-bijections": (1, "(p,q)=(1,2), n=11: attach does not invert strip"),
+    }),
+    ("collapse-raises", "verify._collapse", core(GAP, raising(DomainError("boom domain"))), {
+        "gap-bijections": (1, "(p,q)=(1,2), n=9, gaps=(7,): "
+                              "collapse raised DomainError: boom domain"),
+    }),
+    ("expand-raises", "verify._expand", core(GAP, raising(RuntimeError("boom check"))), {
+        "gap-bijections": (1, "(p,q)=(1,2), n=9, gaps=(7,): "
+                              "expand raised RuntimeError: boom check"),
+    }),
+    ("strip-raises", "verify._strip", core((HALF, 9), raising(DomainError("boom domain"))), {
+        "window-bijections": (1, "(p,q)=(1,2), n=9: strip raised DomainError: boom domain"),
+    }),
+    ("attach-raises", "verify._attach",
+     core((HALF, 9), raising(ValueError("duplicate element 9"))), {
+        "window-bijections": (
+            1, "(p,q)=(1,2), n=9: attach raised ValueError: duplicate element 9"
+        ),
+    }),
+    # (3, 4, 9) -> (3, 4, 8), merged to (3, 3, 8): on the tuple path only
+    # the comparison with the family at the target n catches it
+    ("collapse-merges", "verify._collapse", core(GAP, merging((3, 4, 9))), {
+        "gap-bijections": (1, f"(p,q)=(1,2), n=9, gaps=(7,): {COLLAPSED}"),
+    }),
+    # (3, 4, 9, 10, 11) -> (2, 3, 8), merged to (2, 2, 8)
+    ("strip-merges", "verify._strip", core((HALF, 11), merging((3, 4, 9, 10, 11))), {
+        "window-bijections": (1, STRIPPED),
+    }),
+    # the identity reads the edge legs at T(n+1, p+1): T(9, 3) is n=8, p=2
+    ("edge-formula", "verify.turan_edges_formula", plus_one(9, 3), {
+        "turan-cross": (1, "n=9, p=3: formula 28 != construction 27"),
+        "turan-identity": (1, "n=8, p=2: intervals closed 27 / sum 27 / enum 27, "
+                              "edges formula 28 / construction 27"),
+    }),
+    ("edge-construction", "verify.turan_edges_construction", plus_one(9, 3), {
+        "turan-cross": (1, "n=9, p=3: formula 27 != construction 28"),
+        "turan-identity": (1, "n=8, p=2: intervals closed 27 / sum 27 / enum 27, "
+                              "edges formula 27 / construction 28"),
+    }),
+    # both edge legs agree on a wrong T(7, 2): the quarter squares and the
+    # interval legs see it
+    ("quarter-square", "verify.turan_edges_formula verify.turan_edges_construction",
+     plus_one(7, 2), {
+        "turan-cross": (1, "n=7, p=2: 13 != floor(n^2/4) = 12"),
+        "turan-identity": (1, "n=6, p=1: intervals closed 12 / sum 12 / enum 12, "
+                              "edges formula 13 / construction 13"),
+    }),
+    ("interval-closed", "verify.interval_count_closed", plus_one(9, 2), {
+        "interval-agreement": (1, "n=9, p=2: sum 33, closed 34, brute 33"),
+        "turan-identity": (1, "n=9, p=2: intervals closed 34 / sum 33 / enum 33, "
+                              "edges formula 33 / construction 33"),
+    }),
+    ("interval-sum", "verify.interval_count_sum", plus_one(9, 2), {
+        "interval-agreement": (1, "n=9, p=2: sum 34, closed 33, brute 33"),
+        "turan-identity": (1, "n=9, p=2: intervals closed 33 / sum 34 / enum 33, "
+                              "edges formula 33 / construction 33"),
+    }),
+    ("scan-reader", "verify._interval_counts", miscounted, {
+        "interval-agreement": (1, "n=9, p=2: sum 33, closed 33, brute 34"),
+        "turan-identity": (1, "n=9, p=2: intervals closed 33 / sum 33 / enum 34, "
+                              "edges formula 33 / construction 33"),
+    }),
+    # n = 9..12 at p = 3
+    ("scan-misfiled", "verify._interval_tally", misfiled, {
+        "interval-agreement": (4, "n=9, p=3: sum 37, closed 37, brute 36"),
+        "turan-identity": (4, "n=9, p=3: intervals closed 37 / sum 37 / enum 36, "
+                              "edges formula 37 / construction 37"),
+    }),
+    # the quarter squares read the formula too: 33 + 100 cells
+    ("edge-formula-none", "verify.turan_edges_formula", none, {
+        "turan-cross": (133, "n=1, p=1: formula None != construction 0"),
+        "turan-identity": (33, "n=1, p=1: intervals closed 1 / sum 1 / enum 1, "
+                               "edges formula None / construction 1"),
+    }),
+    ("edge-construction-none", "verify.turan_edges_construction", none, {
+        "turan-cross": (33, "n=1, p=1: formula 0 != construction None"),
+        "turan-identity": (33, "n=1, p=1: intervals closed 1 / sum 1 / enum 1, "
+                               "edges formula 1 / construction None"),
+    }),
+    ("interval-closed-none", "verify.interval_count_closed", none, {
+        "interval-agreement": (36, "n=1, p=1: sum 1, closed None, brute 1"),
+        "turan-identity": (33, "n=1, p=1: intervals closed None / sum 1 / enum 1, "
+                               "edges formula 1 / construction 1"),
+    }),
+    ("interval-sum-none", "verify.interval_count_sum", none, {
+        "interval-agreement": (36, "n=1, p=1: sum None, closed 1, brute 1"),
+        "turan-identity": (33, "n=1, p=1: intervals closed 1 / sum None / enum 1, "
+                               "edges formula 1 / construction 1"),
+    }),
 ]
 
 
+@pytest.fixture(scope="module")
+def clean():
+    """Each suite's case count at GRID, from a run that must pass."""
+    reports = run_suite("all", *GRID)
+    assert [report.failures for report in reports] == [()] * len(reports)
+    return {report.suite: report.cases for report in reports}
+
+
 @pytest.mark.parametrize(
-    "suite, name, fault, failing",
-    [
-        pytest.param(suite, "_interval_counts", miscounted, 1, id=label)
-        for label, suite in INTERVAL_SUITES
-    ]
-    + [
-        pytest.param(suite, "_interval_tally", misfiled, 14, id=f"{label}-scan")
-        for label, suite in INTERVAL_SUITES
-    ],
+    "names, fault, caught", [row[1:] for row in CATALOGUE], ids=[row[0] for row in CATALOGUE]
 )
-def test_corrupted_interval_tally_is_caught_at_its_cell(
-    monkeypatch, suite, name, fault, failing
+def test_each_fault_fails_exactly_its_suites(monkeypatch, clean, names, fault, caught):
+    for target in names.split():
+        module_name, name = target.split(".")
+        module = getattr(schreier, module_name)
+        # raising=True, the default: a name that is gone fails the row
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    reports = run_suite("all", *GRID)
+    # the other cells still ran: every suite counts the clean run's cases
+    assert {report.suite: report.cases for report in reports} == clean
+    failed = {
+        report.suite: (len(failures), *failures[: 1 if len(failures) > 3 else 3])
+        for report in reports
+        if (failures := report.failures)
+    }
+    assert failed == caught
+
+
+def test_every_suite_is_caught_by_some_fault(clean):
+    # a suite that no fault fails could pass with nothing checked
+    assert len(clean) == sum(map(len, schreier.verify.SUITES.values()))
+    assert set().union(*(caught for *_, caught in CATALOGUE)) == set(clean)
+
+
+@pytest.mark.parametrize(
+    "name, fault, failing",
+    [
+        # above enum_max = 30 the four other legs still decide the cell
+        ("interval_count_closed", plus_one(35, 2), (
+            1,
+            "n=35, p=2: intervals closed 433 / sum 432 / enum None, "
+            "edges formula 432 / construction 432",
+        )),
+        # the scan is read only up to enum_max: 30 + 29 + 28 + 27 of 154 cells
+        ("_interval_counts", lambda honest: lambda tally, p: [None] * len(tally), (
+            114,
+            "n=1, p=1: intervals closed 1 / sum 1 / enum None, edges formula 1 / construction 1",
+        )),
+    ],
+    ids=["closed-above-enum", "enum-tally-none"],
+)
+def test_above_enum_limit_the_four_other_legs_decide_the_cell(
+    monkeypatch, name, fault, failing
 ):
-    # Both suites take the brute-force leg from one scan, read for every p;
-    # a misfiled interval fails n = 17..30 at p = 3, the first cell first.
+    # outside the catalogue: run_suite cannot set enum_limit below n_max
     monkeypatch.setattr(schreier.verify, name, fault(getattr(schreier.verify, name)))
-    report = suite()
-    assert len(report.failures) == failing
-    assert report.failures[0].startswith("n=17, p=3:")
+    report = turan_identity_suite(p_max=4, n_max=40, enum_limit=30)
+    assert (report.cases, len(report.failures), report.failures[0]) == (154, *failing)
