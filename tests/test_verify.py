@@ -340,30 +340,30 @@ HALF, GAP = Ratio(1, 2), (9, Ratio(1, 2), (7,))
 COLLAPSED = "collapse image differs from the family at n=8"
 STRIPPED = "(p,q)=(1,2), n=11: strip image differs from the family at n=8"
 
-# (fault id, names patched, fault, {each suite that fails: (failures, *texts)})
+# (fault id, (dotted names patched), fault, {each suite that fails: (failures, *texts)})
 # No other suite may fail.  The texts are all of a suite's failures, or
 # the first of them when there are more than three.
 CATALOGUE = [
-    ("seed", "counting._numerator", seeded, {
+    ("seed", ("counting._numerator",), seeded, {
         "recurrence": (36, "(p,q)=(1,1), n=1: recurrence 2 != oracle 1"),
         "formula": (12, "(p,q)=(1,1), n=1: recurrence 2 != direct 1"),
         "scale-invariance": (36, "(p,q)=(1,1), k=2, n=1: 2 != 1"),
         "window-bijections": (27, "(p,q)=(1,1), n=2: layer 1 is 1, expected 2"),
     }),
     # the tap C(3, 1) of every engine past its head at q = 3
-    ("tap", "counting.comb", plus_one(3, 1), {
+    ("tap", ("counting.comb",), plus_one(3, 1), {
         "recurrence": (8, "(p,q)=(1,3), n=8: engine 167 != recurrence 70"),
         "window-bijections": (6, "(p,q)=(1,3), n=9: layer 1 is 210, expected 501"),
     }),
     # {n} is a member wherever q*n >= p, and the oracle then reads one short
-    ("oracle-tally", "verify._subset_tally", lossy, {
+    ("oracle-tally", ("verify._subset_tally",), lossy, {
         "recurrence": (104, "(p,q)=(1,1), n=1: recurrence 1 != oracle 0"),
     }),
-    ("engine", "verify.count_schreier_recurrence", plus_one(12, Ratio(2, 3)), {
+    ("engine", ("verify.count_schreier_recurrence",), plus_one(12, Ratio(2, 3)), {
         "recurrence": (1, "(p,q)=(2,3), n=12: engine 274 != recurrence 273"),
     }),
     # count(7) weighs layer 1 at n = 8 (times C(2, 1)) and layer 2 at n = 9
-    ("engine-in-the-recount", "verify.count_schreier_recurrence", plus_one(7, HALF), {
+    ("engine-in-the-recount", ("verify.count_schreier_recurrence",), plus_one(7, HALF), {
         "recurrence": (1, "(p,q)=(1,2), n=7: engine 29 != recurrence 28"),
         "window-bijections": (
             2,
@@ -371,22 +371,22 @@ CATALOGUE = [
             "(p,q)=(1,2), n=9: layer 2 is 28, expected 29",
         ),
     }),
-    ("direct", "verify.count_schreier_direct", plus_one(9, HALF), {
+    ("direct", ("verify.count_schreier_direct",), plus_one(9, HALF), {
         "formula": (1, "(p,q)=(1,2), n=9: recurrence 86 != direct 87"),
     }),
-    ("scaled-pass", "verify.schreier_sequence", scaled, {
+    ("scaled-pass", ("verify.schreier_sequence",), scaled, {
         "scale-invariance": (1, "(p,q)=(1,3), k=2, n=9: 129 != 130"),
     }),
     # {2, 8} misses both window values 6 and 7, so layer 1 at n = 8 loses
     # C(2, 1) = 2, and the strip at n = 11 lands on the short family
-    ("listing-lost", "verify._listings", listing((8, HALF), lambda f: f - {(2, 8)}), {
+    ("listing-lost", ("verify._listings",), listing((8, HALF), lambda f: f - {(2, 8)}), {
         "gap-bijections": (6, "(p,q)=(1,2), n=8, gaps=(6,): "
                               "collapse image differs from the family at n=7"),
         "window-bijections": (2, "(p,q)=(1,2), n=8: layer 1 is 54, expected 56", STRIPPED),
     }),
     # not a member (2*1 < 1*4); it holds the whole window {6, 7} at n = 8,
     # so no gap choice there lets it through
-    ("listing-padded-full-window", "verify._listings",
+    ("listing-padded-full-window", ("verify._listings",),
      listing((8, HALF), lambda f: f | {(1, 6, 7, 8)}), {
         "gap-bijections": (
             3,
@@ -403,40 +403,40 @@ CATALOGUE = [
     }),
     # not a member (2*1 < 1*3); it misses both window values at n = 8, so
     # layer 1 gains C(2, 1) = 2
-    ("listing-padded-empty-window", "verify._listings",
+    ("listing-padded-empty-window", ("verify._listings",),
      listing((8, HALF), lambda f: f | {(1, 2, 8)}), {
         "gap-bijections": (6, "(p,q)=(1,2), n=8, gaps=(6,): collapse raised DomainError: "
                               "{1,2,8} is not a member of the family at n=8 for 1/2"),
         "window-bijections": (2, "(p,q)=(1,2), n=8: layer 1 is 58, expected 56", STRIPPED),
     }),
     # every avoider lands on {8}
-    ("collapse-not-injective", "verify._collapse", core(GAP, lambda b, m: [(8,)] * len(b)), {
+    ("collapse-not-injective", ("verify._collapse",), core(GAP, lambda b, m: [(8,)] * len(b)), {
         "gap-bijections": (1, "(p,q)=(1,2), n=9, gaps=(7,): collapse is not injective"),
     }),
     # every image re-opens to {9}: only the way back is wrong
-    ("expand-not-inverse", "verify._expand", core(GAP, lambda b, m: [(9,)] * len(b)), {
+    ("expand-not-inverse", ("verify._expand",), core(GAP, lambda b, m: [(9,)] * len(b)), {
         "gap-bijections": (1, "(p,q)=(1,2), n=9, gaps=(7,): expand does not invert collapse"),
     }),
     # every full-window member lands on {8}
-    ("strip-not-injective", "verify._strip", core((HALF, 11), lambda b, m: [(8,)] * len(b)), {
+    ("strip-not-injective", ("verify._strip",), core((HALF, 11), lambda b, m: [(8,)] * len(b)), {
         "window-bijections": (1, "(p,q)=(1,2), n=11: strip is not injective"),
     }),
     # {11} holds no window value 9 or 10: only the way back is wrong
-    ("attach-not-inverse", "verify._attach", core((HALF, 11), lambda b, m: [(11,)] * len(b)), {
+    ("attach-not-inverse", ("verify._attach",), core((HALF, 11), lambda b, m: [(11,)] * len(b)), {
         "window-bijections": (1, "(p,q)=(1,2), n=11: attach does not invert strip"),
     }),
-    ("collapse-raises", "verify._collapse", core(GAP, raising(DomainError("boom domain"))), {
+    ("collapse-raises", ("verify._collapse",), core(GAP, raising(DomainError("boom domain"))), {
         "gap-bijections": (1, "(p,q)=(1,2), n=9, gaps=(7,): "
                               "collapse raised DomainError: boom domain"),
     }),
-    ("expand-raises", "verify._expand", core(GAP, raising(RuntimeError("boom check"))), {
+    ("expand-raises", ("verify._expand",), core(GAP, raising(RuntimeError("boom check"))), {
         "gap-bijections": (1, "(p,q)=(1,2), n=9, gaps=(7,): "
                               "expand raised RuntimeError: boom check"),
     }),
-    ("strip-raises", "verify._strip", core((HALF, 9), raising(DomainError("boom domain"))), {
+    ("strip-raises", ("verify._strip",), core((HALF, 9), raising(DomainError("boom domain"))), {
         "window-bijections": (1, "(p,q)=(1,2), n=9: strip raised DomainError: boom domain"),
     }),
-    ("attach-raises", "verify._attach",
+    ("attach-raises", ("verify._attach",),
      core((HALF, 9), raising(ValueError("duplicate element 9"))), {
         "window-bijections": (
             1, "(p,q)=(1,2), n=9: attach raised ValueError: duplicate element 9"
@@ -444,70 +444,70 @@ CATALOGUE = [
     }),
     # (3, 4, 9) -> (3, 4, 8), merged to (3, 3, 8): on the tuple path only
     # the comparison with the family at the target n catches it
-    ("collapse-merges", "verify._collapse", core(GAP, merging((3, 4, 9))), {
+    ("collapse-merges", ("verify._collapse",), core(GAP, merging((3, 4, 9))), {
         "gap-bijections": (1, f"(p,q)=(1,2), n=9, gaps=(7,): {COLLAPSED}"),
     }),
     # (3, 4, 9, 10, 11) -> (2, 3, 8), merged to (2, 2, 8)
-    ("strip-merges", "verify._strip", core((HALF, 11), merging((3, 4, 9, 10, 11))), {
+    ("strip-merges", ("verify._strip",), core((HALF, 11), merging((3, 4, 9, 10, 11))), {
         "window-bijections": (1, STRIPPED),
     }),
     # the identity reads the edge legs at T(n+1, p+1): T(9, 3) is n=8, p=2
-    ("edge-formula", "verify.turan_edges_formula", plus_one(9, 3), {
+    ("edge-formula", ("verify.turan_edges_formula",), plus_one(9, 3), {
         "turan-cross": (1, "n=9, p=3: formula 28 != construction 27"),
         "turan-identity": (1, "n=8, p=2: intervals closed 27 / sum 27 / enum 27, "
                               "edges formula 28 / construction 27"),
     }),
-    ("edge-construction", "verify.turan_edges_construction", plus_one(9, 3), {
+    ("edge-construction", ("verify.turan_edges_construction",), plus_one(9, 3), {
         "turan-cross": (1, "n=9, p=3: formula 27 != construction 28"),
         "turan-identity": (1, "n=8, p=2: intervals closed 27 / sum 27 / enum 27, "
                               "edges formula 27 / construction 28"),
     }),
     # both edge legs agree on a wrong T(7, 2): the quarter squares and the
     # interval legs see it
-    ("quarter-square", "verify.turan_edges_formula verify.turan_edges_construction",
+    ("quarter-square", ("verify.turan_edges_formula", "verify.turan_edges_construction"),
      plus_one(7, 2), {
         "turan-cross": (1, "n=7, p=2: 13 != floor(n^2/4) = 12"),
         "turan-identity": (1, "n=6, p=1: intervals closed 12 / sum 12 / enum 12, "
                               "edges formula 13 / construction 13"),
     }),
-    ("interval-closed", "verify.interval_count_closed", plus_one(9, 2), {
+    ("interval-closed", ("verify.interval_count_closed",), plus_one(9, 2), {
         "interval-agreement": (1, "n=9, p=2: sum 33, closed 34, brute 33"),
         "turan-identity": (1, "n=9, p=2: intervals closed 34 / sum 33 / enum 33, "
                               "edges formula 33 / construction 33"),
     }),
-    ("interval-sum", "verify.interval_count_sum", plus_one(9, 2), {
+    ("interval-sum", ("verify.interval_count_sum",), plus_one(9, 2), {
         "interval-agreement": (1, "n=9, p=2: sum 34, closed 33, brute 33"),
         "turan-identity": (1, "n=9, p=2: intervals closed 33 / sum 34 / enum 33, "
                               "edges formula 33 / construction 33"),
     }),
-    ("scan-reader", "verify._interval_counts", miscounted, {
+    ("scan-reader", ("verify._interval_counts",), miscounted, {
         "interval-agreement": (1, "n=9, p=2: sum 33, closed 33, brute 34"),
         "turan-identity": (1, "n=9, p=2: intervals closed 33 / sum 33 / enum 34, "
                               "edges formula 33 / construction 33"),
     }),
     # n = 9..12 at p = 3
-    ("scan-misfiled", "verify._interval_tally", misfiled, {
+    ("scan-misfiled", ("verify._interval_tally",), misfiled, {
         "interval-agreement": (4, "n=9, p=3: sum 37, closed 37, brute 36"),
         "turan-identity": (4, "n=9, p=3: intervals closed 37 / sum 37 / enum 36, "
                               "edges formula 37 / construction 37"),
     }),
     # the quarter squares read the formula too: 33 + 100 cells
-    ("edge-formula-none", "verify.turan_edges_formula", none, {
+    ("edge-formula-none", ("verify.turan_edges_formula",), none, {
         "turan-cross": (133, "n=1, p=1: formula None != construction 0"),
         "turan-identity": (33, "n=1, p=1: intervals closed 1 / sum 1 / enum 1, "
                                "edges formula None / construction 1"),
     }),
-    ("edge-construction-none", "verify.turan_edges_construction", none, {
+    ("edge-construction-none", ("verify.turan_edges_construction",), none, {
         "turan-cross": (33, "n=1, p=1: formula 0 != construction None"),
         "turan-identity": (33, "n=1, p=1: intervals closed 1 / sum 1 / enum 1, "
                                "edges formula 1 / construction None"),
     }),
-    ("interval-closed-none", "verify.interval_count_closed", none, {
+    ("interval-closed-none", ("verify.interval_count_closed",), none, {
         "interval-agreement": (36, "n=1, p=1: sum 1, closed None, brute 1"),
         "turan-identity": (33, "n=1, p=1: intervals closed None / sum 1 / enum 1, "
                                "edges formula 1 / construction 1"),
     }),
-    ("interval-sum-none", "verify.interval_count_sum", none, {
+    ("interval-sum-none", ("verify.interval_count_sum",), none, {
         "interval-agreement": (36, "n=1, p=1: sum None, closed 1, brute 1"),
         "turan-identity": (33, "n=1, p=1: intervals closed 1 / sum None / enum 1, "
                                "edges formula 1 / construction 1"),
@@ -527,7 +527,7 @@ def clean():
     "names, fault, caught", [row[1:] for row in CATALOGUE], ids=[row[0] for row in CATALOGUE]
 )
 def test_each_fault_fails_exactly_its_suites(monkeypatch, clean, names, fault, caught):
-    for target in names.split():
+    for target in names:
         module_name, name = target.split(".")
         module = getattr(schreier, module_name)
         # raising=True, the default: a name that is gone fails the row
@@ -563,8 +563,32 @@ def test_every_suite_is_caught_by_some_fault(clean):
             114,
             "n=1, p=1: intervals closed 1 / sum 1 / enum None, edges formula 1 / construction 1",
         )),
+        # a leg that reads None fails every cell, the 40 above enum_max too
+        ("interval_count_closed", none, (
+            154,
+            "n=1, p=1: intervals closed None / sum 1 / enum 1, edges formula 1 / construction 1",
+        )),
+        ("interval_count_sum", none, (
+            154,
+            "n=1, p=1: intervals closed 1 / sum None / enum 1, edges formula 1 / construction 1",
+        )),
+        ("turan_edges_formula", none, (
+            154,
+            "n=1, p=1: intervals closed 1 / sum 1 / enum 1, edges formula None / construction 1",
+        )),
+        ("turan_edges_construction", none, (
+            154,
+            "n=1, p=1: intervals closed 1 / sum 1 / enum 1, edges formula 1 / construction None",
+        )),
     ],
-    ids=["closed-above-enum", "enum-tally-none"],
+    ids=[
+        "closed-above-enum",
+        "enum-tally-none",
+        "closed-none",
+        "sum-none",
+        "edge-formula-none",
+        "edge-construction-none",
+    ],
 )
 def test_above_enum_limit_the_four_other_legs_decide_the_cell(
     monkeypatch, name, fault, failing
