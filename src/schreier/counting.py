@@ -8,10 +8,10 @@ Two independent methods are provided on purpose:
   steps.  It is self-contained.
 * The recurrence of depth d = p + q, read off the generating function
   P(x)/Q(x), which groups the members by size, not by minimum (see
-  :func:`_numerator`).  Every count comes from one forward pass,
-  :func:`schreier_sequence`: q running sums of one stream, P's
-  coefficients and then the counts themselves, O(n * q) big-int
-  additions for the whole prefix (a plain tuple indexed by n).
+  :func:`_starts`).  Every count comes from one forward pass,
+  :func:`schreier_sequence`: a chain of running sums that P's q terms
+  start in one by one, then fed the counts themselves, O(n * min(q, n))
+  big-int additions for the whole prefix (a plain tuple indexed by n).
   :func:`count_schreier_recurrence` first reduces the ratio by
   g = gcd(p, q), which is exact because q*min F >= p*|F| is the same
   predicate at (p/g, q/g), so it runs at the family's minimal depth
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import comb, gcd
-from operator import mul, sub
+from operator import mul
 
 from .sets import Ratio, require_int
 
@@ -76,28 +76,22 @@ def count_schreier_direct(n: int, ratio: Ratio) -> int:
     return total
 
 
-def _numerator(ratio: Ratio, length: int) -> list[int]:
-    """P's coefficients of x^0 .. x^(length - 1), P/Q being count's generating function.
+def _starts(ratio: Ratio, n_max: int) -> set[int]:
+    """The step e_r at which each of P's terms r <= min(q, n_max) starts.
 
     The members of size s = qk + r (1 <= r <= q) have maximum n and
     minimum at least ceil(ps/q) = pk + ceil(pr/q), so they contribute
-    x^(ceil(ps/q) + s - 1) / (1 - x)^s, and the sum over k is geometric:
+    x^(ceil(ps/q) + s - 1) / (1 - x)^s; the sum over k is geometric, so
+    count's generating function is P/Q, with
 
-        P(x) = sum_{r=1}^{q} x^(ceil(pr/q) + r - 1) (1 - x)^(q - r),
+        P(x) = sum_{r=1}^{q} x^(e_r) (1 - x)^(q - r),  e_r = ceil(pr/q) + r - 1,
         Q(x) = (1 - x)^q - x^(p + q).
 
-    P has degree p + q - 1.  Horner's rule in 1 - x builds it: for
-    r = 1 .. q, one difference pass, then r's monomial.  Truncation
-    commutes with both, so nothing past ``length`` is made, nor a binomial.
+    The e_r rise strictly from e_1 >= 1 to e_q = p + q - 1, and e_r >= r:
+    count(0 .. n_max) sees no term r > n_max.
     """
     p, q = ratio.p, ratio.q
-    coeffs = [0] * length
-    for r in range(1, q + 1):
-        coeffs = list(map(sub, coeffs, [0, *coeffs]))  # times 1 - x
-        first = -(-p * r // q) + r - 1
-        if first < length:
-            coeffs[first] += 1
-    return coeffs
+    return {-(-p * r // q) + r - 1 for r in range(1, min(q, n_max) + 1)}
 
 
 def _fold(poly: list[int], taps: list[tuple[int, int]], depth: int) -> list[int]:
@@ -163,20 +157,26 @@ def count_schreier_recurrence(n: int, ratio: Ratio) -> int:
 
 
 def schreier_sequence(ratio: Ratio, n_max: int) -> tuple[int, ...]:
-    """Counts for 0 <= n <= n_max, indexed by n (O(n_max * q) additions in all).
+    """Counts for 0 <= n <= n_max, indexed by n (O(n_max * min(q, n_max)) additions).
 
-    With d = p + q, count's generating function P/Q (see :func:`_numerator`)
-    gives (1 - x)^q count = P + x^d count.  So count is the q-th running
-    sum of one input stream: P's coefficients for n < d (P has degree
-    d - 1), then count(n - d).  Each step feeds the stream's next term to
-    q chained running sums and appends what comes out, which the stream
-    reads again d steps later.  No step multiplies.
+    With d = p + q, count's generating function (see :func:`_starts`) is
+    sum_r x^(e_r) / (1 - x)^r + x^d count / (1 - x)^q: the top of a chain
+    of running sums.  Below d, the chain gains one sum just above its
+    input at each start e_r, where the input is 1 (0 elsewhere), so term r
+    enters r sums below the top.  From d on, it holds all q sums, and its
+    input is count(n - d), read back from its output.  No step multiplies.
     """
     require_int("n", n_max, 0)
-    stream = _numerator(ratio, min(n_max + 1, ratio.p + ratio.q))
-    levels = [0] * (ratio.q + 1)  # levels[k]: the k-th running sum at n
-    for n in range(n_max + 1):
-        levels[0] = stream[n]
+    depth = ratio.p + ratio.q
+    starts = _starts(ratio, n_max)
+    levels = [0]  # levels[0]: the input at n; levels[k]: the k-th running sum
+    counts = []
+    for n in range(min(n_max + 1, depth)):
+        levels[:1] = (1, 0) if n in starts else (0,)  # a start: input 1 under one more sum
         levels = list(accumulate(levels))
-        stream.append(levels[-1])
-    return tuple(stream[-(n_max + 1) :])
+        counts.append(levels[-1])
+    for n in range(n_max + 1 - depth):
+        levels[0] = counts[n]
+        levels = list(accumulate(levels))
+        counts.append(levels[-1])
+    return tuple(counts)

@@ -194,6 +194,23 @@ def test_a_closed_pipe_exits_141_without_a_traceback(argv, first_line):
         assert child.stderr.read() == b""
 
 
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["count", "--p", "1", "--q", "100000000", "--n", "5"], "16\n"),
+        (["sequence", "--p", "1", "--q", "100000000", "--max", "3"], "1,2,4\n"),
+    ],
+    ids=["count", "sequence"],
+)
+def test_a_head_far_below_a_huge_depth_answers_within_10_s(argv, out):
+    # depth 10^8 + 1: the pass builds only the running sums that n reaches
+    child = subprocess.run(
+        [sys.executable, "-m", "schreier", *argv],
+        capture_output=True, text=True, env=child_env(), timeout=10,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, out, "")
+
+
 def test_importing_the_cli_leaves_heapq_unloaded():
     # only a listing merges strides, so no other command pays for heapq
     probe = "import sys, schreier.cli; print('heapq' in sys.modules)"
@@ -447,15 +464,13 @@ def test_verify_usage_names_every_registered_suite(capsys, monkeypatch):
 
 
 def test_verify_failure_exit_code_under_fault_injection(capsys, monkeypatch):
-    honest = schreier.counting._numerator
+    honest = schreier.counting._starts
 
-    def corrupted(ratio, length):
-        coeffs = honest(ratio, length)
-        if (ratio.p, ratio.q) == (1, 1) and length > 1:
-            coeffs[1] += 1
-        return coeffs
+    def corrupted(ratio, n_max):
+        # P's one term at (1, 1) starts at n = 0, not 1
+        return {start - ((ratio.p, ratio.q) == (1, 1)) for start in honest(ratio, n_max)}
 
-    monkeypatch.setattr(schreier.counting, "_numerator", corrupted)
+    monkeypatch.setattr(schreier.counting, "_starts", corrupted)
     code, out, _ = run_cli(
         capsys,
         "verify", "--suite", "recurrence", "--pmax", "1", "--qmax", "1", "--nmax", "6",

@@ -1,5 +1,6 @@
 """Fast counting: recurrence and direct formula, against each other and the oracle."""
 
+import tracemalloc
 from itertools import accumulate
 from math import comb, gcd
 from operator import add, mul
@@ -65,6 +66,17 @@ def test_sequence_agrees_with_point_queries():
     seq = schreier_sequence(ratio, 5000)
     for n in range(4990, 5001):
         assert seq[n] == count_schreier_recurrence(n, ratio)
+    # passes that end below the depth p + q: only the terms of P that
+    # start by n_max enter, at q far above n_max too
+    for ratio in [Ratio(1, 10**5), Ratio(3, 10**4), Ratio(1, 1000)]:
+        seq = schreier_sequence(ratio, 300)
+        assert seq == tuple(count_schreier_direct(n, ratio) for n in range(301))
+    for p in range(1, 9):
+        for q in range(1, 9):
+            ratio = Ratio(p, q)
+            direct = tuple(count_schreier_direct(n, ratio) for n in range(p + q))
+            for n_max in range(p + q):
+                assert schreier_sequence(ratio, n_max) == direct[: n_max + 1]
 
 
 def test_engine_finish_matches_the_forward_pass_at_its_boundaries():
@@ -317,7 +329,7 @@ def test_direct_sum_imports_nothing_from_the_recurrence(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the direct sum reached the recurrence")
 
-    monkeypatch.setattr(schreier.counting, "_numerator", forbidden)
+    monkeypatch.setattr(schreier.counting, "_starts", forbidden)
     monkeypatch.setattr(schreier.counting, "_fold", forbidden)
     monkeypatch.setattr(schreier.counting, "comb", forbidden)
     assert count_schreier_direct(30, Ratio(1, 1)) == 832040
@@ -335,6 +347,20 @@ def test_counts_below_the_depth_build_no_taps(monkeypatch):
     ratio = Ratio(20000, 20001)
     assert count_schreier_recurrence(5, ratio) == 5
     assert schreier_sequence(ratio, 5) == (0, 1, 1, 2, 3, 5)
+    assert count_schreier_recurrence(5, Ratio(1, 10**8)) == 16
+
+
+def test_a_short_prefix_at_a_huge_depth_holds_only_its_own_sums():
+    # the pass holds min(q, n_max) + 1 levels: 6 here, not the q + 1 of
+    # the whole chain, which would take megabytes at q = 10^6
+    tracemalloc.start()
+    try:
+        counts = schreier_sequence(Ratio(1, 10**6), 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == (0, 1, 2, 4, 8, 16)
+    assert peak < 64 * 1024
 
 
 def test_engine_reads_its_whole_head_off_the_forward_pass(monkeypatch):
