@@ -6,8 +6,9 @@ exactness is the point.  Exit codes are a stable contract: 0 success,
 1 verification failure, 2 usage error, 3 size guard exceeded,
 4 count too long for the interpreter's int-to-decimal digit limit,
 141 output pipe closed by its reader (128 + SIGPIPE, as a shell reports).
-Each command declares its integer flags with their minimums in one
-table, and ``main`` checks every given value there, under its flag's name.
+Each command's integer flags and their minimums sit in one table that
+``main`` checks under each flag's name; ``sequence --offset``, whose
+range is 0..``--max``, is declared apart and checked by ``cmd_sequence``.
 
 A command imports only the layers it runs: the b-file writer loads
 inside ``sequence --format bfile`` and the verification suites inside

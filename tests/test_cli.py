@@ -1,11 +1,13 @@
-"""Command-line interface: golden outputs and the exit-code contract."""
+"""Command-line interface: the exit-code contract as one table, and how commands run."""
 
 import io
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from itertools import takewhile
 from math import comb, isqrt
 from pathlib import Path
 
@@ -30,6 +32,8 @@ from schreier import (
 from schreier.cli import build_parser, main
 from schreier.verify import SUITES
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -37,42 +41,360 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize(
-    "argv,expected",
-    [
-        (["count", "--p", "1", "--q", "1", "--n", "10", "--method", "recurrence"], "55\n"),
-        (["count", "--p", "1", "--q", "2", "--n", "4", "--method", "oracle"], "5\n"),
-        (["count", "--p", "2", "--q", "1", "--n", "1", "--method", "direct"], "0\n"),
-        (["sequence", "--p", "1", "--q", "1", "--max", "6", "--format", "csv"], "1,1,2,3,5,8\n"),
-        (["sequence", "--p", "1", "--q", "1", "--max", "1", "--format", "csv"], "1\n"),
-        (["enumerate", "--p", "1", "--q", "1", "--n", "3"], "{3}\n{2,3}\n"),
-        (["enumerate", "--p", "1", "--q", "1", "--n", "1"], "{1}\n"),
-        (["enumerate", "--p", "3", "--q", "1", "--n", "2"], ""),
-        (["turan", "--n", "5", "--parts", "2", "--method", "formula"], "6\n"),
-        (["turan", "--n", "7", "--parts", "3", "--method", "graph"], "16\n"),
-        (["turan", "--n", "3", "--parts", "1"], "0\n"),
-        (["interval-count", "--n", "3", "--p", "2", "--method", "closed"], "5\n"),
-        (["interval-count", "--n", "1", "--p", "9", "--method", "sum"], "1\n"),
-        (["interval-count", "--n", "3", "--p", "5", "--method", "enum"], "6\n"),
-        # n = 0 has no members on every route
-        (["count", "--p", "1", "--q", "1", "--n", "0", "--method", "oracle"], "0\n"),
-        (["enumerate", "--p", "1", "--q", "1", "--n", "0"], ""),
-        # part sizes are counted, not listed: 10^12 of them need no memory
-        (["turan", "--n", "3", "--parts", "1000000000000", "--method", "graph"], "3\n"),
-    ],
+@contextmanager
+def int_digits(limit):
+    """Hold the int-to-str digit limit at ``limit`` (None: leave it), then restore it."""
+    if limit is None:
+        yield
+        return
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def forbid(honest):
+    """A name that must not be called: it raises if it is."""
+
+    def ran(*args):
+        raise AssertionError(f"{honest.__name__} ran")
+
+    return ran
+
+
+def patched(monkeypatch, patches):
+    """Patch each dotted name (``cli.schreier_sequence``) with fault(honest)."""
+    for target, fault in patches.items():
+        module_name, name = target.split(".")
+        module = getattr(schreier, module_name)
+        # raising=True, the default: a name that is gone fails its row
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+
+
+# every counting route a count or a sequence can reach
+ROUTES = dict.fromkeys(
+    (
+        "cli.count_schreier_recurrence",
+        "cli.count_schreier_direct",
+        "cli.schreier_sequence",
+        "counting.count_schreier_direct",
+    ),
+    forbid,
 )
-def test_golden_outputs(capsys, argv, expected):
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 0
-    assert out == expected
 
 
-def test_sequence_bfile_output(capsys):
-    code, out, _ = run_cli(
-        capsys, "sequence", "--p", "1", "--q", "2", "--max", "5", "--format", "bfile"
-    )
-    assert code == 0
-    assert out == "1 1\n2 2\n3 3\n4 5\n5 9\n"
+def _size_terms(n, ratio):
+    """C(n - ceil(ps/q), s - 1) for s = 1, 2, ... while it can be nonzero."""
+    s = 1
+    while (top := n - -(-ratio.p * s // ratio.q)) >= s - 1:
+        yield comb(top, s - 1)
+        s += 1
+
+
+def seeded(honest):
+    """P's one term at (1, 1) starts at n = 0, not 1."""
+    return lambda ratio, n_max: {
+        start - (ratio == Ratio(1, 1)) for start in honest(ratio, n_max)
+    }
+
+
+def raising_at_9(error):
+    """A gap collapse that raises ``error`` at every gap choice at n = 9."""
+
+    def fault(honest):
+        def collapse(batch, gaps):
+            if gaps.n == 9:
+                raise error
+            return honest(batch, gaps)
+
+        return collapse
+
+    return fault
+
+
+def usage(command, error):
+    """argparse's refusal: its usage text, then the pattern ``error``."""
+    return re.compile(f"usage: schreier {command} .*\nschreier {command}: error: {error}\n", re.S)
+
+
+def count_of(n, ratio):
+    """A check that stdout is count(n), by the direct sum, read with no digit limit."""
+
+    def check(out):
+        with int_digits(0):
+            assert out == f"{count_schreier_direct(n, ratio)}\n"
+
+    return check
+
+
+def terms_up_to(n, ratio):
+    """A check that stdout lists n terms, the last of them count(n) by the direct sum."""
+
+    def check(out):
+        values = out.split(",")
+        assert len(values) == n
+        assert int(values[-1]) == count_schreier_direct(n, ratio)
+
+    return check
+
+
+def readme_examples():
+    """Each ``$ schreier …`` line of the README, with the lines shown under it.
+
+    Output that starts ``error: `` is a refusal's stderr, with any refusing
+    code (the README shows no code); any other is stdout with code 0.
+    """
+    lines = README.read_text(encoding="utf-8").splitlines()
+    for at, line in enumerate(lines):
+        if line.startswith("$ schreier "):
+            shown = takewhile(lambda text: not text.startswith(("$", "```")), lines[at + 1:])
+            text = "".join(f"{shown_line}\n" for shown_line in shown)
+            argv = line.removeprefix("$ schreier ")
+            if text.startswith("error: "):
+                yield f"readme-{at + 1}", argv, None, {}, None, "", text
+            else:
+                yield f"readme-{at + 1}", argv, None, {}, 0, text, ""
+
+
+TOO_LONG = (
+    "error: count too long to print: it has more decimal digits than "
+    "sys.get_int_max_str_digits() = {}\n"
+)
+TOO_LARGE = "error: instance too large for {}: n={} exceeds the n <= {} guard\n"
+POSITIVE = "error: {} must be a positive integer, got 0\n"
+NON_NEGATIVE = "error: {} must be a non-negative integer, got -1\n"
+OFFSET = "error: --offset {} outside the computed range 0..{}\n"
+NO_CASES = "error: {}: the grid {} has no cases\n"
+NO_Q_MAX = "error: suite '{}' takes no q_max bound\n"
+ORACLE_31 = TOO_LARGE.format("oracle", ORACLE_LIMIT + 1, ORACLE_LIMIT)
+SUM_PAST = TOO_LARGE.format("the interval sum", INTERVAL_SUM_LIMIT + 1, INTERVAL_SUM_LIMIT)
+ENUM_PAST = TOO_LARGE.format("interval enumeration", INTERVAL_LIMIT + 1, INTERVAL_LIMIT)
+ORACLE_SCANS = {"verify._subset_tally": forbid, "verify._listings": forbid}
+BIJECTIONS = "verify --suite bijections --pmax 2 --qmax 2 --nmax 10"
+COLLAPSE_RAISED = (  # every gap choice at n = 9 fails
+    "gap-bijections: FAIL (62 cases over 1<=p<=2, 1<=q<=2, p+q<=n<=10, all gap choices, "
+    "8 failures)\nfirst counterexample: (p,q)=(1,1), n=9, gaps=(8,): collapse raised {}\n"
+    "window-bijections: pass (64 cases over 1<=p<=2, 1<=q<=2, p+q<=n<=10, 0 failures)\n"
+)
+
+# turan --parts n counts the complete graph's n(n - 1)/2 edges: at K they
+# print in all 640 digits that limit 640 allows, and one vertex more is refused
+K = (1 + isqrt(8 * 10**640 - 7)) // 2
+assert 10**639 <= K * (K - 1) // 2 < 10**640 <= (K + 1) * K // 2
+# F(3065) has 641 digits, but no term of its size sum reaches 10^640 before
+# n = 3072: the one-term check passes, and the computed count is refused
+assert all(term < 10**640 for term in _size_terms(3065, Ratio(1, 1)))
+
+# (id, argv, digit limit, {dotted name: fault}, exit code, stdout, stderr)
+# The digit limit None leaves the interpreter's.  stdout is a check where the
+# answer is too long to hold, and stderr a pattern for argparse's refusals,
+# whose wording of choices differs across Python versions.
+CONTRACT = [
+    ("count", "count --p 1 --q 1 --n 10 --method recurrence", None, {}, 0, "55\n", ""),
+    ("count-oracle", "count --p 1 --q 2 --n 4 --method oracle", None, {}, 0, "5\n", ""),
+    ("count-direct-none", "count --p 2 --q 1 --n 1 --method direct", None, {}, 0, "0\n", ""),
+    # n = 0 has no members on every route
+    ("count-oracle-n0", "count --p 1 --q 1 --n 0 --method oracle", None, {}, 0, "0\n", ""),
+    ("count-routes-oracle", "count --p 2 --q 3 --n 14 --method oracle", None, {}, 0, "799\n", ""),
+    ("count-routes-recurrence", "count --p 2 --q 3 --n 14", None, {}, 0, "799\n", ""),
+    ("count-routes-direct", "count --p 2 --q 3 --n 14 --method direct", None, {}, 0, "799\n", ""),
+    ("sequence", "sequence --p 1 --q 1 --max 6 --format csv", None, {}, 0, "1,1,2,3,5,8\n", ""),
+    ("sequence-max-1", "sequence --p 1 --q 1 --max 1 --format csv", None, {}, 0, "1\n", ""),
+    ("sequence-bfile", "sequence --p 1 --q 2 --max 5 --format bfile", None, {}, 0,
+     "1 1\n2 2\n3 3\n4 5\n5 9\n", ""),
+    ("sequence-offset-0", "sequence --p 1 --q 1 --max 5 --offset 0", None, {}, 0,
+     "0,1,1,2,3,5\n", ""),
+    ("sequence-bfile-offset-4", "sequence --p 1 --q 1 --max 6 --format bfile --offset 4", None,
+     {}, 0, "4 3\n5 5\n6 8\n", ""),
+    ("enumerate", "enumerate --p 1 --q 1 --n 3", None, {}, 0, "{3}\n{2,3}\n", ""),
+    ("enumerate-n1", "enumerate --p 1 --q 1 --n 1", None, {}, 0, "{1}\n", ""),
+    ("enumerate-none", "enumerate --p 3 --q 1 --n 2", None, {}, 0, "", ""),
+    ("enumerate-n0", "enumerate --p 1 --q 1 --n 0", None, {}, 0, "", ""),
+    ("turan-formula", "turan --n 5 --parts 2 --method formula", None, {}, 0, "6\n", ""),
+    ("turan-graph", "turan --n 7 --parts 3 --method graph", None, {}, 0, "16\n", ""),
+    ("turan-one-part", "turan --n 3 --parts 1", None, {}, 0, "0\n", ""),
+    # part sizes are counted, not listed: 10^12 of them need no memory
+    ("turan-graph-10^12-parts", f"turan --n 3 --parts {10**12} --method graph", None, {}, 0,
+     "3\n", ""),
+    ("interval-closed", "interval-count --n 3 --p 2 --method closed", None, {}, 0, "5\n", ""),
+    ("interval-sum", "interval-count --n 1 --p 9 --method sum", None, {}, 0, "1\n", ""),
+    ("interval-enum", "interval-count --n 3 --p 5 --method enum", None, {}, 0, "6\n", ""),
+    # the closed form has no guard
+    ("interval-closed-10^12", f"interval-count --p 1 --n {10**12}", None, {}, 0,
+     f"{interval_count_closed(10**12, 1)}\n", ""),
+    ("verify-pass", "verify --suite recurrence --pmax 2 --qmax 2 --nmax 10", None, {}, 0,
+     "recurrence: pass (40 cases over 1<=p<=2, 1<=q<=2, 1<=n<=10, 0 failures)\n", ""),
+    # exit 1: a suite's failures, printed with its first counterexample
+    ("verify-fault", "verify --suite recurrence --pmax 1 --qmax 1 --nmax 6", None,
+     {"counting._starts": seeded}, 1,
+     "recurrence: FAIL (6 cases over 1<=p<=1, 1<=q<=1, 1<=n<=6, 5 failures)\n"
+     "first counterexample: (p,q)=(1,1), n=2: recurrence 2 != oracle 1\n", ""),
+    # a map that raises is a failure at its cell, not a usage error or a traceback
+    ("verify-collapse-raises-domain", BIJECTIONS, None,
+     {"verify._collapse": raising_at_9(DomainError("boom domain"))}, 1,
+     COLLAPSE_RAISED.format("DomainError: boom domain"), ""),
+    ("verify-collapse-raises-runtime", BIJECTIONS, None,
+     {"verify._collapse": raising_at_9(RuntimeError("boom postcondition"))}, 1,
+     COLLAPSE_RAISED.format("RuntimeError: boom postcondition"), ""),
+    # exit 2: a value out of range, refused by its own flag's name before any work
+    ("count-p-0", "count --p 0 --q 1 --n 3", None, {}, 2, "", POSITIVE.format("--p")),
+    ("count-q-0", "count --p 1 --q 0 --n 3", None, {}, 2, "", POSITIVE.format("--q")),
+    ("count-n-minus-1", "count --p 1 --q 1 --n -1", None, {}, 2, "", NON_NEGATIVE.format("--n")),
+    ("sequence-p-0", "sequence --p 0 --q 1 --max 3", None, {}, 2, "", POSITIVE.format("--p")),
+    ("sequence-q-0", "sequence --p 1 --q 0 --max 3", None, {}, 2, "", POSITIVE.format("--q")),
+    ("sequence-max-0", "sequence --p 1 --q 1 --max 0", None, {}, 2, "", POSITIVE.format("--max")),
+    # --offset has no minimum of its own: it must lie in 0..--max
+    ("sequence-offset-below-0", "sequence --p 1 --q 1 --max 5 --offset -1", None, {}, 2, "",
+     OFFSET.format(-1, 5)),
+    ("sequence-offset-past-max", "sequence --p 1 --q 1 --max 5 --offset 6", None, {}, 2, "",
+     OFFSET.format(6, 5)),
+    ("sequence-offset-far-past-max", "sequence --p 1 --q 1 --max 4 --offset 9", None, {}, 2, "",
+     OFFSET.format(9, 4)),
+    ("enumerate-p-0", "enumerate --p 0 --q 1 --n 3", None, {}, 2, "", POSITIVE.format("--p")),
+    ("enumerate-q-0", "enumerate --p 1 --q 0 --n 3", None, {}, 2, "", POSITIVE.format("--q")),
+    ("enumerate-n-minus-1", "enumerate --p 1 --q 1 --n -1", None, {}, 2, "",
+     NON_NEGATIVE.format("--n")),
+    ("turan-n-0", "turan --n 0 --parts 2", None, {}, 2, "", POSITIVE.format("--n")),
+    ("turan-parts-0", "turan --n 5 --parts 0", None, {}, 2, "", POSITIVE.format("--parts")),
+    ("interval-n-0", "interval-count --n 0 --p 1", None, {}, 2, "", POSITIVE.format("--n")),
+    ("interval-p-0", "interval-count --n 3 --p 0", None, {}, 2, "", POSITIVE.format("--p")),
+    ("verify-pmax-minus-1", "verify --pmax -1", None, {}, 2, "", NON_NEGATIVE.format("--pmax")),
+    ("verify-qmax-minus-1", "verify --suite formula --qmax -1", None, {}, 2, "",
+     NON_NEGATIVE.format("--qmax")),
+    ("verify-nmax-minus-1", "verify --suite formula --nmax -1", None, {}, 2, "",
+     NON_NEGATIVE.format("--nmax")),
+    ("verify-turan-cross-nmax-minus-1", "verify --suite turan-cross --nmax -1", None, {}, 2, "",
+     NON_NEGATIVE.format("--nmax")),
+    # exit 2: a verify grid with no cases, or a bound the suite does not take
+    ("verify-all-pmax-0", "verify --pmax 0", None, {}, 2, "",
+     NO_CASES.format("recurrence", "1<=p<=0, 1<=q<=4, 1<=n<=20")),
+    ("verify-turan-cross-pmax-0", "verify --suite turan-cross --pmax 0", None, {}, 2, "",
+     NO_CASES.format("turan-cross", "1<=p<=0, p<=n<=300; two parts up to n=100")),
+    ("verify-turan-cross-nmax-0", "verify --suite turan-cross --nmax 0", None, {}, 2, "",
+     NO_CASES.format("turan-cross", "1<=p<=20, p<=n<=0; two parts up to n=100")),
+    # no p, so no cell: the interval scan's guard is never reached
+    ("verify-interval-pmax-0", f"verify --suite interval-agreement --pmax 0 --nmax "
+     f"{INTERVAL_LIMIT + 1}", None, {}, 2, "",
+     NO_CASES.format("interval-agreement", f"1<=p<=0, 1<=n<={INTERVAL_LIMIT + 1}")),
+    ("verify-turan-cross-qmax", "verify --suite turan-cross --qmax 0", None, {}, 2, "",
+     NO_Q_MAX.format("turan-cross")),
+    ("verify-turan-identity-qmax", "verify --suite turan-identity --qmax 3 --pmax 3 --nmax 20",
+     None, {}, 2, "", NO_Q_MAX.format("turan-identity")),
+    # exit 2 from argparse itself: a flag missing, a choice or an int it cannot read
+    ("count-n-missing", "count --p 1 --q 1", None, {}, 2, "",
+     usage("count", "the following arguments are required: --n")),
+    ("count-method-unknown", "count --p 1 --q 1 --n 4 --method psychic", None, {}, 2, "",
+     usage("count", r"argument --method: invalid choice: 'psychic' \(choose from .*\)")),
+    ("count-n-unreadable", "count --p 1 --q 1 --n ten", None, {}, 2, "",
+     usage("count", "argument --n: invalid int value: 'ten'")),
+    # exit 3: a size guard, before any output or any cell
+    ("count-oracle-past-guard", f"count --p 1 --q 1 --n {ORACLE_LIMIT + 1} --method oracle",
+     None, {}, 3, "", ORACLE_31),
+    ("enumerate-past-guard", f"enumerate --p 1 --q 1 --n {ORACLE_LIMIT + 1}", None, {}, 3, "",
+     ORACLE_31),
+    ("enumerate-n99", "enumerate --p 1 --q 1 --n 99", None, {}, 3, "",
+     TOO_LARGE.format("oracle", 99, ORACLE_LIMIT)),
+    ("interval-enum-at-guard", f"interval-count --p 2 --method enum --n {INTERVAL_LIMIT}", None,
+     {}, 0, f"{interval_count_closed(INTERVAL_LIMIT, 2)}\n", ""),
+    ("interval-enum-past-guard", f"interval-count --p 2 --method enum --n {INTERVAL_LIMIT + 1}",
+     None, {}, 3, "", ENUM_PAST),
+    ("interval-sum-past-guard", f"interval-count --p 1 --method sum --n {INTERVAL_SUM_LIMIT + 1}",
+     None, {}, 3, "", SUM_PAST),
+    ("interval-sum-10^12", f"interval-count --p 1 --method sum --n {10**12}", None, {}, 3, "",
+     TOO_LARGE.format("the interval sum", 10**12, INTERVAL_SUM_LIMIT)),
+    # the suites meet the same guards before their first cell
+    ("verify-interval-past-guard",
+     f"verify --suite interval-agreement --nmax {INTERVAL_LIMIT + 1}", None, {}, 3, "", ENUM_PAST),
+    ("verify-turan-identity-past-sum-guard",
+     f"verify --suite turan-identity --pmax 1 --nmax {INTERVAL_SUM_LIMIT + 1}", None,
+     {"verify.interval_count_sum": forbid}, 3, "", SUM_PAST),
+    *[(f"verify-{suite}-past-oracle-guard", f"verify --suite {suite} --nmax {ORACLE_LIMIT + 1}",
+       None, ORACLE_SCANS, 3, "", ORACLE_31) for suite in ("recurrence", "bijections", "all")],
+    # exit 4 under limit 640: F(4000) has 836 digits, and the Turán and interval
+    # counts at n = 10^330 have 659; no counting route may run before the refusal
+    *[(row_id, argv, 640, ROUTES, 4, "", TOO_LONG.format(640)) for row_id, argv in [
+        ("digits-count", "count --p 1 --q 1 --n 4000"),
+        ("digits-sequence-csv", "sequence --p 1 --q 1 --max 4000 --format csv"),
+        ("digits-sequence-bfile", "sequence --p 1 --q 1 --max 4000 --format bfile"),
+        ("digits-count-direct", "count --p 1 --q 1 --n 4000 --method direct"),
+        ("digits-turan", f"turan --n {10**330} --parts 2"),
+        ("digits-interval", f"interval-count --n {10**330} --p 1"),
+    ]],
+    ("digits-turan-at-limit", f"turan --n {K} --parts {K}", 640, {}, 0,
+     f"{K * (K - 1) // 2}\n", ""),
+    ("digits-turan-past-limit", f"turan --n {K + 1} --parts {K + 1}", 640, {}, 4, "",
+     TOO_LONG.format(640)),
+    # just past the limit: the route runs, and its count is refused
+    *[(row_id, argv, 640, {}, 4, "", TOO_LONG.format(640)) for row_id, argv in [
+        ("digits-just-past-count", "count --p 1 --q 1 --n 3065"),
+        ("digits-just-past-count-direct", "count --p 1 --q 1 --n 3065 --method direct"),
+        ("digits-just-past-sequence", "sequence --p 1 --q 1 --max 3065"),
+    ]],
+    # one term of the size sum refuses under limit 4300 before any route runs,
+    # however deep (10^6 + 1) or wide (a pass 10^6 sums wide) or large n is
+    *[(f"digits-one-term-{p}-{q}-{n}", f"count --p {p} --q {q} --n {n}", 4300, ROUTES, 4, "",
+       TOO_LONG.format(4300))
+      for p, q, n in [(6, 6, 10**6), (6, 6, 10**12), (1000000, 1, 10**9),
+                      (1, 1000000, 2 * 10**6), (1000, 1, 10**7), (1, 300, 10**5)]],
+    # the terms up to --max 300000 at (100000, 1) have 6 digits; no engine at
+    # depth 100001 may size them first
+    ("digits-deep-sequence", "sequence --p 100000 --q 1 --max 300000", 4300,
+     {"cli.count_schreier_recurrence": forbid}, 0, terms_up_to(300000, Ratio(100000, 1)), ""),
+    # a limit of 0 means no limit: the early check must not refuse anything
+    ("digits-no-limit", "count --p 1 --q 1 --n 30000", 0, {}, 0, count_of(30000, Ratio(1, 1)), ""),
+    *readme_examples(),
+]
+
+CODES = {
+    "count": {0, 2, 3, 4},
+    "sequence": {0, 2, 4},
+    "enumerate": {0, 2, 3},
+    "turan": {0, 2, 4},
+    "interval-count": {0, 2, 3, 4},
+    "verify": {0, 1, 2, 3},
+}
+"""The exit codes each command can return."""
+
+
+@pytest.mark.parametrize(
+    "argv, digit_limit, patches, code, out, err",
+    [row[1:] for row in CONTRACT],
+    ids=[row[0] for row in CONTRACT],
+)
+def test_each_input_gets_its_answer_or_its_refusal(
+    capsys, monkeypatch, argv, digit_limit, patches, code, out, err
+):
+    with int_digits(digit_limit):
+        patched(monkeypatch, patches)
+        try:
+            returned = main(argv.split())
+        except SystemExit as exc:  # argparse refuses by exiting
+            returned = exc.code
+    stdout, stderr = capsys.readouterr()
+    assert returned in {0, 1, 2, 3, 4}
+    assert returned != 0 or stderr == ""
+    assert returned not in {2, 3, 4} or stdout == ""
+    assert "Traceback" not in stderr
+    assert returned == code or code is None and returned in {2, 3, 4}
+    if callable(out):
+        out(stdout)
+    else:
+        assert stdout == out
+    if isinstance(err, re.Pattern):
+        assert err.fullmatch(stderr)
+    else:
+        assert stderr == err
+
+
+def test_every_command_has_a_row_for_each_code_it_can_return():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert set(CODES) == set(sub.choices)
+    rows = {(argv.split()[0], code) for _, argv, _, _, code, *_ in CONTRACT if code is not None}
+    assert rows == {(command, code) for command, codes in CODES.items() for code in codes}
 
 
 def test_sequence_bfile_roundtrips(capsys):
@@ -86,47 +408,6 @@ def test_sequence_bfile_roundtrips(capsys):
         schreier.counting.count_schreier_recurrence(n, Ratio(2, 3))
         for n in range(1, 41)
     ]
-
-
-def test_sequence_include_zero_and_offset(capsys):
-    _, out, _ = run_cli(
-        capsys, "sequence", "--p", "1", "--q", "1", "--max", "5", "--offset", "0"
-    )
-    assert out == "0,1,1,2,3,5\n"
-    _, out, _ = run_cli(
-        capsys,
-        "sequence", "--p", "1", "--q", "1", "--max", "6",
-        "--format", "bfile", "--offset", "4",
-    )
-    assert out == "4 3\n5 5\n6 8\n"
-
-
-def test_count_methods_agree(capsys):
-    values = set()
-    for method in ("oracle", "recurrence", "direct"):
-        code, out, _ = run_cli(
-            capsys, "count", "--p", "2", "--q", "3", "--n", "14", "--method", method
-        )
-        assert code == 0
-        values.add(out)
-    assert len(values) == 1
-
-
-def test_oracle_guard_exit_code(capsys):
-    code, out, err = run_cli(
-        capsys, "count", "--p", "1", "--q", "1", "--n", "31", "--method", "oracle"
-    )
-    assert code == 3
-    assert "instance too large for oracle" in err
-    code, _, _ = run_cli(capsys, "enumerate", "--p", "1", "--q", "1", "--n", "99")
-    assert code == 3
-
-
-def test_enumerate_refuses_before_any_output(capsys):
-    code, out, err = run_cli(capsys, "enumerate", "--p", "1", "--q", "1", "--n", "31")
-    assert code == 3
-    assert out == ""
-    assert "n=31 exceeds the n <= 30 guard" in err
 
 
 def test_enumerate_streams_the_listing_byte_for_byte(capsys):
@@ -211,15 +492,6 @@ def test_a_head_far_below_a_huge_depth_answers_within_10_s(argv, out):
     assert (child.returncode, child.stdout, child.stderr) == (0, out, "")
 
 
-def test_importing_the_cli_leaves_heapq_unloaded():
-    # only a listing merges strides, so no other command pays for heapq
-    probe = "import sys, schreier.cli; print('heapq' in sys.modules)"
-    child = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
-    )
-    assert (child.returncode, child.stdout, child.stderr) == (0, "False\n", "")
-
-
 def fresh_child(code):
     """stdout of ``code`` run by a new interpreter, which must exit 0 in silence."""
     child = subprocess.run(
@@ -230,12 +502,14 @@ def fresh_child(code):
 
 
 def test_importing_the_cli_leaves_the_verify_layers_unloaded():
-    # measured against a bare interpreter, whatever its site start-up preloads
+    # measured against a bare interpreter, whatever its site start-up preloads;
+    # only a listing merges strides, so no other command pays for heapq
     probe = "import sys{}; print(*sorted(sys.modules))"
     bare = set(fresh_child(probe.format("")).split())
     loaded = set(fresh_child(probe.format(", schreier.cli")).split())
     assert not {
-        "schreier.verify", "schreier.bijections", "schreier.bfile", "dataclasses", "inspect"
+        "schreier.verify", "schreier.bijections", "schreier.bfile", "dataclasses", "inspect",
+        "heapq",
     } & (loaded - bare)
     assert {"schreier.cli", "schreier.counting"} <= loaded
     # the verify layers build their records on sets.Frozen, not dataclasses,
@@ -287,160 +561,6 @@ def test_star_import_dir_and_unknown_names():
     ]
 
 
-def test_interval_enumeration_guard_exit_code(capsys):
-    argv = ["interval-count", "--p", "2", "--method", "enum", "--n"]
-    code, out, err = run_cli(capsys, *argv, str(INTERVAL_LIMIT))
-    assert code == 0
-    assert out == f"{interval_count_closed(INTERVAL_LIMIT, 2)}\n"
-    code, out, err = run_cli(capsys, *argv, str(INTERVAL_LIMIT + 1))
-    assert code == 3
-    assert out == ""
-    assert f"exceeds the n <= {INTERVAL_LIMIT} guard" in err
-    # the interval-agreement suite's brute-force leg meets the same guard
-    argv = ["verify", "--suite", "interval-agreement", "--nmax"]
-    code, out, err = run_cli(capsys, *argv, str(INTERVAL_LIMIT + 1))
-    assert (code, out) == (3, "")
-    assert "interval enumeration" in err
-
-
-def test_interval_sum_guard_exit_code(capsys):
-    # the linear sum refuses before any work; the closed form has no guard
-    argv = ["interval-count", "--p", "1", "--method", "sum", "--n"]
-    for n in (INTERVAL_SUM_LIMIT + 1, 10**12):
-        code, out, err = run_cli(capsys, *argv, str(n))
-        assert (code, out) == (3, "")
-        assert f"n={n} exceeds the n <= {INTERVAL_SUM_LIMIT} guard" in err
-    code, out, _ = run_cli(capsys, "interval-count", "--p", "1", "--n", str(10**12))
-    assert (code, out) == (0, f"{interval_count_closed(10**12, 1)}\n")
-
-
-def test_bad_values_exit_code(capsys):
-    code, _, err = run_cli(capsys, "count", "--p", "0", "--q", "1", "--n", "3")
-    assert code == 2
-    assert err == "error: --p must be a positive integer, got 0\n"
-    code, _, _ = run_cli(capsys, "sequence", "--p", "1", "--q", "1", "--max", "0")
-    assert code == 2
-    code, _, _ = run_cli(
-        capsys, "sequence", "--p", "1", "--q", "1", "--max", "4", "--offset", "9"
-    )
-    assert code == 2
-    code, _, err = run_cli(capsys, "verify", "--suite", "formula", "--nmax", "-1")
-    assert code == 2
-    assert "--nmax must be a non-negative integer, got -1" in err
-
-
-BELOW_MINIMUM = [  # every integer flag of every command, one below its minimum
-    ("count --p 0 --q 1 --n 3", "--p", 1),
-    ("count --p 1 --q 0 --n 3", "--q", 1),
-    ("count --p 1 --q 1 --n -1", "--n", 0),
-    ("sequence --p 0 --q 1 --max 3", "--p", 1),
-    ("sequence --p 1 --q 0 --max 3", "--q", 1),
-    ("sequence --p 1 --q 1 --max 0", "--max", 1),
-    ("enumerate --p 0 --q 1 --n 3", "--p", 1),
-    ("enumerate --p 1 --q 0 --n 3", "--q", 1),
-    ("enumerate --p 1 --q 1 --n -1", "--n", 0),
-    ("turan --n 0 --parts 2", "--n", 1),
-    ("turan --n 5 --parts 0", "--parts", 1),
-    ("interval-count --n 0 --p 1", "--n", 1),
-    ("interval-count --n 3 --p 0", "--p", 1),
-    ("verify --pmax -1", "--pmax", 0),
-    ("verify --suite formula --qmax -1", "--qmax", 0),
-    ("verify --suite turan-cross --nmax -1", "--nmax", 0),
-]
-
-
-@pytest.mark.parametrize(
-    "command, flag, minimum",
-    BELOW_MINIMUM,
-    ids=[command.split()[0] + flag for command, flag, _ in BELOW_MINIMUM],
-)
-def test_every_integer_flag_refuses_one_below_its_minimum_by_its_name(
-    capsys, command, flag, minimum
-):
-    # the refusal names the command's own flag, not the library parameter
-    code, out, err = run_cli(capsys, *command.split())
-    assert (code, out) == (2, "")
-    rule = "a positive" if minimum else "a non-negative"
-    assert err == f"error: {flag} must be {rule} integer, got {minimum - 1}\n"
-
-
-def test_verify_turan_identity_refuses_an_nmax_past_the_interval_sum_guard(
-    capsys, monkeypatch
-):
-    def summed(n, p):
-        raise AssertionError("the interval sum ran")
-
-    monkeypatch.setattr(schreier.verify, "interval_count_sum", summed)
-    n = INTERVAL_SUM_LIMIT + 1
-    argv = ["verify", "--suite", "turan-identity", "--pmax", "1", "--nmax", str(n)]
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (3, "")
-    assert err == (
-        "error: instance too large for the interval sum: "
-        f"n={n} exceeds the n <= {INTERVAL_SUM_LIMIT} guard\n"
-    )
-
-
-@pytest.mark.parametrize("suite", ["recurrence", "bijections"])
-def test_verify_oracle_suites_refuse_an_nmax_past_the_oracle_guard(
-    capsys, monkeypatch, suite
-):
-    def scanned(*args):
-        raise AssertionError("the oracle scanned")
-
-    monkeypatch.setattr(schreier.verify, "_subset_tally", scanned)
-    monkeypatch.setattr(schreier.verify, "_listings", scanned)
-    n = ORACLE_LIMIT + 1
-    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--nmax", str(n))
-    assert (code, out) == (3, "")
-    assert err == (
-        f"error: instance too large for oracle: n={n} exceeds the n <= {ORACLE_LIMIT} guard\n"
-    )
-
-
-def test_unparseable_flags_exit_code():
-    # argparse handles usage errors itself and exits with status 2
-    with pytest.raises(SystemExit) as excinfo:
-        main(["count", "--p", "1", "--q", "1"])  # --n missing
-    assert excinfo.value.code == 2
-    with pytest.raises(SystemExit) as excinfo:
-        main(["count", "--p", "1", "--q", "1", "--n", "4", "--method", "psychic"])
-    assert excinfo.value.code == 2
-
-
-def test_verify_pass_and_exit_zero(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "verify", "--suite", "recurrence", "--pmax", "2", "--qmax", "2", "--nmax", "10",
-    )
-    assert code == 0
-    assert "recurrence: pass" in out
-
-
-def test_verify_empty_grid_is_a_usage_error(capsys):
-    for argv in (
-        ["--pmax", "0"],
-        ["--suite", "turan-cross", "--pmax", "0"],
-        ["--suite", "turan-cross", "--nmax", "0"],
-        # no p, so no cell: the interval scan's guard is never reached
-        ["--suite", "interval-agreement", "--pmax", "0", "--nmax", "2001"],
-    ):
-        code, out, err = run_cli(capsys, "verify", *argv)
-        assert code == 2
-        assert out == ""
-        assert "no cases" in err
-
-
-def test_verify_refuses_a_bound_the_suite_does_not_take(capsys):
-    for argv in (
-        ["--suite", "turan-cross", "--qmax", "0"],
-        ["--suite", "turan-identity", "--qmax", "3", "--pmax", "3", "--nmax", "20"],
-    ):
-        code, out, err = run_cli(capsys, "verify", *argv)
-        assert (code, out) == (2, "")
-        assert err == f"error: suite '{argv[1]}' takes no q_max bound\n"
-
-
 def test_verify_suite_choices_come_from_the_registry():
     sub = next(a for a in build_parser()._actions if a.dest == "command")
     (suite,) = [a for a in sub.choices["verify"]._actions if a.dest == "suite"]
@@ -463,171 +583,7 @@ def test_verify_usage_names_every_registered_suite(capsys, monkeypatch):
     assert line.split("one of ", 1)[1].split(", ") == [*SUITES, "all"]
 
 
-def test_verify_failure_exit_code_under_fault_injection(capsys, monkeypatch):
-    honest = schreier.counting._starts
-
-    def corrupted(ratio, n_max):
-        # P's one term at (1, 1) starts at n = 0, not 1
-        return {start - ((ratio.p, ratio.q) == (1, 1)) for start in honest(ratio, n_max)}
-
-    monkeypatch.setattr(schreier.counting, "_starts", corrupted)
-    code, out, _ = run_cli(
-        capsys,
-        "verify", "--suite", "recurrence", "--pmax", "1", "--qmax", "1", "--nmax", "6",
-    )
-    assert code == 1
-    assert "FAIL" in out
-    assert "first counterexample" in out
-
-
-@pytest.mark.parametrize(
-    "error", [DomainError("boom domain"), RuntimeError("boom postcondition")]
-)
-def test_verify_reports_a_map_that_raises_at_its_cell(capsys, monkeypatch, error):
-    # neither a usage error (exit 2) nor a traceback: a failing case, exit 1
-    honest = schreier.verify._collapse
-
-    def raising(batch, gaps):
-        if gaps.n == 9:
-            raise error
-        return honest(batch, gaps)
-
-    monkeypatch.setattr(schreier.verify, "_collapse", raising)
-    code, out, err = run_cli(
-        capsys,
-        "verify", "--suite", "bijections", "--pmax", "2", "--qmax", "2", "--nmax", "10",
-    )
-    name = type(error).__name__
-    assert (code, err) == (1, "")
-    assert out.splitlines() == [
-        "gap-bijections: FAIL (62 cases over 1<=p<=2, 1<=q<=2, p+q<=n<=10, "
-        "all gap choices, 8 failures)",  # every gap choice at n = 9
-        "first counterexample: (p,q)=(1,1), n=9, gaps=(8,): "
-        f"collapse raised {name}: {error}",
-        "window-bijections: pass "
-        "(64 cases over 1<=p<=2, 1<=q<=2, p+q<=n<=10, 0 failures)",
-    ]
-
-
-@pytest.fixture
-def low_digit_limit():
-    """Lower the int-to-str digit limit to 640 for one test, then restore it."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this interpreter has no int-to-str digit limit")
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    yield
-    sys.set_int_max_str_digits(saved)
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["count", "--p", "1", "--q", "1", "--n", "4000"],
-        ["sequence", "--p", "1", "--q", "1", "--max", "4000", "--format", "csv"],
-        ["sequence", "--p", "1", "--q", "1", "--max", "4000", "--format", "bfile"],
-        ["count", "--p", "1", "--q", "1", "--n", "4000", "--method", "direct"],
-        ["turan", "--n", str(10**330), "--parts", "2"],
-        ["interval-count", "--n", str(10**330), "--p", "1"],
-    ],
-)
-def test_count_beyond_the_digit_limit_exits_4(capsys, monkeypatch, low_digit_limit, argv):
-    # F(4000) has 836 decimal digits, and the Turán and interval counts at
-    # n = 10^330 have 659, all beyond the lowered limit of 640.  The refusal
-    # must come before the direct sum or the forward pass runs.
-    def no_direct_sum(n, ratio):
-        raise AssertionError(f"direct sum ran at n={n} before the refusal")
-
-    def no_forward_pass(ratio, n_max):
-        raise AssertionError("forward pass ran before the refusal")
-
-    monkeypatch.setattr(schreier.counting, "count_schreier_direct", no_direct_sum)
-    monkeypatch.setattr(schreier.cli, "count_schreier_direct", no_direct_sum)
-    monkeypatch.setattr(schreier.cli, "schreier_sequence", no_forward_pass)
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 4
-    assert out == ""
-    assert "sys.get_int_max_str_digits() = 640" in err
-
-
-def test_digit_limit_boundary_matches_the_printable_length(capsys, low_digit_limit):
-    # turan --parts n counts the complete graph's n(n - 1)/2 edges; at the
-    # largest n with n(n - 1)/2 < 10^640 that prints all 640 digits the limit
-    # allows, and one vertex more is refused
-    n = isqrt(2 * 10**640) + 1
-    while n * (n - 1) // 2 >= 10**640:
-        n -= 1
-    assert (n + 1) * n // 2 >= 10**640
-    code, out, _ = run_cli(capsys, "turan", "--n", str(n), "--parts", str(n))
-    assert (code, len(out.strip())) == (0, 640)
-    code, out, err = run_cli(capsys, "turan", "--n", str(n + 1), "--parts", str(n + 1))
-    assert (code, out) == (4, "")
-    assert "sys.get_int_max_str_digits() = 640" in err
-
-
-@pytest.fixture
-def default_digit_limit():
-    """Hold the int-to-str digit limit at CPython's default of 4300 for one test."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this interpreter has no int-to-str digit limit")
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(saved)
-
-
-ROUTES = ("count_schreier_recurrence", "count_schreier_direct", "schreier_sequence")
-
-
-def forbid(patch, *routes):
-    """Make each named counting route raise if the CLI calls it."""
-
-    def ran(*args):
-        raise AssertionError("a counting route ran before the refusal")
-
-    for route in routes:
-        patch.setattr(schreier.cli, route, ran)
-
-
-def test_refusal_cost_is_bounded_by_the_limit(capsys, monkeypatch, default_digit_limit):
-    # At (6,6) one term of the size sum passes 4300 digits far below n = 10^6,
-    # so n = 10^6 and 10^12 are both refused from that term alone: no
-    # counting route runs, however large n is.
-    forbid(monkeypatch, *ROUTES)
-    for n in (10**6, 10**12):
-        code, out, err = run_cli(capsys, "count", "--p", "6", "--q", "6", "--n", str(n))
-        assert code == 4
-        assert out == ""
-        assert "sys.get_int_max_str_digits() = 4300" in err
-
-
-@pytest.mark.parametrize(
-    "p,q,n",
-    [(1000000, 1, 10**9), (1, 1000000, 2 * 10**6), (1000, 1, 10**7), (1, 300, 10**5)],
-)
-def test_a_deep_or_wide_count_is_refused_before_any_route_runs(
-    capsys, monkeypatch, default_digit_limit, p, q, n
-):
-    # the engine at depth 10^6 + 1, a pass 10^6 sums wide, or n = 10^7 by
-    # either route would take minutes; one term of the size sum refuses at once
-    forbid(monkeypatch, *ROUTES)
-    code, out, err = run_cli(capsys, "count", "--p", str(p), "--q", str(q), "--n", str(n))
-    assert (code, out) == (4, "")
-    assert "sys.get_int_max_str_digits() = 4300" in err
-
-
-def test_a_deep_sequence_runs_the_forward_pass_alone(capsys, monkeypatch, default_digit_limit):
-    # the terms up to --max 300000 at (100000,1) have 6 digits; no engine
-    # at depth 100001 may size them first
-    forbid(monkeypatch, "count_schreier_recurrence")
-    code, out, _ = run_cli(capsys, "sequence", "--p", "100000", "--q", "1", "--max", "300000")
-    assert code == 0
-    values = out.split(",")
-    assert len(values) == 300000
-    assert int(values[-1]) == count_schreier_direct(300000, Ratio(100000, 1))
-
-
-def test_count_runs_the_engine_once_and_direct_never(capsys, monkeypatch, default_digit_limit):
+def test_count_runs_the_engine_once_and_direct_never(capsys, monkeypatch):
     honest = schreier.cli.count_schreier_recurrence
     sized = []
 
@@ -636,37 +592,14 @@ def test_count_runs_the_engine_once_and_direct_never(capsys, monkeypatch, defaul
         return honest(n, ratio)
 
     monkeypatch.setattr(schreier.cli, "count_schreier_recurrence", recording)
-    code, out, _ = run_cli(capsys, "count", "--p", "6", "--q", "6", "--n", "20000")
-    assert (code, sized) == (0, [20000])
-    forbid(monkeypatch, "count_schreier_recurrence", "schreier_sequence")
-    assert run_cli(
-        capsys, "count", "--p", "6", "--q", "6", "--n", "20000", "--method", "direct"
-    ) == (0, out, "")
-
-
-def _size_terms(n, ratio):
-    """C(n - ceil(ps/q), s - 1) for s = 1, 2, ... while it can be nonzero."""
-    s = 1
-    while (top := n - -(-ratio.p * s // ratio.q)) >= s - 1:
-        yield comb(top, s - 1)
-        s += 1
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["count", "--p", "1", "--q", "1", "--n", "3065"],
-        ["count", "--p", "1", "--q", "1", "--n", "3065", "--method", "direct"],
-        ["sequence", "--p", "1", "--q", "1", "--max", "3065"],
-    ],
-)
-def test_a_count_just_past_the_limit_is_refused_after_its_route(capsys, low_digit_limit, argv):
-    # F(3065) has 641 digits, but no term of its size sum reaches 10^640
-    # before n = 3072: the pre-check passes, and the computed count is refused
-    assert all(term < 10**640 for term in _size_terms(3065, Ratio(1, 1)))
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (4, "")
-    assert "sys.get_int_max_str_digits() = 640" in err
+    with int_digits(4300):
+        code, out, _ = run_cli(capsys, "count", "--p", "6", "--q", "6", "--n", "20000")
+        assert (code, sized) == (0, [20000])
+        patched(monkeypatch, {"cli.count_schreier_recurrence": forbid,
+                              "cli.schreier_sequence": forbid})
+        assert run_cli(
+            capsys, "count", "--p", "6", "--q", "6", "--n", "20000", "--method", "direct"
+        ) == (0, out, "")
 
 
 @given(
@@ -691,35 +624,14 @@ def test_count_exits_4_exactly_past_the_limit_and_early_on_a_long_term(p, q, n, 
     count = count_schreier_direct(n, ratio)
     long_term = any(term >= 10**640 for term in _size_terms(n, ratio))
     assert not long_term or count >= 10**640
-    saved = sys.get_int_max_str_digits()
-    with pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch, int_digits(640):
         if long_term:
-            forbid(patch, *ROUTES)
+            patched(patch, ROUTES)
         out, err = io.StringIO(), io.StringIO()
-        sys.set_int_max_str_digits(640)
-        try:
-            with redirect_stdout(out), redirect_stderr(err):
-                code = main(
-                    ["count", "--p", str(p), "--q", str(q), "--n", str(n), "--method", method]
-                )
-        finally:
-            sys.set_int_max_str_digits(saved)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["count", "--p", str(p), "--q", str(q), "--n", str(n), "--method", method])
     if count >= 10**640:
         assert (code, out.getvalue()) == (4, "")
         assert "sys.get_int_max_str_digits() = 640" in err.getvalue()
     else:
         assert (code, out.getvalue()) == (0, f"{count}\n")
-
-
-def test_no_digit_limit_prints_every_count(capsys):
-    # a limit of 0 means no limit: the early guard must not refuse anything
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this interpreter has no int-to-str digit limit")
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        code, out, _ = run_cli(capsys, "count", "--p", "1", "--q", "1", "--n", "30000")
-    finally:
-        sys.set_int_max_str_digits(saved)
-    assert code == 0
-    assert len(out.strip()) == 6270
