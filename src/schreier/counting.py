@@ -166,7 +166,7 @@ def schreier_sequence(ratio: Ratio, n_max: int) -> tuple[int, ...]:
     enters r sums below the top.  From d on, it holds all q sums, and its
     input is count(n - d), read back from its output.  No step multiplies.
     """
-    require_int("n", n_max, 0)
+    require_int("n_max", n_max, 0)
     depth = ratio.p + ratio.q
     starts = _starts(ratio, n_max)
     levels = [0]  # levels[0]: the input at n; levels[k]: the k-th running sum

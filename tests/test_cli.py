@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import takewhile
 from math import comb, isqrt
 from pathlib import Path
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import schreier.cli
 import schreier.counting
 import schreier.verify
+from conftest import forbid, int_digits, patched
 from schreier import (
     INTERVAL_LIMIT,
     DomainError,
@@ -39,40 +40,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-@contextmanager
-def int_digits(limit):
-    """Hold the int-to-str digit limit at ``limit`` (None: leave it), then restore it."""
-    if limit is None:
-        yield
-        return
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this interpreter has no int-to-str digit limit")
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
-
-
-def forbid(honest):
-    """A name that must not be called: it raises if it is."""
-
-    def ran(*args):
-        raise AssertionError(f"{honest.__name__} ran")
-
-    return ran
-
-
-def patched(monkeypatch, patches):
-    """Patch each dotted name (``cli.schreier_sequence``) with fault(honest)."""
-    for target, fault in patches.items():
-        module_name, name = target.split(".")
-        module = getattr(schreier, module_name)
-        # raising=True, the default: a name that is gone fails its row
-        monkeypatch.setattr(module, name, fault(getattr(module, name)))
 
 
 # every counting route a count or a sequence can reach

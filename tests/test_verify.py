@@ -1,16 +1,13 @@
 """Verification suites: green on honest code, red under fault injection."""
 
 import inspect
-import re
 
 import pytest
 
-import schreier.counting
 import schreier.verify
+from conftest import patched
 from schreier import (
-    ORACLE_LIMIT,
     DomainError,
-    OracleLimitError,
     Ratio,
     formula_suite,
     gap_bijection_suite,
@@ -71,93 +68,12 @@ def test_run_suite_dispatch():
         reports = run_suite(name, 2, 2, 8)
         assert [r.suite for r in reports] == suites
         assert all(r.passed for r in reports)
-    with pytest.raises(ValueError):
-        run_suite("no-such-suite")
-
-
-def test_run_suite_refuses_an_empty_grid():
-    with pytest.raises(ValueError, match="no cases"):
-        run_suite("recurrence", 0, 2, 8)
-    # turan-cross would still run its quarter squares without a formula cell.
-    for bounds, grid in [
-        ((0, None, None), "1<=p<=0, p<=n<=300"),
-        ((None, None, 0), "1<=p<=20, p<=n<=0"),
-    ]:
-        message = f"turan-cross: the grid {grid}; two parts up to n=100 has no cases"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            run_suite("turan-cross", *bounds)
-
-
-def test_run_suite_refuses_a_bound_none_of_its_suites_takes():
-    # only q_max is missing anywhere: the interval and Turán suites have no q
-    for name in ("interval-agreement", "turan-cross", "turan-identity"):
-        for bounds in [(None, 0, None), (3, 3, 20)]:
-            message = f"suite '{name}' takes no q_max bound"
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                run_suite(name, *bounds)
-
-
-@pytest.mark.parametrize("value", [True, 2.5, -1])
-@pytest.mark.parametrize("position", range(3))
-def test_run_suite_refuses_a_bound_that_is_not_a_non_negative_int(
-    monkeypatch, position, value
-):
-    def drive(*args):
-        raise AssertionError("a suite ran")
-
-    monkeypatch.setattr(schreier.verify, "_drive", drive)
-    bounds = [None, None, None]
-    bounds[position] = value
-    bound = ("p_max", "q_max", "n_max")[position]
-    message = f"{bound} must be a non-negative integer, got {value!r}"
-    # run_suite leaves the value to the selection's first suite, which
-    # must take every bound that any suite of the selection takes
-    selections = dict(schreier.verify.SUITES)
-    selections["all"] = sum(selections.values(), ())
-    for name, suites in selections.items():
-        if any(bound in suite.__kwdefaults__ for suite in suites):
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                run_suite(name, *bounds)
-
-
-@pytest.mark.parametrize("value", [True, 2.5, -1])
-@pytest.mark.parametrize(
-    "suite,bound",
-    [
-        (suite, bound)
-        for group in schreier.verify.SUITES.values()
-        for suite in group
-        for bound in suite.__kwdefaults__
-    ],
-    ids=lambda arg: getattr(arg, "__name__", arg),
-)
-def test_every_suite_refuses_a_bound_that_is_not_a_non_negative_int(
-    monkeypatch, suite, bound, value
-):
-    # called directly, not through run_suite: the check comes before any cell
-    def drive(*args):
-        raise AssertionError("a cell ran")
-
-    monkeypatch.setattr(schreier.verify, "_drive", drive)
-    message = f"{bound} must be a non-negative integer, got {value!r}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        suite(**{bound: value})
 
 
 def test_run_suite_defaults_apply_when_bounds_are_missing():
     (report,) = run_suite("recurrence", None, None, 6)
     assert report.grid == "1<=p<=4, 1<=q<=4, 1<=n<=6"
 
-
-
-@pytest.mark.parametrize(
-    "suite",
-    [suite for group in schreier.verify.SUITES.values() for suite in group],
-    ids=lambda suite: suite.__name__,
-)
-def test_suite_bounds_are_keyword_only(suite):
-    with pytest.raises(TypeError, match="takes 0 positional arguments"):
-        suite(2)
 
 
 SIGNATURES = {
@@ -182,29 +98,6 @@ def test_suite_signatures_are_pinned():
     assert {suite.__name__: str(inspect.signature(suite)) for suite in suites} == {
         name: f"{bounds} -> 'VerifyReport'" for name, bounds in SIGNATURES.items()
     }
-
-
-@pytest.mark.parametrize(
-    "suite,layer",
-    [
-        (recurrence_suite, "_subset_tally"),
-        (gap_bijection_suite, "_listings"),
-        (window_bijection_suite, "_listings"),
-    ],
-    ids=lambda arg: getattr(arg, "__name__", arg),
-)
-def test_oracle_suites_refuse_an_nmax_past_the_guard_before_any_scan(
-    monkeypatch, suite, layer
-):
-    def scanned(*args):
-        raise AssertionError("the oracle scanned")
-
-    monkeypatch.setattr(schreier.verify, layer, scanned)
-    n = ORACLE_LIMIT + 1
-    message = f"instance too large for oracle: n={n} exceeds the n <= {ORACLE_LIMIT} guard"
-    for p_max in (1, 0):  # with cells and without
-        with pytest.raises(OracleLimitError, match=f"^{re.escape(message)}$"):
-            suite(p_max=p_max, q_max=1, n_max=n)
 
 
 def test_turan_identity_grid_names_the_enumeration_leg_it_ran():
@@ -522,11 +415,7 @@ def clean():
     "names, fault, caught", [row[1:] for row in CATALOGUE], ids=[row[0] for row in CATALOGUE]
 )
 def test_each_fault_fails_exactly_its_suites(monkeypatch, clean, names, fault, caught):
-    for target in names:
-        module_name, name = target.split(".")
-        module = getattr(schreier, module_name)
-        # raising=True, the default: a name that is gone fails the row
-        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    patched(monkeypatch, dict.fromkeys(names, fault))
     reports = run_suite("all", *GRID)
     # the other cells still ran: every suite counts the clean run's cases
     assert {report.suite: report.cases for report in reports} == clean
@@ -589,6 +478,6 @@ def test_above_enum_limit_the_four_other_legs_decide_the_cell(
     monkeypatch, name, fault, failing
 ):
     # outside the catalogue: run_suite cannot set enum_limit below n_max
-    monkeypatch.setattr(schreier.verify, name, fault(getattr(schreier.verify, name)))
+    patched(monkeypatch, {f"verify.{name}": fault})
     report = turan_identity_suite(p_max=4, n_max=40, enum_limit=30)
     assert (report.cases, len(report.failures), report.failures[0]) == (154, *failing)
