@@ -34,16 +34,19 @@ _EXPORTS = {
         "schreier_sequence",
     ),
     "enumeration": (
-        "INTERVAL_LIMIT",
-        "ORACLE_LIMIT",
-        "OracleLimitError",
         "count_interval_bruteforce",
         "count_schreier_bruteforce",
         "enumerate_schreier",
     ),
-    "sets": ("FiniteSet", "Ratio"),
-    "turan": (
+    "sets": (
+        "FiniteSet",
+        "INTERVAL_LIMIT",
         "INTERVAL_SUM_LIMIT",
+        "ORACLE_LIMIT",
+        "OracleLimitError",
+        "Ratio",
+    ),
+    "turan": (
         "interval_count_closed",
         "interval_count_sum",
         "turan_edges_construction",

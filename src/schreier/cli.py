@@ -10,9 +10,11 @@ Each command's integer flags and their minimums sit in one table that
 ``main`` checks under each flag's name; ``sequence --offset``, whose
 range is 0..``--max``, is declared apart and checked by ``cmd_sequence``.
 
-A command imports only the layers it runs: the b-file writer loads
-inside ``sequence --format bfile`` and the verification suites inside
-``verify``, so building the parser and running a small count stay cheap.
+Each command loads the layers it runs, and no other, the first time it
+runs them: its method table names the public function of each route,
+read from the package when the command runs, so building the parser and
+refusing a flag load only ``sets``.  The b-file writer loads inside
+``sequence --format bfile`` and the verification suites inside ``verify``.
 """
 
 from __future__ import annotations
@@ -23,36 +25,34 @@ import sys
 from collections.abc import Iterator
 from math import comb, lgamma, log
 
-from .counting import (
-    count_schreier_direct,
-    count_schreier_recurrence,
-    schreier_sequence,
-)
-from .enumeration import (
+import schreier
+
+from .sets import (
     INTERVAL_LIMIT,
+    INTERVAL_SUM_LIMIT,
     ORACLE_LIMIT,
     OracleLimitError,
-    _members,
-    count_interval_bruteforce,
-    count_schreier_bruteforce,
-)
-from .sets import Ratio, _shown, require_int
-from .turan import (
-    INTERVAL_SUM_LIMIT,
-    interval_count_closed,
-    interval_count_sum,
-    turan_edges_construction,
-    turan_edges_formula,
+    Ratio,
+    _shown,
+    require_int,
 )
 
+# method -> the public function that runs it, read through the package (PEP
+# 562) when the command runs: its module loads then, and a function replaced
+# in that module is the one that runs
+_COUNT_METHODS = {
+    "direct": "count_schreier_direct",
+    "oracle": "count_schreier_bruteforce",
+    "recurrence": "count_schreier_recurrence",
+}
 _TURAN_METHODS = {
-    "formula": turan_edges_formula,
-    "graph": turan_edges_construction,
+    "formula": "turan_edges_formula",
+    "graph": "turan_edges_construction",
 }
 _INTERVAL_METHODS = {
-    "sum": interval_count_sum,
-    "closed": interval_count_closed,
-    "enum": count_interval_bruteforce,
+    "sum": "interval_count_sum",
+    "closed": "interval_count_closed",
+    "enum": "count_interval_bruteforce",
 }
 
 
@@ -113,15 +113,10 @@ def _refuse_a_long_term(n: int, ratio: Ratio) -> None:
 
 def cmd_count(args: argparse.Namespace) -> int:
     ratio = Ratio(args.p, args.q)
-    if args.method == "oracle":
-        # it refuses n > ORACLE_LIMIT (exit 3), so its counts are always printable
-        value = count_schreier_bruteforce(args.n, ratio)
-    else:
+    if args.method != "oracle":  # the oracle's guard (exit 3) keeps its counts printable
         _refuse_a_long_term(args.n, ratio)
-        direct = args.method == "direct"
-        route = count_schreier_direct if direct else count_schreier_recurrence
-        value = _within_limit(route(args.n, ratio))
-    print(value)
+    route = getattr(schreier, _COUNT_METHODS[args.method])
+    print(_within_limit(route(args.n, ratio)))
     return 0
 
 
@@ -132,7 +127,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         raise ValueError(f"--offset {start} outside the computed range 0..{args.max}")
     # counts never decrease in n, so the term at --max is the longest one printed
     _refuse_a_long_term(args.max, ratio)
-    sequence = schreier_sequence(ratio, args.max)
+    sequence = schreier.schreier_sequence(ratio, args.max)
     _within_limit(sequence[-1])
     if args.format == "csv":
         print(",".join(map(str, sequence[start:])))
@@ -144,6 +139,8 @@ def cmd_sequence(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    from .enumeration import _members
+
     # each member is printed as the scan finds it; the guard runs before the first
     for member in _members(args.n, Ratio(args.p, args.q)):
         print(_shown(member))
@@ -151,12 +148,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_turan(args: argparse.Namespace) -> int:
-    print(_within_limit(_TURAN_METHODS[args.method](args.n, args.parts)))
+    route = getattr(schreier, _TURAN_METHODS[args.method])
+    print(_within_limit(route(args.n, args.parts)))
     return 0
 
 
 def cmd_interval_count(args: argparse.Namespace) -> int:
-    print(_within_limit(_INTERVAL_METHODS[args.method](args.n, args.p)))
+    route = getattr(schreier, _INTERVAL_METHODS[args.method])
+    print(_within_limit(route(args.n, args.p)))
     return 0
 
 
@@ -190,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     _ints(count, {"--p": 1, "--q": 1, "--n": 0})
     count.add_argument(
         "--method",
-        choices=("direct", "oracle", "recurrence"),
+        choices=list(_COUNT_METHODS),
         default="recurrence",
         help="oracle is exponential and guarded at n <= %d" % ORACLE_LIMIT,
     )

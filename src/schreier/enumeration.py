@@ -32,27 +32,19 @@ from collections.abc import Iterable, Iterator
 from itertools import accumulate, compress
 from operator import floordiv
 
-from .sets import Elements, FiniteSet, Ratio, require_int
-
-ORACLE_LIMIT = 30
-"""Largest n the subset-scanning oracles accept (2**(n-1) candidates)."""
-
-INTERVAL_LIMIT = 2000
-"""Largest n the interval enumeration accepts (about n**2 / 2 candidates)."""
+from .sets import (
+    INTERVAL_LIMIT,
+    ORACLE_LIMIT,
+    Elements,
+    FiniteSet,
+    OracleLimitError,  # noqa: F401  (also read as enumeration.OracleLimitError)
+    Ratio,
+    refuse_above,
+    require_int,
+)
 
 Tally = tuple[tuple[int, int, int], ...]  # (count, size, smallest) per class
 IntervalTally = list[tuple[list[int], list[int]]]  # per maximum: (k's, counts)
-
-
-class OracleLimitError(RuntimeError):
-    """Instance too large for a brute-force oracle or the interval sum."""
-
-
-def refuse_above(n: int, limit: int, what: str) -> None:
-    """The one size guard: OracleLimitError, naming ``what``, when n > limit."""
-    if n > limit:
-        msg = f"instance too large for {what}: n={n} exceeds the n <= {limit} guard"
-        raise OracleLimitError(msg)
 
 
 def _scan(n: int) -> list[tuple[int, range]]:
@@ -180,7 +172,7 @@ def _interval_tally(n_max: int) -> IntervalTally:
     tally grows as n_max**1.5, not as an n_max-square table.  Refuses
     n_max > INTERVAL_LIMIT before any work.
     """
-    require_int("n", n_max, 0)
+    require_int("n_max", n_max, 0)
     refuse_above(n_max, INTERVAL_LIMIT, "interval enumeration")
     tally: IntervalTally = []
     for hi in range(n_max + 1):

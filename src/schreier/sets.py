@@ -8,7 +8,9 @@ max F = n.  Inside the package a member is its strictly increasing
 tuple of elements, which ``_in_family`` tests; FiniteSet is the form
 the public functions take and return.  The interval families of the
 Turán identity apply the same inequality to intervals of consecutive
-integers.
+integers.  The package's refusals live here too: the int validator,
+and the size guards of the brute-force scans and the interval sum with
+the exception they raise.
 """
 
 from __future__ import annotations
@@ -27,6 +29,28 @@ def require_int(name: str, value: object, minimum: int = 1) -> None:
     if type(value) is not int or value < minimum:
         rule = "a positive integer" if minimum else "a non-negative integer"
         raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+ORACLE_LIMIT = 30
+"""Largest n the subset-scanning oracles accept (2**(n-1) candidates)."""
+
+INTERVAL_LIMIT = 2000
+"""Largest n the interval enumeration accepts (about n**2 / 2 candidates)."""
+
+INTERVAL_SUM_LIMIT = 10**7
+"""Largest n the interval sum accepts (n terms; about 0.4 s at the limit at p = 1,
+where the most are compared, on CPython 3.11 and a shared 2-vCPU VM)."""
+
+
+class OracleLimitError(RuntimeError):
+    """Instance too large for a brute-force oracle or the interval sum."""
+
+
+def refuse_above(n: int, limit: int, what: str) -> None:
+    """The one size guard: OracleLimitError, naming ``what``, when n > limit."""
+    if n > limit:
+        msg = f"instance too large for {what}: n={n} exceeds the n <= {limit} guard"
+        raise OracleLimitError(msg)
 
 
 class Frozen:

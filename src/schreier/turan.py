@@ -15,12 +15,7 @@ route falls back on another: each closed form covers p > n as written.
 
 from __future__ import annotations
 
-from .enumeration import refuse_above
-from .sets import require_int
-
-INTERVAL_SUM_LIMIT = 10**7
-"""Largest n the interval sum accepts (n terms; about 0.4 s at the limit at p = 1,
-where the most are compared, on CPython 3.11 and a shared 2-vCPU VM)."""
+from .sets import INTERVAL_SUM_LIMIT, refuse_above, require_int
 
 
 def turan_edges_construction(n: int, p: int) -> int:

@@ -27,17 +27,22 @@ from .counting import (
     schreier_sequence,
 )
 from .enumeration import (
-    ORACLE_LIMIT,
     _interval_counts,
     _interval_tally,
     _listings,
     _subset_tally,
     _tally_count,
-    refuse_above,
 )
-from .sets import Elements, Frozen, Ratio, require_int
-from .turan import (
+from .sets import (
     INTERVAL_SUM_LIMIT,
+    ORACLE_LIMIT,
+    Elements,
+    Frozen,
+    Ratio,
+    refuse_above,
+    require_int,
+)
+from .turan import (
     interval_count_closed,
     interval_count_sum,
     turan_edges_construction,

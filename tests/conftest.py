@@ -34,7 +34,7 @@ def forbid(honest):
 
 
 def patched(monkeypatch, patches):
-    """Patch each dotted name (``cli.schreier_sequence``) with fault(honest)."""
+    """Patch each dotted name (``counting.schreier_sequence``) with fault(honest)."""
     for target, fault in patches.items():
         module_name, name = target.split(".")
         module = getattr(schreier, module_name)

@@ -42,16 +42,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-# every counting route a count or a sequence can reach
-ROUTES = dict.fromkeys(
-    (
-        "cli.count_schreier_recurrence",
-        "cli.count_schreier_direct",
-        "cli.schreier_sequence",
-        "counting.count_schreier_direct",
-    ),
-    forbid,
-)
+# every counting route a count or a sequence can reach, patched in its home module
+ROUTES = {
+    f"{schreier._HOME[name]}.{name}": forbid
+    for name in [*schreier.cli._COUNT_METHODS.values(), "schreier_sequence"]
+}
 
 
 def _size_terms(n, ratio):
@@ -310,7 +305,8 @@ CONTRACT = [
     # the terms up to --max 300000 at (100000, 1) have 6 digits; no engine at
     # depth 100001 may size them first
     ("digits-deep-sequence", "sequence --p 100000 --q 1 --max 300000", 4300,
-     {"cli.count_schreier_recurrence": forbid}, 0, terms_up_to(300000, Ratio(100000, 1)), ""),
+     {"counting.count_schreier_recurrence": forbid}, 0, terms_up_to(300000, Ratio(100000, 1)),
+     ""),
     # a limit of 0 means no limit: the early check must not refuse anything
     ("digits-no-limit", "count --p 1 --q 1 --n 30000", 0, {}, 0, count_of(30000, Ratio(1, 1)), ""),
     *readme_examples(),
@@ -478,7 +474,9 @@ def test_importing_the_cli_leaves_the_verify_layers_unloaded():
         "schreier.verify", "schreier.bijections", "schreier.bfile", "dataclasses", "inspect",
         "heapq",
     } & (loaded - bare)
-    assert {"schreier.cli", "schreier.counting"} <= loaded
+    assert {name for name in loaded if name.split(".")[0] == "schreier"} == {
+        "schreier", "schreier.cli", "schreier.sets",
+    }
     # the verify layers build their records on sets.Frozen, not dataclasses,
     # and run_suite reads the suites' bounds from __kwdefaults__, not inspect
     layers = ", schreier.verify, schreier.bijections, schreier.bfile"
@@ -486,14 +484,37 @@ def test_importing_the_cli_leaves_the_verify_layers_unloaded():
     assert not {"dataclasses", "inspect"} & (loaded - bare)
 
 
-def test_a_csv_sequence_leaves_the_bfile_layer_unloaded():
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        ("count --p 1 --q 1 --n 10", {"counting"}),
+        ("count --p 1 --q 1 --n 10 --method direct", {"counting"}),
+        ("count --p 1 --q 1 --n 10 --method oracle", {"enumeration"}),
+        ("sequence --p 1 --q 1 --max 6", {"counting"}),
+        ("sequence --p 1 --q 1 --max 6 --format bfile", {"counting", "bfile"}),
+        ("enumerate --p 1 --q 1 --n 4", {"enumeration"}),
+        ("turan --n 5 --parts 2", {"turan"}),
+        ("interval-count --n 3 --p 2 --method enum", {"enumeration"}),
+        ("--help", set()),
+    ],
+    ids=["count", "count-direct", "count-oracle", "sequence-csv", "sequence-bfile",
+         "enumerate", "turan", "interval-enum", "help"],
+)
+def test_each_command_loads_only_the_layers_it_runs(argv, layers):
+    # the last line lists the package's modules, after the command's output
+    # (--help exits 0 through the finally)
     out = fresh_child(
         "import sys\n"
         "from schreier.cli import main\n"
-        "main(['sequence', '--p', '1', '--q', '1', '--max', '6', '--offset', '0'])\n"
-        "print('schreier.bfile' in sys.modules)"
+        "try:\n"
+        f"    main({argv.split()!r})\n"
+        "finally:\n"
+        "    print(*sorted(m for m in sys.modules if m.split('.')[0] == 'schreier'))\n"
     )
-    assert out == "0,1,1,2,3,5,8\nFalse\n"
+    loaded = set(out.splitlines()[-1].split())
+    assert loaded == {"schreier", "schreier.cli", "schreier.sets"} | {
+        f"schreier.{layer}" for layer in layers
+    }
 
 
 def test_importing_the_package_loads_no_submodule_until_a_name_is_read():
@@ -551,19 +572,19 @@ def test_verify_usage_names_every_registered_suite(capsys, monkeypatch):
 
 
 def test_count_runs_the_engine_once_and_direct_never(capsys, monkeypatch):
-    honest = schreier.cli.count_schreier_recurrence
+    honest = schreier.counting.count_schreier_recurrence
     sized = []
 
     def recording(n, ratio):
         sized.append(n)
         return honest(n, ratio)
 
-    monkeypatch.setattr(schreier.cli, "count_schreier_recurrence", recording)
+    monkeypatch.setattr(schreier.counting, "count_schreier_recurrence", recording)
     with int_digits(4300):
         code, out, _ = run_cli(capsys, "count", "--p", "6", "--q", "6", "--n", "20000")
         assert (code, sized) == (0, [20000])
-        patched(monkeypatch, {"cli.count_schreier_recurrence": forbid,
-                              "cli.schreier_sequence": forbid})
+        patched(monkeypatch, {"counting.count_schreier_recurrence": forbid,
+                              "counting.schreier_sequence": forbid})
         assert run_cli(
             capsys, "count", "--p", "6", "--q", "6", "--n", "20000", "--method", "direct"
         ) == (0, out, "")

@@ -257,7 +257,7 @@ REFUSALS = [
     ("interval-tally-past-guard", "enumeration._interval_tally", (INTERVAL_LIMIT + 1,),
      {"enumeration.Counter": forbid}, None, OracleLimitError, ENUM_PAST),
     ("interval-tally-negative", "enumeration._interval_tally", (-1,), {}, None, ValueError,
-     NOT_AN_N.format(-1)),
+     "n_max must be a non-negative integer, got -1"),
     ("interval-sum-past-guard", "interval_count_sum", (INTERVAL_SUM_LIMIT + 1, 3), {}, None,
      OracleLimitError, SUM_PAST),
     ("interval-sum-10^100", "interval_count_sum", (10**100, 1), {}, None, OracleLimitError,

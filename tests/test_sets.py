@@ -137,3 +137,16 @@ def test_membership_at_own_max_reduces_to_the_predicate(fs, ratio):
     assert _in_family(fs.elements, ratio, fs.max) == (
         ratio.q * fs.min >= ratio.p * len(fs)
     )
+
+
+def test_the_guards_live_here_and_stay_readable_where_they_were():
+    # the modules that held the size guards still name the same objects
+    from schreier import enumeration, sets, turan
+
+    moved = {
+        enumeration: ("INTERVAL_LIMIT", "ORACLE_LIMIT", "OracleLimitError", "refuse_above"),
+        turan: ("INTERVAL_SUM_LIMIT", "refuse_above"),
+    }
+    for module, names in moved.items():
+        for name in names:
+            assert getattr(module, name) is getattr(sets, name)
