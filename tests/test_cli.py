@@ -34,6 +34,7 @@ from schreier.cli import build_parser, main
 from schreier.verify import SUITES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+WORKFLOW = README.parent / ".github" / "workflows" / "tests.yml"
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +94,16 @@ def count_of(n, ratio):
     return check
 
 
+def listing_of(n, ratio):
+    """A check that stdout is the library's listing at n, count(n) lines by the direct sum."""
+
+    def check(out):
+        assert out == "".join(f"{member}\n" for member in enumerate_schreier(n, ratio))
+        assert out.count("\n") == count_schreier_direct(n, ratio)
+
+    return check
+
+
 def terms_up_to(n, ratio):
     """A check that stdout lists n terms, the last of them count(n) by the direct sum."""
 
@@ -137,10 +148,11 @@ SUM_PAST = TOO_LARGE.format("the interval sum", INTERVAL_SUM_LIMIT + 1, INTERVAL
 ENUM_PAST = TOO_LARGE.format("interval enumeration", INTERVAL_LIMIT + 1, INTERVAL_LIMIT)
 ORACLE_SCANS = {"verify._subset_tally": forbid, "verify._listings": forbid}
 BIJECTIONS = "verify --suite bijections --pmax 2 --qmax 2 --nmax 10"
+GAP_GRID = "62 cases over 1<=p<=2, 1<=q<=2, p+q<=n<=10, all gap choices"
+WINDOW_PASS = "window-bijections: pass (64 cases over 1<=p<=2, 1<=q<=2, p+q<=n<=10, 0 failures)\n"
 COLLAPSE_RAISED = (  # every gap choice at n = 9 fails
-    "gap-bijections: FAIL (62 cases over 1<=p<=2, 1<=q<=2, p+q<=n<=10, all gap choices, "
-    "8 failures)\nfirst counterexample: (p,q)=(1,1), n=9, gaps=(8,): collapse raised {}\n"
-    "window-bijections: pass (64 cases over 1<=p<=2, 1<=q<=2, p+q<=n<=10, 0 failures)\n"
+    f"gap-bijections: FAIL ({GAP_GRID}, 8 failures)\n"
+    "first counterexample: (p,q)=(1,1), n=9, gaps=(8,): collapse raised {}\n" + WINDOW_PASS
 )
 
 # turan --parts n counts the complete graph's n(n - 1)/2 edges: at K they
@@ -159,16 +171,33 @@ CONTRACT = [
     ("count", "count --p 1 --q 1 --n 10 --method recurrence", None, {}, 0, "55\n", ""),
     ("count-oracle", "count --p 1 --q 2 --n 4 --method oracle", None, {}, 0, "5\n", ""),
     ("count-direct-none", "count --p 2 --q 1 --n 1 --method direct", None, {}, 0, "0\n", ""),
+    ("count-deep-none", "count --p 4000 --q 1 --n 5", None, {}, 0, "0\n", ""),
+    ("count-deep-equal", "count --p 20000 --q 20000 --n 5", None, {}, 0, "5\n", ""),
+    ("count-deep-coprime", "count --p 20000 --q 20001 --n 5", None, {}, 0, "5\n", ""),
     # n = 0 has no members on every route
     ("count-oracle-n0", "count --p 1 --q 1 --n 0 --method oracle", None, {}, 0, "0\n", ""),
     ("count-routes-oracle", "count --p 2 --q 3 --n 14 --method oracle", None, {}, 0, "799\n", ""),
     ("count-routes-recurrence", "count --p 2 --q 3 --n 14", None, {}, 0, "799\n", ""),
     ("count-routes-direct", "count --p 2 --q 3 --n 14 --method direct", None, {}, 0, "799\n", ""),
+    # the default route and a forced one each give the direct sum's count at the
+    # cell; (50, 51) runs the engine at depth 101, and (1, 200) prints 4204 digits
+    *[(f"count-{method or 'default'}-{p}-{q}-{n}",
+       f"count --p {p} --q {q} --n {n}" + (f" --method {method}" if method else ""), None, {}, 0,
+       count_of(n, Ratio(p, q)), "")
+      for forced, cells in [
+          ("direct", [(3, 2, 9), (3, 2, 10), (3, 2, 4000), (3, 2, 4001), (50, 50, 20000),
+                      (50, 51, 20000), (1, 200, 14000), (7, 3, 3001)]),
+          ("oracle", [(3, 2, 16), (2, 3, 12)])]
+      for p, q, n in cells for method in (None, forced)],
     ("sequence", "sequence --p 1 --q 1 --max 6 --format csv", None, {}, 0, "1,1,2,3,5,8\n", ""),
     ("sequence-max-1", "sequence --p 1 --q 1 --max 1 --format csv", None, {}, 0, "1\n", ""),
     ("sequence-bfile", "sequence --p 1 --q 2 --max 5 --format bfile", None, {}, 0,
      "1 1\n2 2\n3 3\n4 5\n5 9\n", ""),
     ("sequence-offset-0", "sequence --p 1 --q 1 --max 5 --offset 0", None, {}, 0,
+     "0,1,1,2,3,5\n", ""),
+    ("sequence-offset-0-max-6", "sequence --p 1 --q 1 --max 6 --offset 0", None, {}, 0,
+     "0,1,1,2,3,5,8\n", ""),
+    ("sequence-deep-offset-0", "sequence --p 20000 --q 20000 --max 5 --offset 0", None, {}, 0,
      "0,1,1,2,3,5\n", ""),
     ("sequence-bfile-offset-4", "sequence --p 1 --q 1 --max 6 --format bfile --offset 4", None,
      {}, 0, "4 3\n5 5\n6 8\n", ""),
@@ -176,20 +205,33 @@ CONTRACT = [
     ("enumerate-n1", "enumerate --p 1 --q 1 --n 1", None, {}, 0, "{1}\n", ""),
     ("enumerate-none", "enumerate --p 3 --q 1 --n 2", None, {}, 0, "", ""),
     ("enumerate-n0", "enumerate --p 1 --q 1 --n 0", None, {}, 0, "", ""),
+    *[(f"enumerate-{p}-{q}-{n}", f"enumerate --p {p} --q {q} --n {n}", None, {}, 0,
+       listing_of(n, Ratio(p, q)), "") for p, q, n in [(2, 3, 12), (3, 2, 16)]],
     ("turan-formula", "turan --n 5 --parts 2 --method formula", None, {}, 0, "6\n", ""),
     ("turan-graph", "turan --n 7 --parts 3 --method graph", None, {}, 0, "16\n", ""),
     ("turan-one-part", "turan --n 3 --parts 1", None, {}, 0, "0\n", ""),
+    ("turan-more-parts-than-vertices", "turan --n 3 --parts 5", None, {}, 0, "3\n", ""),
     # part sizes are counted, not listed: 10^12 of them need no memory
     ("turan-graph-10^12-parts", f"turan --n 3 --parts {10**12} --method graph", None, {}, 0,
      "3\n", ""),
     ("interval-closed", "interval-count --n 3 --p 2 --method closed", None, {}, 0, "5\n", ""),
     ("interval-sum", "interval-count --n 1 --p 9 --method sum", None, {}, 0, "1\n", ""),
     ("interval-enum", "interval-count --n 3 --p 5 --method enum", None, {}, 0, "6\n", ""),
+    ("interval-default", "interval-count --n 3 --p 5", None, {}, 0, "6\n", ""),
     # the closed form has no guard
     ("interval-closed-10^12", f"interval-count --p 1 --n {10**12}", None, {}, 0,
      f"{interval_count_closed(10**12, 1)}\n", ""),
     ("verify-pass", "verify --suite recurrence --pmax 2 --qmax 2 --nmax 10", None, {}, 0,
      "recurrence: pass (40 cases over 1<=p<=2, 1<=q<=2, 1<=n<=10, 0 failures)\n", ""),
+    ("verify-recurrence-nmax-16", "verify --suite recurrence --pmax 4 --qmax 4 --nmax 16", None,
+     {}, 0, "recurrence: pass (256 cases over 1<=p<=4, 1<=q<=4, 1<=n<=16, 0 failures)\n", ""),
+    ("verify-formula-nmax-1000", "verify --suite formula --pmax 2 --qmax 2 --nmax 1000", None,
+     {}, 0, "formula: pass (4000 cases over 1<=p<=2, 1<=q<=2, 1<=n<=1000, 0 failures)\n", ""),
+    ("verify-bijections", BIJECTIONS, None, {}, 0,
+     f"gap-bijections: pass ({GAP_GRID}, 0 failures)\n" + WINDOW_PASS, ""),
+    ("verify-turan-identity", "verify --suite turan-identity --pmax 5 --nmax 60", None, {}, 0,
+     "turan-identity: pass (290 cases over 1<=p<=5, p<=n<=60, enumeration leg up to n=60, "
+     "0 failures)\n", ""),
     # exit 1: a suite's failures, printed with its first counterexample
     ("verify-fault", "verify --suite recurrence --pmax 1 --qmax 1 --nmax 6", None,
      {"counting._starts": seeded}, 1,
@@ -253,6 +295,8 @@ CONTRACT = [
      usage("count", r"argument --method: invalid choice: 'psychic' \(choose from .*\)")),
     ("count-n-unreadable", "count --p 1 --q 1 --n ten", None, {}, 2, "",
      usage("count", "argument --n: invalid int value: 'ten'")),
+    ("verify-suite-unknown", "verify --suite bogus", None, {}, 2, "",
+     usage("verify", r"argument --suite: invalid choice: 'bogus' \(choose from .*\)")),
     # exit 3: a size guard, before any output or any cell
     ("count-oracle-past-guard", f"count --p 1 --q 1 --n {ORACLE_LIMIT + 1} --method oracle",
      None, {}, 3, "", ORACLE_31),
@@ -264,10 +308,18 @@ CONTRACT = [
      {}, 0, f"{interval_count_closed(INTERVAL_LIMIT, 2)}\n", ""),
     ("interval-enum-past-guard", f"interval-count --p 2 --method enum --n {INTERVAL_LIMIT + 1}",
      None, {}, 3, "", ENUM_PAST),
+    ("interval-enum-past-guard-p1",
+     f"interval-count --n {INTERVAL_LIMIT + 1} --p 1 --method enum", None, {}, 3, "", ENUM_PAST),
     ("interval-sum-past-guard", f"interval-count --p 1 --method sum --n {INTERVAL_SUM_LIMIT + 1}",
      None, {}, 3, "", SUM_PAST),
     ("interval-sum-10^12", f"interval-count --p 1 --method sum --n {10**12}", None, {}, 3, "",
      TOO_LARGE.format("the interval sum", 10**12, INTERVAL_SUM_LIMIT)),
+    # at its guard, each brute-force route meets the closed form
+    *[(f"interval-{method}-at-guard-p{p}", f"interval-count --n {n} --p {p} --method {method}",
+       None, {}, 0, f"{interval_count_closed(n, p)}\n", "")
+      for method, n, ps in [("enum", INTERVAL_LIMIT, (1, 7, 2001)),
+                            ("sum", INTERVAL_SUM_LIMIT, (1, 3))]
+      for p in ps],
     # the suites meet the same guards before their first cell
     ("verify-interval-past-guard",
      f"verify --suite interval-agreement --nmax {INTERVAL_LIMIT + 1}", None, {}, 3, "", ENUM_PAST),
@@ -290,6 +342,9 @@ CONTRACT = [
      f"{K * (K - 1) // 2}\n", ""),
     ("digits-turan-past-limit", f"turan --n {K + 1} --parts {K + 1}", 640, {}, 4, "",
      TOO_LONG.format(640)),
+    # T(10^2199, 2) = 10^4398 / 4 has 4398 digits
+    ("digits-turan-past-default-limit", f"turan --n {10**2199} --parts 2", 4300, {}, 4, "",
+     TOO_LONG.format(4300)),
     # just past the limit: the route runs, and its count is refused
     *[(row_id, argv, 640, {}, 4, "", TOO_LONG.format(640)) for row_id, argv in [
         ("digits-just-past-count", "count --p 1 --q 1 --n 3065"),
@@ -358,6 +413,18 @@ def test_every_command_has_a_row_for_each_code_it_can_return():
     assert set(CODES) == set(sub.choices)
     rows = {(argv.split()[0], code) for _, argv, _, _, code, *_ in CONTRACT if code is not None}
     assert rows == {(command, code) for command, codes in CODES.items() for code in codes}
+
+
+def test_every_cli_call_of_the_workflow_is_a_contract_row():
+    # a CLI check lives here, so CI cannot grow a second copy of the contract;
+    # a call's argv runs up to the first quote, bracket, pipe or redirection
+    calls = re.findall(
+        r"(?<![\w.])(?<!from )(?<!import )schreier(?![\w.])((?: +(?!\d*[<>])[^\s\"')|<>;&]+)*)",
+        WORKFLOW.read_text(encoding="utf-8"),
+    )
+    rows = {tuple(argv.split()) for _, argv, *_ in CONTRACT}
+    assert calls
+    assert [call.strip() for call in calls if tuple(call.split()) not in rows] == []
 
 
 def test_sequence_bfile_roundtrips(capsys):
