@@ -8,10 +8,13 @@ data; the parser skips them, and rendering writes none.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from itertools import chain
 
 from .sets import Frozen, require_int
+
+_BLOCK_CHARS = 1 << 16
+"""parse_bfile reads text this many characters at a time, on to the next "\\n"."""
 
 
 class BFile(Frozen):
@@ -36,7 +39,26 @@ class BFile(Frozen):
         super().__init__(entries=entries)
 
     def render(self) -> str:
-        return "\n".join(f"{i} {v}" for i, v in self.entries) + "\n"
+        """The b-file text: one "index value" line per entry, each ending in "\\n".
+
+        An empty b-file renders as "\\n", a trailing newline alone.  One
+        formatting pass writes each value's digits straight into the text,
+        so no line string or second copy of the text is held.
+        """
+        return "%d %d\n" * len(self.entries) % tuple(chain.from_iterable(self.entries)) or "\n"
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of text.splitlines(), split a block at a time.
+
+    Each block ends just after a "\\n", where splitlines ends a line too, so
+    no line break ("\\r\\n" included) is cut in two and the lines are the same.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
 
 
 def parse_bfile(text: str) -> BFile:
@@ -48,7 +70,7 @@ def parse_bfile(text: str) -> BFile:
     # int() also takes '_' separators, a '+' sign and non-ASCII digits; b-file
     # text has none, so only text that holds one checks its tokens' characters
     strict = not text.isascii() or "_" in text or "+" in text
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -74,6 +96,8 @@ def parse_bfile(text: str) -> BFile:
 def bfile_from_sequence(sequence: tuple[int, ...], offset: int = 1) -> BFile:
     """b-file entries (n, sequence[n]) for offset <= n <= the sequence end."""
     require_int("offset", offset, 0)
+    if not sequence:
+        raise ValueError(f"sequence must be nonempty, got {sequence!r}")
     n_max = len(sequence) - 1
     if offset > n_max:
         raise ValueError(f"offset {offset} outside the computed range 0..{n_max}")

@@ -154,6 +154,9 @@ NOT_A_PAIR = "b-file entries must be (index, value) pairs, got {}"
 NOT_A_TOKEN = "line {}: non-integer token in {!r}"
 OUTSIDER = "{} is not a member of the family at n={} for {}"
 NO_CASES = "{}: the grid {} has no cases"
+# 9000 good lines, more text than the block that parse_bfile splits at a time
+PAST_A_BLOCK = "".join(f"{i} {i}\n" for i in range(1, 9001))
+assert len(PAST_A_BLOCK) > schreier.bfile._BLOCK_CHARS
 # the scan readers refuse at the call, before the scan's size pass or tally
 SCAN_WORK = {"enumeration._within_cap": forbid, "enumeration.Counter": forbid}
 ORACLE_SCANS = {"verify._subset_tally": forbid, "verify._listings": forbid}
@@ -225,6 +228,9 @@ REFUSALS = [
      ValueError, NOT_A_TOKEN.format(2, "1 ５")),
     ("parse-plus", "parse_bfile", ("+1 5\n",), {}, None, ValueError,
      NOT_A_TOKEN.format(1, "+1 5")),
+    # parsed a block at a time, the lines keep their numbers past the first block
+    ("parse-letter-past-the-first-block", "parse_bfile", (PAST_A_BLOCK + "9001 x\n",), {}, None,
+     ValueError, NOT_A_TOKEN.format(9001, "9001 x")),
     # a token of digits past the limit: CPython's text, after the line
     ("parse-value-past-digit-limit", "parse_bfile", ("1 5\n2 " + "7" * 700 + "\n",), {}, 640,
      ValueError, re.compile(r"line 2: Exceeds the limit \(640 digits\) .+")),
@@ -232,6 +238,8 @@ REFUSALS = [
      ValueError, re.compile(r"line 1: Exceeds the limit \(640 digits\) .+")),
     ("bfile-offset-past-range", "bfile_from_sequence", ((0, 1, 1, 2, 3, 5), 6), {}, None,
      ValueError, "offset 6 outside the computed range 0..5"),
+    ("bfile-empty-sequence", "bfile_from_sequence", ((),), {"bfile.BFile": forbid}, None,
+     ValueError, "sequence must be nonempty, got ()"),
     # the subset scan's guard, at the call of each reader
     ("enumerate-past-guard", "enumerate_schreier", (ORACLE_LIMIT + 1, R11), SCAN_WORK, None,
      OracleLimitError, ORACLE_PAST),
