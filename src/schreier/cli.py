@@ -56,10 +56,6 @@ _INTERVAL_METHODS = {
 }
 
 
-_BLOCK_TERMS = 1024
-"""``sequence`` writes its output this many terms at a time."""
-
-
 class _SuiteNames:
     """The ``--suite`` choices: every name in verify.SUITES, then "all".
 
@@ -133,18 +129,12 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     _refuse_a_long_term(args.max, ratio)
     sequence = schreier.schreier_sequence(ratio, args.max)
     _within_limit(sequence[-1])
-    # written a block of terms at a time, so only one block's text is held
-    blocks = range(start, len(sequence), _BLOCK_TERMS)
     if args.format == "csv":
-        for at in blocks:
-            last = at + _BLOCK_TERMS >= len(sequence)
-            print(",".join(map(str, sequence[at:at + _BLOCK_TERMS])), end="\n" if last else ",")
+        print(",".join(map(str, sequence[start:])))
     else:
         from .bfile import bfile_from_sequence
 
-        # a b-file entry's index is its term's place, so a block takes the prefix it ends
-        for at in blocks:
-            print(bfile_from_sequence(sequence[:at + _BLOCK_TERMS], at).render(), end="")
+        print(bfile_from_sequence(sequence, offset=start).render(), end="")
     return 0
 
 

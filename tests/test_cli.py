@@ -8,7 +8,7 @@ import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import takewhile
-from math import comb, isqrt, log10
+from math import comb, isqrt
 from pathlib import Path
 
 import pytest
@@ -25,12 +25,10 @@ from schreier import (
     INTERVAL_SUM_LIMIT,
     ORACLE_LIMIT,
     Ratio,
-    bfile_from_sequence,
     count_schreier_direct,
     enumerate_schreier,
     interval_count_closed,
     parse_bfile,
-    schreier_sequence,
 )
 from schreier.cli import build_parser, main
 from schreier.verify import SUITES
@@ -113,19 +111,6 @@ def terms_up_to(n, ratio):
         values = out.split(",")
         assert len(values) == n
         assert int(values[-1]) == count_schreier_direct(n, ratio)
-
-    return check
-
-
-def sequence_of(n_max, ratio, offset, form):
-    """A check that stdout is the library's terms offset..n_max, as one CSV line or one b-file."""
-
-    def check(out):
-        sequence = schreier_sequence(ratio, n_max)
-        if form == "csv":
-            assert out == ",".join(map(str, sequence[offset:])) + "\n"
-        else:
-            assert out == bfile_from_sequence(sequence, offset).render()
 
     return check
 
@@ -216,16 +201,6 @@ CONTRACT = [
      "0,1,1,2,3,5\n", ""),
     ("sequence-bfile-offset-4", "sequence --p 1 --q 1 --max 6 --format bfile --offset 4", None,
      {}, 0, "4 3\n5 5\n6 8\n", ""),
-    # written 1024 terms at a time: blocks join as the library's whole text, whether
-    # the terms fill their blocks (2048 of them) or not
-    *[(f"sequence-{form}-{n_max}-offset-{offset}",
-       f"sequence --p 1 --q 1 --max {n_max} --format {form} --offset {offset}", None, {}, 0,
-       sequence_of(n_max, Ratio(1, 1), offset, form), "")
-      for form in ("csv", "bfile")
-      for n_max, offset in [(2100, 1023), (2100, 1024), (2100, 1025), (2048, 1)]],
-    # CI pipes this one through head: 2.6 MB of text, far more than a pipe holds
-    ("sequence-bfile-5000", "sequence --p 1 --q 1 --max 5000 --format bfile", None, {}, 0,
-     sequence_of(5000, Ratio(1, 1), 1, "bfile"), ""),
     ("enumerate", "enumerate --p 1 --q 1 --n 3", None, {}, 0, "{3}\n{2,3}\n", ""),
     ("enumerate-n1", "enumerate --p 1 --q 1 --n 1", None, {}, 0, "{1}\n", ""),
     ("enumerate-none", "enumerate --p 3 --q 1 --n 2", None, {}, 0, "", ""),
@@ -497,25 +472,6 @@ def test_enumerate_holds_one_member_at_a_time(monkeypatch):
     assert streamed_peak * 20 < held
 
 
-@pytest.mark.parametrize("form", ["csv", "bfile"])
-def test_sequence_holds_one_block_of_its_text_at_a_time(monkeypatch, form):
-    # (1, 1) up to 12000: 15 MB of digits, of which a block of 1024 terms holds at most 2.6 MB
-    argv = ["sequence", "--p", "1", "--q", "1", "--max", "12000", "--format", form]
-    with open(os.devnull, "w") as sink:
-        monkeypatch.setattr(sys, "stdout", sink)
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            streamed_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    sequence = schreier_sequence(Ratio(1, 1), 12000)
-    # the terms themselves, all computed before the first write, must be held
-    values = sys.getsizeof(sequence) + sum(map(sys.getsizeof, sequence))
-    digits = sum(value.bit_length() for value in sequence) * log10(2)  # to within one a term
-    assert streamed_peak - values < digits / 2
-
-
 def child_env():
     """This package's directory first on PYTHONPATH; stdout buffered, as in a shell."""
     src = str(Path(schreier.__file__).resolve().parents[1])
@@ -526,28 +482,24 @@ def child_env():
 
 
 @pytest.mark.parametrize(
-    "argv, head",
+    "argv, first_line",
     [
         # 2**17 members at n = 18 overrun any pipe buffer after the first line
         (["enumerate", "--p", "1", "--q", "100", "--n", "18"], b"{18}\n"),
         # a short answer is still in stdout's buffer when its command returns
         (["count", "--p", "1", "--q", "1", "--n", "10"], None),
-        # 2.6 MB of terms up to 5000, written 1024 terms at a time: the reader
-        # leaves in the first block, and a later one meets the closed pipe
-        (["sequence", "--p", "1", "--q", "1", "--max", "5000", "--format", "bfile"], b"1 1\n"),
-        (["sequence", "--p", "1", "--q", "1", "--max", "5000"], b"1,1,2,3,5,8,"),
     ],
-    ids=["mid-listing", "at-the-last-flush", "mid-sequence-bfile", "mid-sequence-csv"],
+    ids=["mid-listing", "at-the-last-flush"],
 )
-def test_a_closed_pipe_exits_141_without_a_traceback(argv, head):
+def test_a_closed_pipe_exits_141_without_a_traceback(argv, first_line):
     with subprocess.Popen(
         [sys.executable, "-m", "schreier", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=child_env(),
     ) as child:
-        if head is not None:
-            assert child.stdout.read(len(head)) == head
+        if first_line is not None:
+            assert child.stdout.readline() == first_line
         child.stdout.close()
         assert child.wait(timeout=60) == 141
         assert child.stderr.read() == b""
